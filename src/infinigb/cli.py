@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cmp_to_key
 
 from . import index_sets, partitions, series
 from .division import divide
@@ -25,7 +24,7 @@ from .groebner import (
     stabilized_reduced_basis,
     verify_buchberger,
 )
-from .monomials import OrderKind, compare, parse_monomial
+from .monomials import OrderKind, compare, parse_monomial, sort_key
 from .polynomials import RingContext, parse_polynomial
 
 ORDER_NAMES = [kind.value for kind in OrderKind]
@@ -78,11 +77,7 @@ def cmd_orders_demo(args):
     for name in _DEMO_ORDERS:
         order = OrderKind.from_name(name)
         monomials = [parse_monomial(text) for text in _DEMO_TEXTS]
-        ordered = sorted(
-            monomials,
-            key=cmp_to_key(lambda a, b: compare(a, b, order)),
-            reverse=True,
-        )
+        ordered = sorted(monomials, key=sort_key(order), reverse=True)
         chains[name] = [str(m) for m in ordered]
         for i in range(len(ordered)):
             for j in range(i + 1, len(ordered)):

@@ -46,6 +46,13 @@ def avoiding_multiples_of(q):
     return IndexSet(f"nondiv{q}", lambda n, q=q: n % q != 0)
 
 
+def probe_closure(parts, p, bound=256):
+    """Validate p*W inside W on all members up to the probe bound."""
+    for i in range(1, bound + 1):
+        if i in parts and (p * i) not in parts:
+            raise ValueError(f"{parts!r} is not closed under multiplication by {p}")
+
+
 _NAMED = {s.name: s for s in (ALL, ODD, PM1_MOD3, PM1_MOD5, PM1_MOD6)}
 
 

@@ -3,9 +3,9 @@ grading and the five monomial orders.
 
 A monomial is a finitely supported exponent vector, stored as a sorted tuple
 of (variable index, exponent) pairs.  There is no upper bound on variable
-indices; sparseness is the representation of infinitude.  Comparisons walk
-the two sorted sequences, reading absent indices as exponent 0, under the
-convention x1 < x2 < x3 < ...
+indices; sparseness is the representation of infinitude.  Every order is
+a tuple sort key built from those pairs (`sort_key`), reading absent
+indices as exponent 0, under the convention x1 < x2 < x3 < ...
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cache
 
 from .errors import ParseError
 
@@ -219,73 +219,51 @@ def _merge_exponents(a, b):
     yield from b[j:]
 
 
-def _cmp_at_last_difference(a, b):
-    """Sign of a_i - b_i at the last index where the vectors differ."""
-    i, j = len(a) - 1, len(b) - 1
-    while i >= 0 and j >= 0:
-        ia, ea = a[i]
-        ib, eb = b[j]
-        if ia > ib:
-            return 1
-        if ib > ia:
-            return -1
-        if ea != eb:
-            return 1 if ea > eb else -1
-        i -= 1
-        j -= 1
-    if i >= 0:
-        return 1
-    if j >= 0:
-        return -1
-    return 0
-
-
-def _cmp_at_first_difference(a, b):
-    """Sign of a_i - b_i at the first index where the vectors differ."""
-    i, j = 0, 0
-    while i < len(a) and j < len(b):
-        ia, ea = a[i]
-        ib, eb = b[j]
-        if ia < ib:
-            return 1
-        if ib < ia:
-            return -1
-        if ea != eb:
-            return 1 if ea > eb else -1
-        i += 1
-        j += 1
-    if i < len(a):
-        return 1
-    if j < len(b):
-        return -1
-    return 0
+# Per order: (read the exponent pairs from the last index?, sign on the
+# index, sign on the exponent).  Keys compare ascending under the order.
+_KEY_SHAPES = {
+    OrderKind.PURE_LEX: (True, 1, 1),
+    OrderKind.HOM_LEX: (True, 1, 1),
+    OrderKind.HOM_ANTI_LEX: (False, -1, 1),
+    OrderKind.HOM_REV_LEX: (False, 1, -1),
+    OrderKind.HOM_ANTI_REV_LEX: (True, -1, -1),
+}
 
 
 def compare(a, b, order, weights=DEFAULT_WEIGHTS):
     """Total order on monomials: -1, 0 or 1 as a <, ==, > b.
 
-    Equal only for identical exponent vectors.  The homogeneous kinds
-    compare weighted degree first; ties (and PURE_LEX outright) are decided
-    by the exponent at the first or last differing index.
+    Equal only for identical exponent vectors.  Compares the keys of
+    `sort_key(order, weights)`.
     """
-    if a.exps == b.exps:
-        return 0
-    if order is not OrderKind.PURE_LEX:
-        da, db = a.degree(weights), b.degree(weights)
-        if da != db:
-            return 1 if da > db else -1
-    if order is OrderKind.PURE_LEX or order is OrderKind.HOM_LEX:
-        return _cmp_at_last_difference(a.exps, b.exps)
-    if order is OrderKind.HOM_ANTI_LEX:
-        return _cmp_at_first_difference(a.exps, b.exps)
-    if order is OrderKind.HOM_REV_LEX:
-        return -_cmp_at_first_difference(a.exps, b.exps)
-    return -_cmp_at_last_difference(a.exps, b.exps)
+    key = sort_key(order, weights)
+    ka, kb = key(a), key(b)
+    return (ka > kb) - (ka < kb)
 
 
+@cache
 def sort_key(order, weights=DEFAULT_WEIGHTS):
-    """Ascending sort key under the given order, for use with sorted()."""
-    return cmp_to_key(lambda a, b: compare(a, b, order, weights))
+    """Ascending sort key under the given order, for use with sorted().
+
+    The key is a tuple: the weighted degree for the homogeneous kinds, then
+    the exponent pairs read as `_KEY_SHAPES` says.  The first pair that
+    differs sits at the first or last index where the exponent vectors
+    differ; an index only one monomial has decides by the index sign, since
+    the other's exponent there is 0.  Built once per (order, weights).
+    """
+    backwards, index_sign, exponent_sign = _KEY_SHAPES[order]
+    homogeneous = order.homogeneous
+    weight_of = dict(weights.overrides)
+
+    def key(m):
+        degree = 0
+        pairs = []
+        for index, exponent in reversed(m.exps) if backwards else m.exps:
+            degree += exponent * weight_of.get(index, index)
+            pairs.append((index_sign * index, exponent_sign * exponent))
+        return (degree, tuple(pairs)) if homogeneous else tuple(pairs)
+
+    return key
 
 
 def monomials_of_degree(degree, weights=DEFAULT_WEIGHTS, variables=None):
@@ -326,9 +304,6 @@ def monomials_of_degree(degree, weights=DEFAULT_WEIGHTS, variables=None):
     return out
 
 
-_MONO_TOKEN = re.compile(r"\s*(x(\d+)|\^|\*|(\d+))")
-
-
 def format_monomial(m):
     if m.is_one:
         return "1"
@@ -338,46 +313,83 @@ def format_monomial(m):
     return "*".join(parts)
 
 
+_TOKEN = re.compile(r"x(\d+)|(\d+)|[\^\*/+-]")
+
+
+def _tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            raise ParseError("unexpected character", text, pos)
+        if match.group(1) is not None:
+            tokens.append(("var", int(match.group(1)), pos))
+        elif match.group(2) is not None:
+            tokens.append(("int", int(match.group(2)), pos))
+        else:
+            tokens.append((match.group(0), None, pos))
+        pos = match.end()
+    return tokens
+
+
+class MonomialParser:
+    """Recursive descent over the token grammar shared with polynomial text:
+    a monomial is factors 'x3' or 'x3^2' joined by '*'."""
+
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def advance(self):
+        token = self.peek()
+        if token is None:
+            raise ParseError("unexpected end of input", self.text, len(self.text))
+        self.pos += 1
+        return token
+
+    def parse_monomial(self):
+        pairs = [self.parse_factor()]
+        while True:
+            token = self.peek()
+            if token is None or token[0] != "*":
+                break
+            self.advance()
+            pairs.append(self.parse_factor())
+        return Monomial.from_pairs(pairs)
+
+    def parse_factor(self):
+        kind, index, position = self.advance()
+        if kind != "var":
+            raise ParseError("expected a variable like x3", self.text, position)
+        if index < 1:
+            raise ParseError("variable index must be positive", self.text, position)
+        token = self.peek()
+        exponent = 1
+        if token is not None and token[0] == "^":
+            self.advance()
+            kind2, exponent, position2 = self.advance()
+            if kind2 != "int":
+                raise ParseError("expected an exponent", self.text, position2)
+            if exponent < 1:
+                raise ParseError("exponent must be positive", self.text, position2)
+        return (index, exponent)
+
+
 def parse_monomial(text):
     """Parse 'x1^2*x3' (or '1'); whitespace is allowed between tokens."""
-    stripped = text.strip()
-    if stripped == "1":
+    if text.strip() == "1":
         return Monomial.one()
-    pos = 0
-    pairs = []
-    expect_factor = True
-    while pos < len(text):
-        match = _MONO_TOKEN.match(text, pos)
-        if match is None:
-            if text[pos:].strip():
-                raise ParseError("unexpected character", text, pos)
-            break
-        token = match.group(1)
-        if expect_factor:
-            if match.group(2) is None:
-                raise ParseError("expected a variable like x3", text, match.start(1))
-            index = int(match.group(2))
-            if index < 1:
-                raise ParseError("variable index must be positive", text, match.start(1))
-            exponent = 1
-            pos = match.end()
-            nxt = _MONO_TOKEN.match(text, pos)
-            if nxt is not None and nxt.group(1) == "^":
-                pos = nxt.end()
-                expo = _MONO_TOKEN.match(text, pos)
-                if expo is None or expo.group(3) is None:
-                    raise ParseError("expected an exponent", text, pos)
-                exponent = int(expo.group(3))
-                if exponent < 1:
-                    raise ParseError("exponent must be positive", text, expo.start(1))
-                pos = expo.end()
-            pairs.append((index, exponent))
-            expect_factor = False
-        else:
-            if token != "*":
-                raise ParseError("expected '*' between factors", text, match.start(1))
-            pos = match.end()
-            expect_factor = True
-    if expect_factor or not pairs:
-        raise ParseError("incomplete monomial", text, len(text))
-    return Monomial.from_pairs(pairs)
+    parser = MonomialParser(text)
+    monomial = parser.parse_monomial()
+    token = parser.peek()
+    if token is not None:
+        raise ParseError("expected '*' between factors", text, token[2])
+    return monomial

@@ -17,6 +17,7 @@ from . import index_sets, series
 from .division import remainder
 from .errors import CertificationError
 from .groebner import bayer_stillman_basis
+from .index_sets import probe_closure
 from .monomials import Monomial, OrderKind
 from .polynomials import Polynomial, RingContext
 
@@ -87,13 +88,6 @@ class FamilySpec:
         if self.kind == "gap2":
             return all(a - b >= 2 for a, b in zip(parts, parts[1:]))
         return True
-
-
-def probe_closure(parts, p, bound=256):
-    """Validate p*W inside W on all members up to the probe bound."""
-    for i in range(1, bound + 1):
-        if i in parts and (p * i) not in parts:
-            raise ValueError(f"{parts!r} is not closed under multiplication by {p}")
 
 
 def enumerate_family(spec, n):
@@ -207,9 +201,9 @@ def _division_image(parts, family, p, order):
     image = remainder(
         Polynomial.from_monomial(context, partition_to_monomial(parts)), divisors
     )
-    lc, lm = image.leading()
-    assert len(image.terms) == 1 and lc == context.one
-    return monomial_to_partition(lm)
+    if len(image.terms) != 1 or image.lc() != context.one:
+        raise CertificationError(f"division image {image} is not a monic monomial")
+    return monomial_to_partition(image.lm())
 
 
 def _rewrite_down(parts, family, p):

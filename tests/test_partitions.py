@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infinigb import index_sets
+from infinigb import index_sets, partitions
+from infinigb.errors import CertificationError
 from infinigb.monomials import Monomial
 from infinigb.partitions import (
     FamilySpec,
@@ -155,6 +156,16 @@ class TestPhiPsi:
                 assert psi(phi(parts, W3, 2), W3, 2) == parts
             for parts in enumerate_family(FamilySpec("Y", W3, 2), n):
                 assert phi(psi(parts, W3, 2), W3, 2) == parts
+
+    def test_image_that_is_not_a_monic_monomial_is_refused(self, monkeypatch):
+        def binomial_remainder(f, divisors):
+            return f - f.from_monomial(f.context, Monomial.variable(99))
+
+        monkeypatch.setattr(partitions, "remainder", binomial_remainder)
+        with pytest.raises(CertificationError):
+            phi((5, 1), W3, 2)
+        with pytest.raises(CertificationError):
+            psi((5, 1), W3, 2)
 
 
 class TestVerifyBijection:
