@@ -4,10 +4,22 @@ The algorithm reduces leading terms first and moves irreducible leading
 terms wholesale to the remainder, so the leading monomial of the working
 polynomial strictly decreases at every step and termination follows from
 the well-ordering of the ambient order.
+
+`divide` keeps the working polynomial as a term accumulator: a dict from
+the monomial order key (`sort_key`) to its term, plus the ascending list
+of the keys present, so a step costs one key insert or removal per
+divisor term instead of a merge of the whole polynomial (the dict
+accumulator of sympy's `PolyElement.rem`).  Divisors are found through
+`Monomial.signature`, a 64-bit support mask with variable indices folded
+modulo 64 (after Bachmann and Schoenemann, ISSAC 1998): a divisor whose
+leading monomial's signature has a bit outside the current monomial's
+cannot divide it and is skipped, and `Monomial.try_divide` decides the
+rest.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .errors import (
@@ -16,7 +28,7 @@ from .errors import (
     RingContextMismatch,
     ZeroPolynomialError,
 )
-from .monomials import Monomial
+from .monomials import Monomial, sort_key
 from .polynomials import Polynomial
 
 
@@ -47,36 +59,59 @@ def divide(f, divisors):
     Among divisors whose leading monomial divides the current leading
     monomial, the first in the sequence wins, which makes the result
     deterministic for a fixed divisor order.
-    """
-    divisors = list(divisors)
-    context = f.context
-    leads = []
-    for g in divisors:
-        if g.context != context:
-            raise RingContextMismatch(f"{g.context} does not match {context}")
-        if g.is_zero:
-            raise ZeroPolynomialError("zero divisor")
-        lc, lm = g.leading()
-        leads.append((lm, lc, g))
 
+    The working polynomial is a dict from order key to (coefficient,
+    monomial) plus the ascending list of its live keys, so a reduction step
+    touches only the divisor's terms and each monomial's key is computed
+    once, when it enters.  A divisor is tried only when the support
+    signature of its leading monomial lies inside that of the current one.
+    """
+    context = f.context
+    rows = []
+    for g in divisors:
+        if g.context is not context and g.context != context:
+            raise RingContextMismatch(f"{g.context} does not match {context}")
+        if not g.terms:
+            raise ZeroPolynomialError("zero divisor")
+        lc, lm = g.terms[0]
+        rows.append((lm.signature, lm, lc, g.terms))
+
+    key = sort_key(context.order, context.weights)
+    work = {key(m): (c, m) for c, m in f.terms}
+    live = sorted(work)
     quotient_terms = {}
     remainder_terms = []
-    work = f
     steps = 0
-    while not work.is_zero:
-        c, m = work.leading()
-        for position, (lm_g, lc_g, g) in enumerate(leads):
+    while live:
+        c, m = work.pop(live.pop())
+        outside = ~m.signature
+        for position, (signature, lm_g, lc_g, terms_g) in enumerate(rows):
+            if signature & outside:
+                continue
             factor = m.try_divide(lm_g)
             if factor is not None:
                 coefficient = c / lc_g
-                work = work - g.times_term(coefficient, factor)
+                # Subtract coefficient*factor*g; its leading term cancels m.
+                for coef, mono in terms_g[1:]:
+                    product = mono * factor
+                    k = key(product)
+                    entry = work.get(k)
+                    if entry is None:
+                        work[k] = (-(coef * coefficient), product)
+                        insort(live, k)
+                    else:
+                        rest = entry[0] - coef * coefficient
+                        if rest:
+                            work[k] = (rest, product)
+                        else:
+                            del work[k]
+                            del live[bisect_left(live, k)]
                 quotient_terms.setdefault(position, []).append(
                     (coefficient, factor)
                 )
                 break
         else:
             remainder_terms.append((c, m))
-            work = work.drop_leading()
         steps += 1
     quotients = tuple(
         (position, Polynomial.from_terms(context, terms))

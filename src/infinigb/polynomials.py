@@ -238,11 +238,6 @@ class Polynomial:
     def lc(self):
         return self.leading().lc
 
-    def drop_leading(self):
-        if not self.terms:
-            raise ZeroPolynomialError("the zero polynomial has no leading term")
-        return Polynomial(self.context, self.terms[1:])
-
     def monomials(self):
         return tuple(m for _, m in self.terms)
 

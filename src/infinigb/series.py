@@ -37,6 +37,8 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, truncation):
+        if truncation < 0:
+            raise ValueError(f"truncation must be non-negative, got {truncation}")
         return cls((1,) + (0,) * truncation)
 
     @classmethod

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from infinigb.division import DivisionResult
+from infinigb.errors import RingContextMismatch, ZeroPolynomialError
 from infinigb.monomials import DEFAULT_WEIGHTS, Monomial, OrderKind
 from infinigb.polynomials import Polynomial, RingContext
 
@@ -72,3 +74,45 @@ def random_polynomial(rng, context, max_var, max_degree, max_terms, allow_zero=F
             rng, context, max_var, max_degree, max_terms, allow_zero
         )
     return f
+
+
+def reference_divide(f, divisors):
+    """The oracle for `infinigb.division.divide`: the textbook loop that
+    subtracts a whole divisor multiple from the working polynomial and tries
+    every divisor on every step.  Quotients, remainder and step count must
+    equal the fast kernel's."""
+    divisors = list(divisors)
+    context = f.context
+    leads = []
+    for g in divisors:
+        if g.context != context:
+            raise RingContextMismatch(f"{g.context} does not match {context}")
+        if g.is_zero:
+            raise ZeroPolynomialError("zero divisor")
+        lc, lm = g.leading()
+        leads.append((lm, lc, g))
+
+    quotient_terms = {}
+    remainder_terms = []
+    work = f
+    steps = 0
+    while not work.is_zero:
+        c, m = work.leading()
+        for position, (lm_g, lc_g, g) in enumerate(leads):
+            factor = m.try_divide(lm_g)
+            if factor is not None:
+                coefficient = c / lc_g
+                work = work - g.times_term(coefficient, factor)
+                quotient_terms.setdefault(position, []).append(
+                    (coefficient, factor)
+                )
+                break
+        else:
+            remainder_terms.append((c, m))
+            work = Polynomial(context, work.terms[1:])
+        steps += 1
+    quotients = tuple(
+        (position, Polynomial.from_terms(context, terms))
+        for position, terms in sorted(quotient_terms.items())
+    )
+    return DivisionResult(quotients, Polynomial(context, tuple(remainder_terms)), steps)

@@ -206,6 +206,13 @@ class TestIdentities:
         code, _, err = run(capsys, "identities", "--N", "8")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--schur", "--rr"])
+    def test_negative_truncation_is_a_usage_error(self, capsys, flag):
+        code, out, err = run(capsys, "identities", flag, "--N", "-1")
+        assert code == 2
+        assert out == ""
+        assert "truncation must be non-negative" in err
+
 
 class TestConfigAndDeterminism:
     def test_flags_override_config(self, capsys, tmp_path):

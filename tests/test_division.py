@@ -19,8 +19,8 @@ from infinigb.groebner import (
     TruncationWindow,
     bayer_stillman_basis,
 )
-from infinigb.monomials import Monomial, OrderKind
-from infinigb.polynomials import Polynomial, RingContext, parse_polynomial
+from infinigb.monomials import Monomial, OrderKind, compare
+from infinigb.polynomials import GF, Polynomial, RingContext, parse_polynomial
 
 HARL = RingContext(OrderKind.HOM_ANTI_REV_LEX)
 
@@ -138,6 +138,81 @@ class TestContracts:
                     if not product.is_zero:
                         assert compare(product.lm(), f.lm(), ctx.order,
                                        ctx.weights) <= 0
+
+
+# Sends x1..x5 to indices that collide modulo 64 (x1, x65, x129 and x3,
+# x67), so divisor support signatures, which fold indices into 64 bits,
+# pass divisors that try_divide must still reject.
+FOLDING_INDICES = {1: 1, 2: 65, 3: 129, 4: 3, 5: 67}
+
+
+def relabel(f, table):
+    return Polynomial.from_terms(
+        f.context,
+        [
+            (c, Monomial.from_pairs((table[i], e) for i, e in m.exps))
+            for c, m in f.terms
+        ],
+    )
+
+
+def with_repeated_leading_monomial(rng, ctx, divisors):
+    """Insert beside the divisors one that shares a leading monomial with
+    some divisor but has another coefficient and tail, so that which of
+    the two is used first changes the quotients and the remainder."""
+    lm = rng.choice(divisors).lm()
+    tail = helpers.random_polynomial(rng, ctx, max_var=5, max_degree=8,
+                                     max_terms=3)
+    twin = Polynomial.from_terms(
+        ctx,
+        [(rng.choice([1, 3, -3]), lm)]
+        + [t for t in tail.terms
+           if compare(t[1], lm, ctx.order, ctx.weights) < 0],
+    )
+    divisors.insert(rng.randint(0, len(divisors)), twin)
+    return divisors
+
+
+class TestAgainstReference:
+    """The kernel equals the textbook loop kept in tests/helpers.py on
+    quotients, remainder and step count.  GF(2) and GF(7) make
+    coefficients cancel in the middle of a division often."""
+
+    @pytest.mark.parametrize("field", [None, GF(2), GF(7)], ids=str)
+    def test_random_instances(self, field):
+        rng = random.Random(60013)
+        for k in range(300):
+            ctx = RingContext(helpers.ALL_ORDERS[k % 5], field=field)
+            f = helpers.random_polynomial(
+                rng, ctx, max_var=5, max_degree=8, max_terms=5, allow_zero=True
+            )
+            divisors = [
+                helpers.random_polynomial(
+                    rng, ctx, max_var=5, max_degree=8, max_terms=3
+                )
+                for _ in range(rng.randint(1, 4))
+            ]
+            if k % 3 == 0:
+                divisors = with_repeated_leading_monomial(rng, ctx, divisors)
+            if k % 2 == 1:
+                f = relabel(f, FOLDING_INDICES)
+                divisors = [relabel(g, FOLDING_INDICES) for g in divisors]
+            assert divide(f, divisors) == helpers.reference_divide(f, divisors)
+
+    def test_first_divisor_wins_on_a_shared_leading_monomial(self):
+        g1, g2 = poly("x1^2 - x2"), poly("x1^2 + x2")
+        for divisors, rest in (([g1, g2], "x2"), ([g2, g1], "-x2")):
+            result = divide(poly("x1^2"), divisors)
+            assert result == helpers.reference_divide(poly("x1^2"), divisors)
+            assert result.quotients == ((0, poly("1")),)
+            assert result.remainder == poly(rest)
+
+    def test_folded_signature_collision_is_rejected(self):
+        # x65 and x1 share a signature bit, yet x65 does not divide x1^3.
+        divisors = [poly("x65 - x64"), poly("x1^2 - x2")]
+        result = divide(poly("x1^3"), divisors)
+        assert result == helpers.reference_divide(poly("x1^3"), divisors)
+        assert result.remainder == poly("x1*x2")
 
 
 class TestRemainderUniqueness:

@@ -37,6 +37,10 @@ class TestArithmetic:
         geometric = TruncatedSeries.geometric(1, n)
         assert one_minus_power(1, n) * geometric == TruncatedSeries.one(n)
 
+    def test_one_refuses_a_negative_truncation(self):
+        with pytest.raises(ValueError):
+            TruncatedSeries.one(-1)
+
     def test_multiplication_by_one(self):
         s = TruncatedSeries((1, 2, 3, 4))
         assert s * TruncatedSeries.one(3) == s
