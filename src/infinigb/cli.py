@@ -50,11 +50,35 @@ def _load_config(path):
         return toml.load(handle)
 
 
-def _apply_config(args, config):
+_CONFIG_KINDS = {bool: "true or false", int: "an integer", str: "a string"}
+
+
+def _apply_config(args, config, options):
+    """Fill options left unset on the command line from the config file,
+    checked against the option's own type and choices (flags take a TOML
+    boolean)."""
     for key, value in config.items():
         attr = key.replace("-", "_")
         if hasattr(args, attr) and getattr(args, attr) is None:
+            action = options[attr]
+            kind = bool if action.nargs == 0 else action.type or str
+            if type(value) is not kind:
+                raise InfinigbError(
+                    f"config key {key!r} must be {_CONFIG_KINDS[kind]}, got {value!r}"
+                )
+            if action.choices is not None and value not in action.choices:
+                raise InfinigbError(
+                    f"config key {key!r} must be one of "
+                    f"{', '.join(action.choices)}, got {value!r}"
+                )
             setattr(args, attr, value)
+
+
+def _options(parser, command):
+    """The actions of one subcommand's options, by destination."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return {a.dest: a for a in action.choices[command]._actions}
 
 
 def _emit(text):
@@ -403,7 +427,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, _load_config(args.config))
+        _apply_config(args, _load_config(args.config), _options(parser, args.command))
         if args.format is None:
             args.format = args.default_format
         if getattr(args, "route", None) is None and hasattr(args, "route"):

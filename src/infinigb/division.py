@@ -46,12 +46,6 @@ class DivisionResult:
     remainder: Polynomial
     step_count: int
 
-    def quotient_for(self, position):
-        for index, q in self.quotients:
-            if index == position:
-                return q
-        return None
-
 
 def divide(f, divisors):
     """Divide f by an ordered sequence of nonzero divisors.

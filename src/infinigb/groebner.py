@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from . import series
-from .division import remainder, standard_monomials
+from .division import remainder
 from .errors import (
     CertificationError,
     HomogeneityError,
@@ -373,9 +373,9 @@ def assemble_filtration(presentation, windows, *, check_coherence=True):
     """Union of per-window reduced bases; a base of the whole ideal in the
     limit, certified here only as asserted.
 
-    With check_coherence, verifies degreewise (by standard-monomial counts)
-    that the union's leading monomials inside each window generate the same
-    monomial ideal as that window's own base.
+    With check_coherence, verifies by leading-monomial divisibility that the
+    union's leading monomials inside each window generate (at least) that
+    window's own leading-term ideal up to the window's degree bound.
     """
     windows = list(windows)
     if any(
@@ -407,22 +407,18 @@ def assemble_filtration(presentation, windows, *, check_coherence=True):
     return combined
 
 
-def _monomial_ideal_basis(context, lms, window):
-    elements = tuple(
-        Polynomial.from_monomial(context, lm) for lm in _canonical_monomials(lms, context)
-    )
-    return GroebnerBasis(
-        context, elements, window, Certificate.BAYER_STILLMAN, reduced=False
-    )
-
-
-def _canonical_monomials(lms, context):
-    return sorted(set(lms), key=sort_key(context.order, context.weights))
-
-
 def _window_coherent(combined, window_basis, window, variables):
-    """Degreewise check that the union's leading monomials inside the window
-    generate (at least) the window's own leading-term ideal.
+    """Check that the union's leading monomials inside the window generate
+    (at least) the window's own leading-term ideal, up to the degree bound.
+
+    A monomial lies in a monomial ideal exactly when some generator divides
+    it, so each leading monomial w of the window's base that is admissible
+    (weighted degree <= D, support in x1..xn and in `variables`) must be
+    divisible by a leading monomial of the cut, the union elements whose
+    leading monomial lies in k[x1..xn].  Inadmissible w have no admissible
+    multiple of degree <= D and are skipped.  A divisor of an admissible w
+    lies in k[x1..xn] itself, so scanning every union leading monomial is
+    the same as scanning the cut.
 
     Only containment is checked: a union element can carry a leading
     monomial inside k[x1..xn] while the element itself leaves it, so the cut
@@ -432,26 +428,14 @@ def _window_coherent(combined, window_basis, window, variables):
     context = combined.context
     if not context.order.homogeneous:
         return True
-    cut = [
-        g.lm()
-        for g in combined.elements
-        if g.lm().max_index() <= window.var_bound
-    ]
-    admissible = set(
-        i
-        for i in context.weights.indices_with_weight_at_most(window.degree_bound)
-        if i <= window.var_bound and (variables is None or i in variables)
-    )
-    by_cut = _monomial_ideal_basis(context, cut, window)
-    by_window = _monomial_ideal_basis(
-        context, [g.lm() for g in window_basis.elements], window
-    )
-    for degree in range(window.degree_bound + 1):
-        outside_cut = set(standard_monomials(by_cut, degree, variables=admissible))
-        outside_window = set(
-            standard_monomials(by_window, degree, variables=admissible)
+    leads = combined.leading_monomials()
+    for w in window_basis.leading_monomials():
+        admissible = (
+            w.degree(context.weights) <= window.degree_bound
+            and w.max_index() <= window.var_bound
+            and (variables is None or all(i in variables for i in w.support()))
         )
-        if not outside_cut <= outside_window:
+        if admissible and not any(c.divides(w) for c in leads):
             return False
     return True
 

@@ -18,7 +18,7 @@ from .division import remainder
 from .errors import CertificationError
 from .groebner import bayer_stillman_basis
 from .index_sets import probe_closure
-from .monomials import Monomial, OrderKind
+from .monomials import DEFAULT_WEIGHTS, Monomial, OrderKind
 from .polynomials import Polynomial, RingContext
 
 
@@ -325,16 +325,6 @@ def verify_bijection(family, p, n):
     return pairs, report
 
 
-def _distinct_parts_product(values, truncation):
-    out = series.TruncatedSeries.one(truncation)
-    for m in values:
-        coefficients = [0] * (truncation + 1)
-        coefficients[0] = 1
-        coefficients[m] = 1
-        out = out * series.TruncatedSeries(coefficients)
-    return out
-
-
 def _bounded_multiplicity_product(values, max_mult, truncation):
     out = series.TruncatedSeries.one(truncation)
     for m in values:
@@ -351,12 +341,9 @@ def schur_identity_check(truncation):
     +-1 mod 6, distinct parts +-1 mod 3, odd parts at most twice, plus the
     three enumeration counts; all five must agree coefficientwise."""
     N = truncation
-    product_mod6 = series.TruncatedSeries.one(N)
-    for m in range(1, N + 1):
-        if m in index_sets.PM1_MOD6:
-            product_mod6 = product_mod6 * series.TruncatedSeries.geometric(m, N)
-    distinct_mod3 = _distinct_parts_product(
-        [m for m in range(1, N + 1) if m in index_sets.PM1_MOD3], N
+    product_mod6 = series.ambient_series(DEFAULT_WEIGHTS, index_sets.PM1_MOD6, N)
+    distinct_mod3 = _bounded_multiplicity_product(
+        [m for m in range(1, N + 1) if m in index_sets.PM1_MOD3], 1, N
     )
     odd_twice = _bounded_multiplicity_product(
         [m for m in range(1, N + 1) if m in index_sets.ODD], 2, N
@@ -384,10 +371,7 @@ def rr_identity_check(truncation):
     """Both sides of the Rogers-Ramanujan equality, plus the enumeration
     counts of parts +-1 mod 5 and of gap-two partitions."""
     N = truncation
-    product_mod5 = series.TruncatedSeries.one(N)
-    for m in range(1, N + 1):
-        if m in index_sets.PM1_MOD5:
-            product_mod5 = product_mod5 * series.TruncatedSeries.geometric(m, N)
+    product_mod5 = series.ambient_series(DEFAULT_WEIGHTS, index_sets.PM1_MOD5, N)
     summed = series.TruncatedSeries.one(N)
     m = 1
     while m * m <= N:

@@ -236,6 +236,24 @@ class TestConfigAndDeterminism:
         assert code == 0
         assert json.loads(out)["schur"]["verdict"] == "PASS"
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ('N = "60"', "'N'"),
+            ("N = true", "'N'"),
+            ("N = 6.0", "'N'"),
+            ('format = "xml"', "'format'"),
+            ("schur = 1", "'schur'"),
+        ],
+    )
+    def test_wrong_config_value_is_a_usage_error(self, capsys, tmp_path, line, key):
+        config = tmp_path / "run.toml"
+        config.write_text(line + ("\n" if key == "'N'" else "\nN = 5\n"))
+        code, out, err = run(capsys, "identities", "--rr", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert f"config key {key}" in err
+
     def test_seed_echoed(self, capsys):
         _, out, _ = run(
             capsys, "orders-demo", "--format", "json", "--seed", "99",

@@ -28,9 +28,10 @@ from infinigb.groebner import (
     purelex_restriction_check,
     reduce_basis,
     stabilized_reduced_basis,
+    _window_coherent,
     verify_buchberger,
 )
-from infinigb.monomials import Monomial, OrderKind
+from infinigb.monomials import DEFAULT_WEIGHTS, Monomial, OrderKind, WeightedAlphabet
 from infinigb.polynomials import Polynomial, RingContext, parse_polynomial, s_polynomial
 
 HARL = RingContext(OrderKind.HOM_ANTI_REV_LEX)
@@ -218,6 +219,75 @@ class TestFiltration:
             assemble_filtration(
                 pres, [TruncationWindow(4, 8), TruncationWindow(4, 8)]
             )
+
+
+def monomial_basis(context, lms, window):
+    elements = tuple(Polynomial.from_monomial(context, m) for m in set(lms))
+    return GroebnerBasis(context, elements, window, Certificate.ASSERTED, reduced=False)
+
+
+COHERENCE_WEIGHTS = [
+    DEFAULT_WEIGHTS,
+    WeightedAlphabet.with_weights({i: 1 for i in range(1, 10)}),
+    WeightedAlphabet.with_weights({3: 1, 7: 2}),
+]
+COHERENCE_VARIABLES = [None, index_sets.ODD, {1, 2, 4, 5, 7}]
+
+
+class TestWindowCoherence:
+    @pytest.mark.parametrize("variables", COHERENCE_VARIABLES, ids=["none", "odd", "set"])
+    @pytest.mark.parametrize("weights", COHERENCE_WEIGHTS, ids=["default", "ones", "overrides"])
+    @pytest.mark.parametrize("order", helpers.HOMOGENEOUS_ORDERS, ids=lambda o: o.value)
+    def test_agrees_with_enumeration(self, order, weights, variables):
+        # Window leading monomials are mostly multiples of cut monomials, so
+        # both verdicts occur; the rest are random, some beyond the degree
+        # bound, beyond x_n or outside `variables`, and 1 turns up on both
+        # sides.
+        context = RingContext(order, weights)
+        rng = random.Random(f"{order.value}/{weights}/{variables}")
+        seen = set()
+        for _ in range(40):
+            window = TruncationWindow(rng.randint(2, 6), rng.randint(2, 8))
+
+            def monomial():
+                return Monomial.from_pairs(
+                    (rng.randint(1, 8), rng.randint(1, 2))
+                    for _ in range(rng.choice([0, 1, 1, 2, 2, 3]))
+                )
+
+            cut = [monomial() for _ in range(rng.randint(0, 4))]
+            own = []
+            for _ in range(rng.randint(1, 4)):
+                m = monomial()
+                if cut and rng.random() < 0.7:
+                    m = m * rng.choice(cut) if rng.random() < 0.5 else rng.choice(cut)
+                own.append(m)
+            combined = monomial_basis(context, cut, window)
+            window_basis = monomial_basis(context, own, window)
+            verdict = _window_coherent(combined, window_basis, window, variables)
+            assert verdict == helpers.reference_window_coherent(
+                combined, window_basis, window, variables
+            ), (window, cut, own)
+            seen.add(verdict)
+        assert seen == {True, False}
+
+    def test_missing_window_lead_is_incoherent(self):
+        # The window's base leads with x2, which no cut monomial divides.
+        window = TruncationWindow(3, 6)
+        combined = monomial_basis(HARL, [Monomial.variable(1, 2)], window)
+        window_basis = monomial_basis(
+            HARL, [Monomial.variable(1, 2), Monomial.variable(2)], window
+        )
+        assert not _window_coherent(combined, window_basis, window, None)
+        assert not helpers.reference_window_coherent(
+            combined, window_basis, window, None
+        )
+
+    def test_non_homogeneous_order_is_not_checked(self):
+        window = TruncationWindow(3, 6)
+        combined = monomial_basis(PLEX, [], window)
+        window_basis = monomial_basis(PLEX, [Monomial.variable(2)], window)
+        assert _window_coherent(combined, window_basis, window, None)
 
 
 class TestStabilization:
