@@ -16,6 +16,7 @@ from . import index_sets, partitions, series
 from .division import divide
 from .errors import InfinigbError
 from .groebner import (
+    STABILITY_WINDOW,
     IdealPresentation,
     TruncationWindow,
     bayer_stillman_basis,
@@ -192,7 +193,7 @@ def cmd_gb(args):
             basis = buchberger_truncated(
                 gens, window, context=presentation.context
             )
-        if args.n >= 3:
+        if args.n >= STABILITY_WINDOW:
             scan = stabilized_reduced_basis(
                 presentation, max_n=args.n, degree_bound=args.deg
             )
@@ -356,12 +357,6 @@ def _build_parser():
         "--format", choices=["json", "tsv"], default=None, help="output format"
     )
     common.add_argument("--seed", type=int, default=None, help="echoed seed")
-    common.add_argument(
-        "--weights",
-        choices=["identity"],
-        default=None,
-        help="degree rule (d_i = i)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="infinigb",

@@ -312,16 +312,14 @@ class IdealPresentation:
         object.__setattr__(self, "generators", tuple(self.generators))
 
     @classmethod
-    def power_substitution(cls, parts, p, order, weights=None, fieldtag=None):
+    def power_substitution(cls, parts, p, order, fieldtag=None):
         """The family i -> x_i^p - x_{p i} for i in `parts`, inside the
         subring on the variables of `parts`; requires p*parts within parts
         (probed on small members)."""
         if p < 2:
             raise ValueError("the substitution exponent must be at least 2")
         probe_closure(parts, p)
-        from .monomials import DEFAULT_WEIGHTS
-
-        context = RingContext(order, weights or DEFAULT_WEIGHTS, fieldtag)
+        context = RingContext(order, field=fieldtag)
 
         def rule(i, context=context, p=p):
             return Polynomial.from_terms(
@@ -460,18 +458,20 @@ class StabilityScan:
     )
 
 
-def stabilized_reduced_basis(presentation, max_n, degree_bound, window_len=3):
+STABILITY_WINDOW = 3
+
+
+def stabilized_reduced_basis(presentation, max_n, degree_bound):
     """Scan reduced bases of the ideal cut to k[x1..xn] for n = 1..max_n and
-    emit the elements that persist across the trailing `window_len` values.
+    emit the elements that persist across the trailing STABILITY_WINDOW
+    values.
 
     Each per-n base is computed from the generators instantiated inside
     (n, degree_bound); when the presentation does not restrict exactly, this
     under-approximates the cut ideal, which the report's note records.
     """
-    if window_len < 2:
-        raise ValueError("window_len must be at least 2")
-    if max_n < window_len:
-        raise ValueError("max_n must be at least window_len")
+    if max_n < STABILITY_WINDOW:
+        raise ValueError(f"max_n must be at least {STABILITY_WINDOW}")
     context = presentation.context
     history = []
     element_sets = []
@@ -481,7 +481,7 @@ def stabilized_reduced_basis(presentation, max_n, degree_bound, window_len=3):
         basis = reduce_basis(buchberger_truncated(gens, window, context=context))
         history.append((n, len(basis.elements)))
         element_sets.append(set(basis.elements))
-    window_ns = tuple(range(max_n - window_len + 1, max_n + 1))
+    window_ns = tuple(range(max_n - STABILITY_WINDOW + 1, max_n + 1))
     tail = [element_sets[n - 1] for n in window_ns]
     stable = set.intersection(*tail)
     union = set.union(*tail)

@@ -46,9 +46,14 @@ def avoiding_multiples_of(q):
     return IndexSet(f"nondiv{q}", lambda n, q=q: n % q != 0)
 
 
-def probe_closure(parts, p, bound=256):
-    """Validate p*W inside W on all members up to the probe bound."""
-    for i in range(1, bound + 1):
+# Closure under m -> p*m cannot be checked in finite time from a membership
+# rule, so it is probed on the members up to this bound.
+CLOSURE_PROBE_BOUND = 256
+
+
+def probe_closure(parts, p):
+    """Validate p*W inside W on all members up to CLOSURE_PROBE_BOUND."""
+    for i in range(1, CLOSURE_PROBE_BOUND + 1):
         if i in parts and (p * i) not in parts:
             raise ValueError(f"{parts!r} is not closed under multiplication by {p}")
 

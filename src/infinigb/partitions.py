@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from . import index_sets, series
 from .division import remainder
 from .errors import CertificationError
-from .groebner import bayer_stillman_basis
+from .groebner import IdealPresentation, TruncationWindow, bayer_stillman_basis
 from .index_sets import probe_closure
 from .monomials import DEFAULT_WEIGHTS, Monomial, OrderKind
-from .polynomials import Polynomial, RingContext
+from .polynomials import Polynomial
 
 
 def check_partition(parts):
@@ -59,16 +59,9 @@ class FamilySpec:
 
     @classmethod
     def preset(cls, name):
-        presets = {
-            "A": cls("X", index_sets.PM1_MOD3, 2),
-            "B": cls("Y", index_sets.PM1_MOD3, 2),
-            "C": cls("Y", index_sets.ODD, 3),
-            "P": cls("parts", index_sets.PM1_MOD5),
-            "Q": cls("gap2"),
-        }
-        if name not in presets:
+        if name not in _PRESETS:
             raise ValueError(f"unknown preset {name!r}")
-        return presets[name]
+        return _PRESETS[name]
 
     def admits_part(self, m):
         if self.kind == "X":
@@ -88,6 +81,15 @@ class FamilySpec:
         if self.kind == "gap2":
             return all(a - b >= 2 for a, b in zip(parts, parts[1:]))
         return True
+
+
+_PRESETS = {
+    "A": FamilySpec("X", index_sets.PM1_MOD3, 2),
+    "B": FamilySpec("Y", index_sets.PM1_MOD3, 2),
+    "C": FamilySpec("Y", index_sets.ODD, 3),
+    "P": FamilySpec("parts", index_sets.PM1_MOD5),
+    "Q": FamilySpec("gap2"),
+}
 
 
 def enumerate_family(spec, n):
@@ -172,34 +174,27 @@ def monomial_to_partition(monomial):
     return tuple(parts)
 
 
-def _family_generators(context, parts, p, weight):
-    """The substitution binomials x_i^p - x_{p i} visible at the given
-    weight: exactly those with p*i <= weight."""
-    gens = []
-    for i in range(1, weight // p + 1):
-        if i in parts:
-            gens.append(
-                Polynomial.from_terms(
-                    context,
-                    ((1, Monomial.variable(i, p)), (-1, Monomial.variable(p * i))),
-                )
-            )
-    return gens
+def _substitution_basis(family, p, order, weight):
+    """The Groebner base of the binomials x_i^p - x_{p i} visible at the
+    given weight: the window (weight, weight) of
+    `IdealPresentation.power_substitution`, certified by its pairwise
+    coprime leading monomials."""
+    presentation = IdealPresentation.power_substitution(family, p, order)
+    window = TruncationWindow(max(1, weight), max(1, weight))
+    basis = bayer_stillman_basis(
+        presentation.instantiate(window), window=window, context=presentation.context
+    )
+    if basis is None:
+        raise CertificationError("substitution family failed to certify")
+    return basis
 
 
-def _division_image(parts, family, p, order):
-    context = RingContext(order)
-    weight = sum(parts)
-    gens = _family_generators(context, family, p, weight)
-    if gens:
-        basis = bayer_stillman_basis(gens, context=context)
-        if basis is None:
-            raise CertificationError("substitution family failed to certify")
-        divisors = basis.elements
-    else:
-        divisors = ()
+def _division_image(parts, basis):
+    """The partition of the remainder of x^parts modulo the base."""
+    context = basis.context
     image = remainder(
-        Polynomial.from_monomial(context, partition_to_monomial(parts)), divisors
+        Polynomial.from_monomial(context, partition_to_monomial(parts)),
+        basis.elements,
     )
     if len(image.terms) != 1 or image.lc() != context.one:
         raise CertificationError(f"division image {image} is not a monic monomial")
@@ -253,7 +248,8 @@ def phi(parts, family, p, *, route="division"):
     if not FamilySpec("X", family, p).contains(parts):
         raise ValueError(f"{parts} has parts outside W minus {p}W")
     if route == "division":
-        return _division_image(parts, family, p, OrderKind.HOM_ANTI_REV_LEX)
+        basis = _substitution_basis(family, p, OrderKind.HOM_ANTI_REV_LEX, sum(parts))
+        return _division_image(parts, basis)
     if route == "oracle":
         return _rewrite_down(parts, family, p)
     raise ValueError(f"unknown route {route!r}")
@@ -266,7 +262,8 @@ def psi(parts, family, p, *, route="division"):
     if not FamilySpec("Y", family, p).contains(parts):
         raise ValueError(f"{parts} is not a multiplicity-bounded W-partition")
     if route == "division":
-        return _division_image(parts, family, p, OrderKind.HOM_LEX)
+        basis = _substitution_basis(family, p, OrderKind.HOM_LEX, sum(parts))
+        return _division_image(parts, basis)
     if route == "oracle":
         return _rewrite_up(parts, family, p)
     raise ValueError(f"unknown route {route!r}")
@@ -274,9 +271,14 @@ def psi(parts, family, p, *, route="division"):
 
 def verify_bijection(family, p, n):
     """Check that phi and psi are mutually inverse bijections at weight n,
-    with the division and rewrite routes agreeing pointwise."""
+    with the division and rewrite routes agreeing pointwise.  Both
+    substitution bases are certified once, for weight n; an image outside
+    the other side clears the matching flag instead of raising."""
     x_side = sorted(enumerate_family(FamilySpec("X", family, p), n))
     y_side = enumerate_family(FamilySpec("Y", family, p), n)
+    x_set = set(x_side)
+    down = _substitution_basis(family, p, OrderKind.HOM_ANTI_REV_LEX, n)
+    up = _substitution_basis(family, p, OrderKind.HOM_LEX, n)
     pairs = []
     routes_agree = True
     lands_in_y = True
@@ -284,18 +286,19 @@ def verify_bijection(family, p, n):
     phi_section = True
     images = set()
     for parts in x_side:
-        by_division = phi(parts, family, p, route="division")
-        by_rewrite = phi(parts, family, p, route="oracle")
-        routes_agree &= by_division == by_rewrite
-        lands_in_y &= by_division in y_side
-        psi_section &= psi(by_division, family, p) == parts
+        by_division = _division_image(parts, down)
+        routes_agree &= by_division == _rewrite_down(parts, family, p)
+        in_y = by_division in y_side
+        lands_in_y &= in_y
+        psi_section &= in_y and _division_image(by_division, up) == parts
         images.add(by_division)
         pairs.append((parts, by_division))
     for parts in sorted(y_side):
-        up_division = psi(parts, family, p, route="division")
-        up_rewrite = psi(parts, family, p, route="oracle")
-        routes_agree &= up_division == up_rewrite
-        phi_section &= phi(up_division, family, p) == parts
+        up_division = _division_image(parts, up)
+        routes_agree &= up_division == _rewrite_up(parts, family, p)
+        phi_section &= (
+            up_division in x_set and _division_image(up_division, down) == parts
+        )
     injective = len(images) == len(x_side)
     surjective = images == y_side
     report = {

@@ -202,13 +202,6 @@ class Polynomial:
         return cls(context)
 
     @classmethod
-    def constant(cls, context, value):
-        c = context.coeff(value)
-        if not c:
-            return cls(context)
-        return cls(context, ((c, Monomial.one()),))
-
-    @classmethod
     def variable(cls, context, index, exponent=1):
         return cls(context, ((context.one, Monomial.variable(index, exponent)),))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.resources
 import json
 
@@ -173,6 +174,17 @@ class TestBijection:
         payload = json.loads(out)
         assert {"from": [5, 5], "to": [10]} in payload["pairs"]
 
+    def test_failed_verification_exits_one_with_report(self, capsys, monkeypatch):
+        from infinigb import partitions
+
+        monkeypatch.setattr(partitions, "remainder", lambda f, divisors: f)
+        code, out, _ = run(capsys, "bijection", "--preset", "AB", "--n", "4")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[1] == "[1, 1, 1, 1]\t[1, 1, 1, 1]"
+        report = json.loads(lines[2])
+        assert report["ok"] is False and report["maps_into_target"] is False
+
 
 class TestIdentities:
     def test_schur_json(self, capsys):
@@ -284,3 +296,26 @@ class TestConfigAndDeterminism:
         code, out, _ = run(capsys, "hilbert", "--preset", "schur-p2", "--N", "6")
         assert code == 1
         assert json.loads(out)["verdict"] == "FAIL"
+
+
+# SHA-256 of the whole stdout, pinned so that refactors keep the output
+# byte for byte; no --seed, so the echoed seed is null on every run.
+GOLDEN_STDOUT = {
+    ("bijection", "--preset", "AB", "--n", "12"):
+        "16f53b5d0330e5d928c21ddaba8ee5e4dc7b3412a22fc03f916638d59d64dd77",
+    ("bijection", "--preset", "AC", "--n", "12", "--format", "json"):
+        "da0dc222ce5207d3772480cf96592617bf83fb25ae3ea8f9002be83a39e9eee1",
+    ("bijection", "--preset", "AB", "--n", "12", "--route", "division"):
+        "e8db964a86a8ba3f7957a09be1df1fb6c51b69c186c4925fabcaec249043063e",
+    ("identities", "--schur", "--rr", "--N", "20"):
+        "1dd2985168889b5d73cc054c146d6f950929bd635e9a38a07ac1e1d86a34878a",
+    ("hilbert", "--preset", "schur-p3", "--N", "20"):
+        "0f25bc737c55cf7ef8847b5a9fb80a93961224bf8dcba3cda0fb007f8d7f5a23",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=" ".join)
+def test_stdout_matches_pinned_digest(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]

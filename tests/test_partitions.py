@@ -184,6 +184,14 @@ class TestVerifyBijection:
         _, report = verify_bijection(W_ODD, 3, n)
         assert report["ok"], report
 
+    def test_failed_verification_is_reported_not_raised(self, monkeypatch):
+        monkeypatch.setattr(partitions, "remainder", lambda f, divisors: f)
+        pairs, report = verify_bijection(W3, 2, 4)
+        assert pairs == [((1, 1, 1, 1), (1, 1, 1, 1))]
+        assert report["ok"] is False
+        assert report["maps_into_target"] is False
+        assert report["phi_after_psi_is_identity"] is False
+
 
 class TestRandomizedSpecs:
     def test_cardinalities_agree_for_random_closed_sets(self):
