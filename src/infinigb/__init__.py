@@ -2,7 +2,14 @@
 variables: monomial orders, truncated Groebner bases, Hilbert series and
 partition bijections realized by the division algorithm."""
 
-from .division import DivisionResult, divide, is_member, remainder, standard_monomials
+from .division import (
+    DivisionResult,
+    DivisorTable,
+    divide,
+    is_member,
+    remainder,
+    standard_monomials,
+)
 from .errors import (
     CertificationError,
     HomogeneityError,

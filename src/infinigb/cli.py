@@ -276,15 +276,7 @@ def cmd_bijection(args):
     if args.route == "both":
         pairs, report = partitions.verify_bijection(family, p, args.n)
     else:
-        x_side = sorted(
-            partitions.enumerate_family(
-                partitions.FamilySpec("X", family, p), args.n
-            )
-        )
-        pairs = [
-            (parts, partitions.phi(parts, family, p, route=args.route))
-            for parts in x_side
-        ]
+        pairs = partitions.phi_pairs(family, p, args.n, route=args.route)
         report = {
             "n": args.n,
             "family": family.name,
@@ -418,6 +410,27 @@ _REQUIRED = {
 }
 
 
+# Per command, the least value of each numeric option and what it bounds.
+_LEAST = {
+    cmd_gb: (
+        ("n", 1, "the variable bound"),
+        ("deg", 1, "the degree bound"),
+        ("p", 2, "the substitution exponent"),
+    ),
+    cmd_hilbert: (("N", 0, "truncation"), ("p", 2, "the substitution exponent")),
+    cmd_bijection: (("n", 0, "the partition weight"),),
+    cmd_identities: (("N", 0, "truncation"),),
+}
+
+
+def _check_numbers(args):
+    for name, least, what in _LEAST.get(args.handler, ()):
+        value = getattr(args, name)
+        if value is not None and value < least:
+            bound = "non-negative" if least == 0 else f"at least {least}"
+            raise InfinigbError(f"--{name}: {what} must be {bound}, got {value}")
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -430,6 +443,7 @@ def main(argv=None):
         for required in _REQUIRED.get(args.handler, ()):
             if getattr(args, required) is None:
                 raise InfinigbError(f"missing required option --{required}")
+        _check_numbers(args)
         if getattr(args, "reduced", None) is None and hasattr(args, "reduced"):
             args.reduced = False
         if getattr(args, "schur", None) is None and hasattr(args, "schur"):

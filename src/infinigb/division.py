@@ -5,22 +5,25 @@ terms wholesale to the remainder, so the leading monomial of the working
 polynomial strictly decreases at every step and termination follows from
 the well-ordering of the ambient order.
 
-`divide` keeps the working polynomial as a term accumulator: a dict from
-the monomial order key (`sort_key`) to its term, plus the ascending list
-of the keys present, so a step costs one key insert or removal per
-divisor term instead of a merge of the whole polynomial (the dict
-accumulator of sympy's `PolyElement.rem`).  Divisors are found through
-`Monomial.signature`, a 64-bit support mask with variable indices folded
-modulo 64 (after Bachmann and Schoenemann, ISSAC 1998): a divisor whose
-leading monomial's signature has a bit outside the current monomial's
-cannot divide it and is skipped, and `Monomial.try_divide` decides the
-rest.
+Division runs over packed exponent vectors (Bachmann and Schoenemann,
+ISSAC 1998).  A `DivisorTable` packs its divisors once, so a basis that
+divides many polynomials is packed once, not once per division.  A
+monomial over x1..xn becomes one integer `X` with one field per variable,
+each topped by a guard bit, and its order key becomes the integer
+`(weighted degree << S) + X` or `- X`, S being the width of `X`, with the
+fields laid out so that integer comparison is the monomial order.  Both
+are additive, so a product is an integer add, and `d` divides `m` exactly
+when subtracting `X_d` from `X_m` with every guard bit set clears none.
+The working polynomial is a dict from key to coefficient (the dict
+accumulator of sympy's `PolyElement.rem`) with a heap of its keys.
+`divide` and `remainder` share the one loop; only `divide` records
+quotients.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .errors import (
     CertificationError,
@@ -28,7 +31,7 @@ from .errors import (
     RingContextMismatch,
     ZeroPolynomialError,
 )
-from .monomials import Monomial, sort_key
+from .monomials import _KEY_SHAPES, Monomial, _trusted
 from .polynomials import Polynomial
 
 
@@ -47,76 +50,231 @@ class DivisionResult:
     step_count: int
 
 
-def divide(f, divisors):
-    """Divide f by an ordered sequence of nonzero divisors.
+class DivisorTable:
+    """An ordered list of nonzero divisors in one ring context, packed once
+    for repeated division; `append` extends it.
 
-    Among divisors whose leading monomial divides the current leading
-    monomial, the first in the sequence wins, which makes the result
-    deterministic for a fixed divisor order.
-
-    The working polynomial is a dict from order key to (coefficient,
-    monomial) plus the ascending list of its live keys, so a reduction step
-    touches only the divisor's terms and each monomial's key is computed
-    once, when it enters.  A divisor is tried only when the support
-    signature of its leading monomial lies inside that of the current one.
+    The layout has one field per variable x1..xn and a field width that
+    holds every exponent a division can reach.  Under a homogeneous order
+    every monomial a division of f meets has weighted degree at most that
+    of lm(f), which bounds its exponents; under `plex` nothing does, so
+    there a product that sets a guard bit widens the fields and restarts
+    the division.  A polynomial with a larger variable index or exponent
+    widens the layout before its division starts.
     """
-    context = f.context
-    rows = []
-    for g in divisors:
+
+    def __init__(self, context, divisors=()):
+        self.context = context
+        self.divisors = []
+        backwards, _, exponent_sign = _KEY_SHAPES[context.order]
+        self._backwards = backwards
+        self._sign = exponent_sign
+        self._homogeneous = context.order.homogeneous
+        self._weight_of = dict(context.weights.overrides)
+        self._layout(0, 2)
+        for g in divisors:
+            self.append(g)
+
+    def append(self, g):
+        context = self.context
         if g.context is not context and g.context != context:
             raise RingContextMismatch(f"{g.context} does not match {context}")
         if not g.terms:
             raise ZeroPolynomialError("zero divisor")
-        lc, lm = g.terms[0]
-        rows.append((lm.signature, lm, lc, g.terms))
+        self.divisors.append(g)
+        if not self._fit(g, _max_exponent(g)):
+            self._pack_row(g)
 
-    key = sort_key(context.order, context.weights)
-    work = {key(m): (c, m) for c, m in f.terms}
-    live = sorted(work)
-    quotient_terms = {}
-    remainder_terms = []
-    steps = 0
-    while live:
-        c, m = work.pop(live.pop())
-        outside = ~m.signature
-        for position, (signature, lm_g, lc_g, terms_g) in enumerate(rows):
-            if signature & outside:
-                continue
-            factor = m.try_divide(lm_g)
-            if factor is not None:
-                coefficient = c / lc_g
-                # Subtract coefficient*factor*g; its leading term cancels m.
-                for coef, mono in terms_g[1:]:
-                    product = mono * factor
-                    k = key(product)
-                    entry = work.get(k)
-                    if entry is None:
-                        work[k] = (-(coef * coefficient), product)
-                        insort(live, k)
-                    else:
-                        rest = entry[0] - coef * coefficient
-                        if rest:
-                            work[k] = (rest, product)
-                        else:
-                            del work[k]
-                            del live[bisect_left(live, k)]
-                quotient_terms.setdefault(position, []).append(
-                    (coefficient, factor)
-                )
-                break
+    def _fit(self, f, need):
+        """Widen the layout to the variables of f and exponents up to
+        `need`, packing every divisor again; False if it already fits."""
+        top = max(m.exps[-1][0] if m.exps else 0 for _, m in f.terms)
+        if top <= self._variables and need <= self._capacity:
+            return False
+        self._layout(
+            max(top, self._variables), max(self._width, need.bit_length() + 1)
+        )
+        return True
+
+    def _layout(self, variables, width):
+        """Pack every divisor again for x1..x{variables} and fields of
+        `width` bits, the top one the guard."""
+        self._variables = variables
+        self._width = width
+        self._capacity = (1 << (width - 1)) - 1
+        self._shift = variables * width
+        self._mask = (1 << self._shift) - 1
+        self._guard = sum(
+            1 << (field * width + width - 1) for field in range(variables)
+        )
+        self._leads = []
+        self._rows = []
+        for g in self.divisors:
+            self._pack_row(g)
+
+    def _pack_row(self, g):
+        key = self._key
+        terms = g.terms
+        lc, lm = terms[0]
+        self._leads.append(self._packed(lm))
+        # None for a monic divisor, whose quotient coefficient is the
+        # current one; the tail is negated once here, not per product.
+        self._rows.append(
+            (
+                key(lm),
+                None if lc == self.context.one else lc,
+                tuple((-c, key(m)) for c, m in terms[1:]),
+            )
+        )
+
+    def _packed(self, m):
+        width, n = self._width, self._variables
+        x = 0
+        for index, exponent in m.exps:
+            field = index - 1 if self._backwards else n - index
+            x += exponent << (field * width)
+        return x
+
+    def _degree(self, m):
+        weight_of = self._weight_of
+        return sum(e * weight_of.get(i, i) for i, e in m.exps)
+
+    def _key(self, m):
+        """The negated order key of m, so that the leading term is the
+        smallest key and a heap pops it first."""
+        x = self._packed(m)
+        if not self._homogeneous:
+            return -x
+        return -((self._degree(m) << self._shift) + self._sign * x)
+
+    def _monomial(self, key):
+        """The monomial of a negated order key."""
+        x = (key if self._sign < 0 else -key) & self._mask
+        width, n = self._width, self._variables
+        field_mask = self._capacity
+        pairs = []
+        while x:
+            field = ((x & -x).bit_length() - 1) // width
+            exponent = (x >> (field * width)) & field_mask
+            x ^= exponent << (field * width)
+            pairs.append((field + 1 if self._backwards else n - field, exponent))
+        if not self._backwards:
+            pairs.reverse()
+        return _trusted(tuple(pairs))
+
+    def _divide(self, f, record):
+        """(remainder terms, {position: quotient terms} or None, steps),
+        with keys in place of monomials."""
+        if f.context is not self.context and f.context != self.context:
+            raise RingContextMismatch(f"{f.context} does not match {self.context}")
+        if not f.terms:
+            return [], {} if record else None, 0
+        # Under a homogeneous order no monomial of the division exceeds
+        # the degree of lm(f), nor then does any exponent.
+        if self._homogeneous:
+            self._fit(f, self._degree(f.terms[0][1]))
         else:
-            remainder_terms.append((c, m))
-        steps += 1
-    quotients = tuple(
-        (position, Polynomial.from_terms(context, terms))
-        for position, terms in sorted(quotient_terms.items())
+            self._fit(f, _max_exponent(f))
+        while True:
+            outcome = self._run(f.terms, record)
+            if outcome is not None:
+                return outcome
+            self._layout(self._variables, 2 * self._width)
+
+    def _run(self, terms, record):
+        """One pass of the division loop; None when a product overflowed a
+        field, which only `plex` allows."""
+        key = self._key
+        work = {key(m): c for c, m in terms}
+        live = list(work)
+        heapify(live)
+        leads, rows = self._leads, self._rows
+        guard, mask = self._guard, self._mask
+        flip = self._sign > 0
+        overflow = 0 if self._homogeneous else guard
+        quotients = {} if record else None
+        remainder_terms = []
+        steps = 0
+        while live:
+            k = heappop(live)
+            c = work.pop(k, None)
+            if c is None:
+                continue  # cancelled after it was queued
+            steps += 1
+            with_guards = ((-k if flip else k) & mask) | guard
+            for position, lead in enumerate(leads):
+                if (with_guards - lead) & guard == guard:
+                    break
+            else:
+                remainder_terms.append((c, k))
+                continue
+            k_lead, lc, tail = rows[position]
+            coefficient = c if lc is None else c / lc
+            factor = k - k_lead
+            # Subtract coefficient*factor*g; its leading term cancels m.
+            for negated, k_term in tail:
+                product = factor + k_term
+                if overflow and -product & overflow:
+                    return None
+                entry = work.get(product)
+                if entry is None:
+                    work[product] = negated * coefficient
+                    heappush(live, product)
+                else:
+                    rest = entry + negated * coefficient
+                    if rest:
+                        work[product] = rest
+                    else:
+                        del work[product]
+            if record:
+                quotients.setdefault(position, []).append((coefficient, factor))
+        return remainder_terms, quotients, steps
+
+    def _polynomial(self, terms):
+        """A polynomial from (coefficient, key) pairs in decreasing order."""
+        monomial = self._monomial
+        return Polynomial(self.context, tuple((c, monomial(k)) for c, k in terms))
+
+
+def _max_exponent(f):
+    return max((e for _, m in f.terms for _, e in m.exps), default=0)
+
+
+def _table(f, divisors):
+    if isinstance(divisors, DivisorTable):
+        return divisors
+    return DivisorTable(f.context, divisors)
+
+
+def divide(f, divisors):
+    """Divide f by an ordered sequence of nonzero divisors, or by the
+    divisors of a `DivisorTable`.
+
+    Among divisors whose leading monomial divides the current leading
+    monomial, the first in the sequence wins, which makes the result
+    deterministic for a fixed divisor order.  A quotient's factors come out
+    strictly decreasing, so it is built as it is recorded.
+    """
+    table = _table(f, divisors)
+    remainder_terms, quotients, steps = table._divide(f, True)
+    return DivisionResult(
+        tuple(
+            (position, table._polynomial(terms))
+            for position, terms in sorted(quotients.items())
+        ),
+        table._polynomial(remainder_terms),
+        steps,
     )
-    return DivisionResult(quotients, Polynomial(context, tuple(remainder_terms)), steps)
 
 
 def remainder(f, divisors):
-    """The remainder of f; unique when the divisors form a Groebner base."""
-    return divide(f, divisors).remainder
+    """The remainder of f; unique when the divisors form a Groebner base.
+
+    Takes a sequence of divisors or a `DivisorTable`; give a table when
+    dividing many polynomials by one basis, so it is packed once.
+    """
+    table = _table(f, divisors)
+    return table._polynomial(table._divide(f, False)[0])
 
 
 def is_member(f, basis):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from . import series
-from .division import remainder
+from .division import DivisorTable, remainder
 from .errors import (
     CertificationError,
     HomogeneityError,
@@ -149,6 +149,7 @@ def buchberger_truncated(gens, window, *, context=None):
 
     basis = []
     lead = []
+    table = DivisorTable(context)
     queue = []
     discarded_pairs = 0
     discarded_elements = 0
@@ -156,6 +157,7 @@ def buchberger_truncated(gens, window, *, context=None):
     def append(g):
         nonlocal discarded_pairs
         basis.append(g)
+        table.append(g)
         lead.append(g.lm())
         j = len(basis) - 1
         for i in range(j):
@@ -175,7 +177,7 @@ def buchberger_truncated(gens, window, *, context=None):
         s = s_polynomial(basis[i], basis[j])
         if s.is_zero:
             continue
-        r = remainder(s, basis)
+        r = remainder(s, table)
         if r.is_zero:
             continue
         if not window.admits(r):
@@ -201,13 +203,14 @@ def verify_buchberger(basis):
     elements = list(basis.elements)
     weights = basis.context.weights
     bound = basis.window.degree_bound
+    table = DivisorTable(basis.context, elements)
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
             lcm = elements[i].lm().lcm(elements[j].lm())
             if lcm.degree(weights) > bound:
                 continue
             s = s_polynomial(elements[i], elements[j])
-            if not s.is_zero and not remainder(s, elements).is_zero:
+            if not s.is_zero and not remainder(s, table).is_zero:
                 return False
     return True
 
@@ -215,30 +218,28 @@ def verify_buchberger(basis):
 def reduce_basis(basis):
     """Inter-reduce to the reduced Groebner base of the same span.
 
-    Repeatedly replaces each element by its monic remainder with respect to
-    the others until nothing changes; elements reducing to zero drop out.
+    Keeps, made monic, the elements whose leading monomial no other
+    element's leading monomial divides (one per leading monomial), then
+    replaces the tail of each by its remainder modulo that minimal set.
     For a certified input this yields the unique reduced base.
     """
     context = basis.context
-    elems = [g.monic() for g in basis.elements if not g.is_zero]
-    changed = True
-    while changed:
-        changed = False
-        elems = _canonical_sorted(elems, context)
-        i = 0
-        while i < len(elems):
-            others = elems[:i] + elems[i + 1 :]
-            r = remainder(elems[i], others) if others else elems[i]
-            if r.is_zero:
-                del elems[i]
-                changed = True
-                continue
-            r = r.monic()
-            if r != elems[i]:
-                elems[i] = r
-                changed = True
-            i += 1
-    elements = tuple(_canonical_sorted(elems, context))
+    minimal = []
+    for g in _canonical_sorted(
+        [g.monic() for g in basis.elements if not g.is_zero], context
+    ):
+        lm = g.lm()
+        if not any(h.lm().divides(lm) for h in minimal):
+            minimal.append(g)
+    table = DivisorTable(context, minimal)
+    # Sorted by distinct leading monomials, which tail reduction keeps.
+    elements = tuple(
+        Polynomial(
+            context,
+            g.terms[:1] + remainder(Polynomial(context, g.terms[1:]), table).terms,
+        )
+        for g in minimal
+    )
     return GroebnerBasis(
         context,
         elements,

@@ -166,7 +166,7 @@ class Monomial:
         return sum(e * weights.weight(i) for i, e in self.exps)
 
     def __mul__(self, other):
-        return Monomial(tuple(_merge_exponents(self.exps, other.exps)))
+        return _trusted(tuple(_merge_exponents(self.exps, other.exps)))
 
     def try_divide(self, divisor):
         """Return self / divisor when divisor divides exponentwise, else None."""
@@ -188,9 +188,11 @@ class Monomial:
             i += 1
             j += 1
         quotient.extend(a[i:])
-        return Monomial(tuple(quotient))
+        return _trusted(tuple(quotient))
 
     def divides(self, other):
+        if self.signature & ~other.signature:
+            return False
         return other.try_divide(self) is not None
 
     def lcm(self, other):
@@ -198,7 +200,7 @@ class Monomial:
         for i, e in other.exps:
             if e > merged.get(i, 0):
                 merged[i] = e
-        return Monomial(tuple(sorted(merged.items())))
+        return _trusted(tuple(sorted(merged.items())))
 
     def coprime(self, other):
         """True when the supports are disjoint, i.e. lcm = product."""
@@ -218,6 +220,15 @@ class Monomial:
 
     def __repr__(self):
         return f"Monomial({format_monomial(self)!r})"
+
+
+def _trusted(exps):
+    """A Monomial from pairs already sorted by index with positive
+    exponents, as products, quotients and lcms of monomials are; skips the
+    checks of `Monomial.__init__`."""
+    m = object.__new__(Monomial)
+    m.exps = exps
+    return m
 
 
 def _merge_exponents(a, b):

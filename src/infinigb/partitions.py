@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import index_sets, series
-from .division import remainder
+from .division import DivisorTable, remainder
 from .errors import CertificationError
 from .groebner import IdealPresentation, TruncationWindow, bayer_stillman_basis
 from .index_sets import probe_closure
@@ -174,9 +174,9 @@ def monomial_to_partition(monomial):
     return tuple(parts)
 
 
-def _substitution_basis(family, p, order, weight):
+def _substitution_table(family, p, order, weight):
     """The Groebner base of the binomials x_i^p - x_{p i} visible at the
-    given weight: the window (weight, weight) of
+    given weight, packed for division: the window (weight, weight) of
     `IdealPresentation.power_substitution`, certified by its pairwise
     coprime leading monomials."""
     presentation = IdealPresentation.power_substitution(family, p, order)
@@ -186,15 +186,14 @@ def _substitution_basis(family, p, order, weight):
     )
     if basis is None:
         raise CertificationError("substitution family failed to certify")
-    return basis
+    return DivisorTable(basis.context, basis.elements)
 
 
-def _division_image(parts, basis):
-    """The partition of the remainder of x^parts modulo the base."""
-    context = basis.context
+def _division_image(parts, table):
+    """The partition of the remainder of x^parts modulo the packed base."""
+    context = table.context
     image = remainder(
-        Polynomial.from_monomial(context, partition_to_monomial(parts)),
-        basis.elements,
+        Polynomial.from_monomial(context, partition_to_monomial(parts)), table
     )
     if len(image.terms) != 1 or image.lc() != context.one:
         raise CertificationError(f"division image {image} is not a monic monomial")
@@ -248,10 +247,25 @@ def phi(parts, family, p, *, route="division"):
     if not FamilySpec("X", family, p).contains(parts):
         raise ValueError(f"{parts} has parts outside W minus {p}W")
     if route == "division":
-        basis = _substitution_basis(family, p, OrderKind.HOM_ANTI_REV_LEX, sum(parts))
-        return _division_image(parts, basis)
+        table = _substitution_table(
+            family, p, OrderKind.HOM_ANTI_REV_LEX, sum(parts)
+        )
+        return _division_image(parts, table)
     if route == "oracle":
         return _rewrite_down(parts, family, p)
+    raise ValueError(f"unknown route {route!r}")
+
+
+def phi_pairs(family, p, n, *, route="division"):
+    """(lambda, phi(lambda)) for every lambda of weight n with parts in W
+    minus pW, in increasing order; the division route certifies and packs
+    one base for weight n."""
+    x_side = sorted(enumerate_family(FamilySpec("X", family, p), n))
+    if route == "division":
+        table = _substitution_table(family, p, OrderKind.HOM_ANTI_REV_LEX, n)
+        return [(parts, _division_image(parts, table)) for parts in x_side]
+    if route == "oracle":
+        return [(parts, _rewrite_down(parts, family, p)) for parts in x_side]
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -262,8 +276,8 @@ def psi(parts, family, p, *, route="division"):
     if not FamilySpec("Y", family, p).contains(parts):
         raise ValueError(f"{parts} is not a multiplicity-bounded W-partition")
     if route == "division":
-        basis = _substitution_basis(family, p, OrderKind.HOM_LEX, sum(parts))
-        return _division_image(parts, basis)
+        table = _substitution_table(family, p, OrderKind.HOM_LEX, sum(parts))
+        return _division_image(parts, table)
     if route == "oracle":
         return _rewrite_up(parts, family, p)
     raise ValueError(f"unknown route {route!r}")
@@ -272,13 +286,14 @@ def psi(parts, family, p, *, route="division"):
 def verify_bijection(family, p, n):
     """Check that phi and psi are mutually inverse bijections at weight n,
     with the division and rewrite routes agreeing pointwise.  Both
-    substitution bases are certified once, for weight n; an image outside
-    the other side clears the matching flag instead of raising."""
+    substitution bases are certified and packed once, for weight n; an
+    image outside the other side clears the matching flag instead of
+    raising."""
     x_side = sorted(enumerate_family(FamilySpec("X", family, p), n))
     y_side = enumerate_family(FamilySpec("Y", family, p), n)
     x_set = set(x_side)
-    down = _substitution_basis(family, p, OrderKind.HOM_ANTI_REV_LEX, n)
-    up = _substitution_basis(family, p, OrderKind.HOM_LEX, n)
+    down = _substitution_table(family, p, OrderKind.HOM_ANTI_REV_LEX, n)
+    up = _substitution_table(family, p, OrderKind.HOM_LEX, n)
     pairs = []
     routes_agree = True
     lands_in_y = True

@@ -8,8 +8,20 @@ from hypothesis import strategies as st
 
 from infinigb.division import DivisionResult, standard_monomials
 from infinigb.errors import RingContextMismatch, ZeroPolynomialError
-from infinigb.groebner import Certificate, GroebnerBasis
-from infinigb.monomials import DEFAULT_WEIGHTS, Monomial, OrderKind, sort_key
+from infinigb.groebner import (
+    Certificate,
+    GroebnerBasis,
+    IdealPresentation,
+    _canonical_sorted,
+    is_reduced_set,
+)
+from infinigb.monomials import (
+    DEFAULT_WEIGHTS,
+    Monomial,
+    OrderKind,
+    WeightedAlphabet,
+    sort_key,
+)
 from infinigb.polynomials import Polynomial, RingContext
 
 ALL_ORDERS = list(OrderKind)
@@ -117,6 +129,83 @@ def reference_divide(f, divisors):
         for position, terms in sorted(quotient_terms.items())
     )
     return DivisionResult(quotients, Polynomial(context, tuple(remainder_terms)), steps)
+
+
+def reference_reduce_basis(basis):
+    """The oracle for `infinigb.groebner.reduce_basis`: repeatedly replace
+    each element by its monic remainder with respect to the others, by
+    `reference_divide`, until nothing changes; elements reducing to zero
+    drop out.  For a certified input this yields the unique reduced base."""
+    context = basis.context
+    elems = [g.monic() for g in basis.elements if not g.is_zero]
+    changed = True
+    while changed:
+        changed = False
+        elems = _canonical_sorted(elems, context)
+        i = 0
+        while i < len(elems):
+            others = elems[:i] + elems[i + 1 :]
+            r = reference_divide(elems[i], others).remainder if others else elems[i]
+            if r.is_zero:
+                del elems[i]
+                changed = True
+                continue
+            r = r.monic()
+            if r != elems[i]:
+                elems[i] = r
+                changed = True
+            i += 1
+    elements = tuple(_canonical_sorted(elems, context))
+    return GroebnerBasis(
+        context,
+        elements,
+        basis.window,
+        basis.certificate,
+        reduced=is_reduced_set(elements),
+        discarded_pairs=basis.discarded_pairs,
+        discarded_elements=basis.discarded_elements,
+    )
+
+
+def family_f(context):
+    """Family F: i -> x_i*x_{i+1} - x_{2i+1}, homogeneous under d_i = i."""
+
+    def rule(i):
+        return Polynomial.from_terms(
+            context,
+            (
+                (1, Monomial.from_pairs(((i, 1), (i + 1, 1)))),
+                (-1, Monomial.variable(2 * i + 1)),
+            ),
+        )
+
+    return IdealPresentation(context, family=rule)
+
+
+def cyclic5_homogenized(order, field=None):
+    """Cyclic-5 with x6 homogenizing the last generator, every weight 1."""
+    weights = WeightedAlphabet.with_weights({i: 1 for i in range(1, 7)})
+    context = RingContext(order, weights, field)
+    gens = [
+        Polynomial.from_terms(
+            context,
+            (
+                (1, Monomial.from_pairs(((s + j) % 5 + 1, 1) for j in range(k)))
+                for s in range(5)
+            ),
+        )
+        for k in range(1, 5)
+    ]
+    gens.append(
+        Polynomial.from_terms(
+            context,
+            (
+                (1, Monomial.from_pairs((i, 1) for i in range(1, 6))),
+                (-1, Monomial.variable(6, 5)),
+            ),
+        )
+    )
+    return context, gens
 
 
 def reference_window_coherent(combined, window_basis, window, variables):

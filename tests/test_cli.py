@@ -186,6 +186,26 @@ class TestBijection:
         assert report["ok"] is False and report["maps_into_target"] is False
 
 
+    @pytest.mark.parametrize("route", ["division", "oracle"])
+    def test_single_route_certifies_at_most_once(self, capsys, monkeypatch, route):
+        from infinigb import partitions
+
+        calls = []
+        certify = partitions.bayer_stillman_basis
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(partitions, "bayer_stillman_basis", counted)
+        code, out, _ = run(
+            capsys, "bijection", "--preset", "AB", "--n", "12", "--route", route
+        )
+        assert code == 0
+        assert len(out.splitlines()) > 3
+        assert len(calls) == (1 if route == "division" else 0)
+
+
 class TestIdentities:
     def test_schur_json(self, capsys):
         code, out, _ = run(
@@ -296,6 +316,29 @@ class TestConfigAndDeterminism:
         code, out, _ = run(capsys, "hilbert", "--preset", "schur-p2", "--N", "6")
         assert code == 1
         assert json.loads(out)["verdict"] == "FAIL"
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("hilbert", "--preset", "schur-p3", "--N", "-5"), "--N"),
+        (("hilbert", "--W", "odd", "--p", "1", "--N", "5"), "--p"),
+        (("identities", "--rr", "--N", "-2"), "--N"),
+        (("bijection", "--preset", "AB", "--n", "-1"), "--n"),
+        (("gb", "--order", "harevlex", "--family", "power-substitution",
+          "--W", "odd", "--p", "1", "--n", "3", "--deg", "6"), "--p"),
+        (("gb", "--order", "harevlex", "--family", "power-substitution",
+          "--W", "odd", "--p", "3", "--n", "0", "--deg", "6"), "--n"),
+        (("gb", "--order", "harevlex", "--family", "power-substitution",
+          "--W", "odd", "--p", "3", "--n", "3", "--deg", "0"), "--deg"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, tuple) else value,
+)
+def test_numeric_option_below_its_bound_is_a_usage_error(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"infinigb: {option}: ")
 
 
 # SHA-256 of the whole stdout, pinned so that refactors keep the output

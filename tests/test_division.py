@@ -7,10 +7,17 @@ import random
 import pytest
 
 import helpers
-from infinigb.division import divide, is_member, remainder, standard_monomials
+from infinigb.division import (
+    DivisorTable,
+    divide,
+    is_member,
+    remainder,
+    standard_monomials,
+)
 from infinigb.errors import (
     CertificationError,
     HomogeneityError,
+    RingContextMismatch,
     ZeroPolynomialError,
 )
 from infinigb.groebner import (
@@ -19,7 +26,13 @@ from infinigb.groebner import (
     TruncationWindow,
     bayer_stillman_basis,
 )
-from infinigb.monomials import Monomial, OrderKind, compare
+from infinigb.monomials import (
+    DEFAULT_WEIGHTS,
+    Monomial,
+    OrderKind,
+    WeightedAlphabet,
+    compare,
+)
 from infinigb.polynomials import GF, Polynomial, RingContext, parse_polynomial
 
 HARL = RingContext(OrderKind.HOM_ANTI_REV_LEX)
@@ -213,6 +226,95 @@ class TestAgainstReference:
         result = divide(poly("x1^3"), divisors)
         assert result == helpers.reference_divide(poly("x1^3"), divisors)
         assert result.remainder == poly("x1*x2")
+
+
+# Divisors live on x1..x4; dividends may also use x5 and x6, which no
+# divisor has.
+WIDE_INDICES = {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6}
+HIGH_INDICES = {1: 70, 2: 3, 3: 131, 4: 65, 5: 200, 6: 1}
+OVERRIDES = WeightedAlphabet.with_weights({3: 1, 7: 2, 65: 4, 131: 1})
+
+
+class TestDivisorTable:
+    """A table built once and reused, extended with `append` between
+    divisions, gives what `reference_divide` gives for the same divisor
+    list, for `divide` and for `remainder` alike."""
+
+    @pytest.mark.parametrize(
+        "weights", [DEFAULT_WEIGHTS, OVERRIDES], ids=["d_i=i", "overrides"]
+    )
+    @pytest.mark.parametrize(
+        "indices", [WIDE_INDICES, HIGH_INDICES], ids=["low", "high"]
+    )
+    @pytest.mark.parametrize("field", [None, GF(2), GF(7)], ids=str)
+    def test_reused_table_matches_reference(self, field, indices, weights):
+        rng = random.Random(7001)
+        for k in range(40):
+            ctx = RingContext(helpers.ALL_ORDERS[k % 5], weights, field)
+
+            def draw(max_var, max_terms, allow_zero=False):
+                g = helpers.random_polynomial(
+                    rng, ctx, max_var=max_var, max_degree=9,
+                    max_terms=max_terms, allow_zero=allow_zero,
+                )
+                return relabel(g, indices)
+
+            divisors = [draw(4, 3) for _ in range(rng.randint(1, 3))]
+            table = DivisorTable(ctx, divisors)
+            for step in range(6):
+                if step == 3:
+                    g = draw(4, 3)
+                    table.append(g)
+                    divisors.append(g)
+                f = draw(6, 5, allow_zero=True)
+                expected = helpers.reference_divide(f, divisors)
+                assert divide(f, table) == expected
+                assert remainder(f, table) == expected.remainder
+
+    def test_plex_products_outgrow_the_field_width(self):
+        # x2^8 -> x1^40 under plex: x2^8 widens the fields to hold 15, and
+        # the product x1^20 overflows them in the middle of the division.
+        ctx = RingContext(OrderKind.PURE_LEX)
+        divisors = [parse_polynomial("x2 - x1^5", ctx)]
+        table = DivisorTable(ctx, divisors)
+        for f in ("x2^8", "x2^8 + x1^3*x2^2", "x2^3*x3 - x2"):
+            f = parse_polynomial(f, ctx)
+            expected = helpers.reference_divide(f, divisors)
+            assert divide(f, table) == expected
+            assert remainder(f, table) == expected.remainder
+        assert remainder(parse_polynomial("x2^8", ctx), table) == parse_polynomial(
+            "x1^40", ctx
+        )
+
+    def test_append_widens_the_layout(self):
+        # After x1^3 the fields hold exponents up to 3; packed into them
+        # unwidened, x2^9 would spill into the x3 field and read as x2*x3.
+        ctx = RingContext(OrderKind.PURE_LEX)
+        divisors = [parse_polynomial("x1*x3 - x1", ctx)]
+        table = DivisorTable(ctx, divisors)
+        remainder(parse_polynomial("x1^3", ctx), table)
+        divisors.append(parse_polynomial("x2^9 - x1", ctx))
+        table.append(divisors[-1])
+        for f in ("x2*x3", "x2^9*x3", "x1*x2^10"):
+            f = parse_polynomial(f, ctx)
+            assert divide(f, table) == helpers.reference_divide(f, divisors)
+
+    def test_dividend_beyond_the_layout(self):
+        divisors = [poly("x1^2 - x2")]
+        table = DivisorTable(HARL, divisors)
+        for f in ("x1^9*x80", "x1^3", "x1^300 - x7"):
+            f = poly(f)
+            assert divide(f, table) == helpers.reference_divide(f, divisors)
+
+    def test_table_checks_its_divisors_and_dividends(self):
+        with pytest.raises(ZeroPolynomialError):
+            DivisorTable(HARL, [poly("x1"), Polynomial.zero(HARL)])
+        table = DivisorTable(HARL, [poly("x1^2 - x2")])
+        with pytest.raises(RingContextMismatch):
+            table.append(parse_polynomial("x1", RingContext(OrderKind.HOM_LEX)))
+        with pytest.raises(RingContextMismatch):
+            remainder(parse_polynomial("x1", RingContext(OrderKind.HOM_LEX)), table)
+        assert len(table.divisors) == 1
 
 
 class TestRemainderUniqueness:

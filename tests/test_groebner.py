@@ -32,7 +32,13 @@ from infinigb.groebner import (
     verify_buchberger,
 )
 from infinigb.monomials import DEFAULT_WEIGHTS, Monomial, OrderKind, WeightedAlphabet
-from infinigb.polynomials import Polynomial, RingContext, parse_polynomial, s_polynomial
+from infinigb.polynomials import (
+    GF,
+    Polynomial,
+    RingContext,
+    parse_polynomial,
+    s_polynomial,
+)
 
 HARL = RingContext(OrderKind.HOM_ANTI_REV_LEX)
 PLEX = RingContext(OrderKind.PURE_LEX)
@@ -147,6 +153,62 @@ class TestReduceBasis:
             rng.shuffle(shuffled)
             again = reduce_basis(buchberger_truncated(shuffled, window))
             assert again.elements == reference.elements
+
+
+def random_homogeneous_generators(rng, context, count):
+    """Homogeneous generators over x1..x4 under the default grading, so a
+    windowed completion is a Groebner base up to the degree bound."""
+    from infinigb.monomials import monomials_of_degree
+
+    gens = []
+    while len(gens) < count:
+        choices = monomials_of_degree(rng.randint(2, 6), variables=range(1, 5))
+        g = Polynomial.from_terms(
+            context,
+            [(rng.choice([-3, -1, 1, 2]), rng.choice(choices)) for _ in range(3)],
+        )
+        if not g.is_zero:
+            gens.append(g)
+    return gens
+
+
+class TestReduceBasisAgainstReference:
+    """Minimalize-then-tail-reduce equals the repeated interreduction kept
+    in tests/helpers.py on certified input."""
+
+    @pytest.mark.parametrize("n, degree", [(10, 20), (20, 40), (30, 60)])
+    def test_family_f_windows(self, n, degree):
+        presentation = helpers.family_f(HARL)
+        window = TruncationWindow(n, degree)
+        basis = buchberger_truncated(
+            presentation.instantiate(window), window, context=HARL
+        )
+        reduced = reduce_basis(basis)
+        assert reduced == helpers.reference_reduce_basis(basis)
+        assert reduced.reduced
+
+    @pytest.mark.parametrize("field", [None, GF(7)], ids=str)
+    @pytest.mark.parametrize(
+        "order", [OrderKind.HOM_REV_LEX, OrderKind.HOM_LEX], ids=str
+    )
+    def test_homogenized_cyclic5(self, order, field):
+        context, gens = helpers.cyclic5_homogenized(order, field)
+        basis = buchberger_truncated(gens, TruncationWindow(6, 12), context=context)
+        reduced = reduce_basis(basis)
+        assert reduced == helpers.reference_reduce_basis(basis)
+        assert len(reduced.elements) < len(basis.elements)
+
+    @pytest.mark.parametrize("field", [None, GF(2), GF(7)], ids=str)
+    def test_random_generators(self, field):
+        rng = random.Random(6007)
+        for k in range(40):
+            order = helpers.HOMOGENEOUS_ORDERS[k % 4]
+            context = RingContext(order, field=field)
+            gens = random_homogeneous_generators(rng, context, rng.randint(1, 4))
+            basis = buchberger_truncated(
+                gens, TruncationWindow(4, 10), context=context
+            )
+            assert reduce_basis(basis) == helpers.reference_reduce_basis(basis)
 
 
 class TestBayerStillman:
