@@ -276,7 +276,18 @@ def cmd_bijection(args):
     if args.route == "both":
         pairs, report = partitions.verify_bijection(family, p, args.n)
     else:
-        pairs = partitions.phi_pairs(family, p, args.n, route=args.route)
+        if args.route == "division":
+            pairs = partitions.phi_pairs(family, p, args.n)
+        else:
+            x_side = sorted(
+                partitions.enumerate_family(
+                    partitions.FamilySpec("X", family, p), args.n
+                )
+            )
+            pairs = [
+                (parts, partitions.phi(parts, family, p, route="oracle"))
+                for parts in x_side
+            ]
         report = {
             "n": args.n,
             "family": family.name,

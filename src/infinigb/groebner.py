@@ -216,22 +216,36 @@ def verify_buchberger(basis):
 
 
 def reduce_basis(basis):
-    """Inter-reduce to the reduced Groebner base of the same span.
+    """Inter-reduce to a reduced generating set of the same ideal.
 
     Keeps, made monic, the elements whose leading monomial no other
-    element's leading monomial divides (one per leading monomial), then
-    replaces the tail of each by its remainder modulo that minimal set.
-    For a certified input this yields the unique reduced base.
+    element's leading monomial divides (one per leading monomial).  Every
+    other element must reduce to zero modulo that minimal set; the monic
+    remainder of one that does not joins the set and the selection repeats.
+    Each remainder adds a leading monomial outside the ideal of the old
+    ones, so this ends.  Finally the tail of each kept element is replaced
+    by its remainder modulo the minimal set.  For a Groebner base of the
+    window every dropped element reduces to zero, and the result is the
+    unique reduced base; a completion that discarded an out-of-window
+    remainder is not one, and its discarded generators come back here.
     """
     context = basis.context
-    minimal = []
-    for g in _canonical_sorted(
-        [g.monic() for g in basis.elements if not g.is_zero], context
-    ):
-        lm = g.lm()
-        if not any(h.lm().divides(lm) for h in minimal):
-            minimal.append(g)
-    table = DivisorTable(context, minimal)
+    pending = [g.monic() for g in basis.elements if not g.is_zero]
+    while True:
+        minimal = []
+        dropped = []
+        for g in _canonical_sorted(pending, context):
+            lm = g.lm()
+            if any(h.lm().divides(lm) for h in minimal):
+                dropped.append(g)
+            else:
+                minimal.append(g)
+        table = DivisorTable(context, minimal)
+        extra = [remainder(g, table) for g in dropped]
+        extra = [r.monic() for r in extra if not r.is_zero]
+        if not extra:
+            break
+        pending = minimal + extra
     # Sorted by distinct leading monomials, which tail reduction keeps.
     elements = tuple(
         Polynomial(

@@ -256,17 +256,13 @@ def phi(parts, family, p, *, route="division"):
     raise ValueError(f"unknown route {route!r}")
 
 
-def phi_pairs(family, p, n, *, route="division"):
-    """(lambda, phi(lambda)) for every lambda of weight n with parts in W
-    minus pW, in increasing order; the division route certifies and packs
-    one base for weight n."""
+def phi_pairs(family, p, n):
+    """(lambda, phi(lambda)) by the division route for every lambda of
+    weight n with parts in W minus pW, in increasing order; one base is
+    certified and packed for weight n."""
     x_side = sorted(enumerate_family(FamilySpec("X", family, p), n))
-    if route == "division":
-        table = _substitution_table(family, p, OrderKind.HOM_ANTI_REV_LEX, n)
-        return [(parts, _division_image(parts, table)) for parts in x_side]
-    if route == "oracle":
-        return [(parts, _rewrite_down(parts, family, p)) for parts in x_side]
-    raise ValueError(f"unknown route {route!r}")
+    down = _substitution_table(family, p, OrderKind.HOM_ANTI_REV_LEX, n)
+    return [(parts, _division_image(parts, down)) for parts in x_side]
 
 
 def psi(parts, family, p, *, route="division"):
@@ -289,38 +285,32 @@ def verify_bijection(family, p, n):
     substitution bases are certified and packed once, for weight n; an
     image outside the other side clears the matching flag instead of
     raising."""
-    x_side = sorted(enumerate_family(FamilySpec("X", family, p), n))
+    pairs = phi_pairs(family, p, n)
+    phi_of = dict(pairs)
     y_side = enumerate_family(FamilySpec("Y", family, p), n)
-    x_set = set(x_side)
-    down = _substitution_table(family, p, OrderKind.HOM_ANTI_REV_LEX, n)
     up = _substitution_table(family, p, OrderKind.HOM_LEX, n)
-    pairs = []
     routes_agree = True
     lands_in_y = True
     psi_section = True
     phi_section = True
     images = set()
-    for parts in x_side:
-        by_division = _division_image(parts, down)
+    for parts, by_division in pairs:
         routes_agree &= by_division == _rewrite_down(parts, family, p)
         in_y = by_division in y_side
         lands_in_y &= in_y
         psi_section &= in_y and _division_image(by_division, up) == parts
         images.add(by_division)
-        pairs.append((parts, by_division))
     for parts in sorted(y_side):
         up_division = _division_image(parts, up)
         routes_agree &= up_division == _rewrite_up(parts, family, p)
-        phi_section &= (
-            up_division in x_set and _division_image(up_division, down) == parts
-        )
-    injective = len(images) == len(x_side)
+        phi_section &= phi_of.get(up_division) == parts
+    injective = len(images) == len(pairs)
     surjective = images == y_side
     report = {
         "n": n,
         "family": family.name,
         "p": p,
-        "x_size": len(x_side),
+        "x_size": len(pairs),
         "y_size": len(y_side),
         "routes_agree": routes_agree,
         "maps_into_target": lands_in_y,
@@ -336,7 +326,7 @@ def verify_bijection(family, p, n):
                 surjective,
                 psi_section,
                 phi_section,
-                len(x_side) == len(y_side),
+                len(pairs) == len(y_side),
             )
         ),
     }

@@ -174,7 +174,8 @@ def random_homogeneous_generators(rng, context, count):
 
 class TestReduceBasisAgainstReference:
     """Minimalize-then-tail-reduce equals the repeated interreduction kept
-    in tests/helpers.py on certified input."""
+    in tests/helpers.py, on certified input and on completions that
+    discarded a remainder."""
 
     @pytest.mark.parametrize("n, degree", [(10, 20), (20, 40), (30, 60)])
     def test_family_f_windows(self, n, degree):
@@ -209,6 +210,52 @@ class TestReduceBasisAgainstReference:
                 gens, TruncationWindow(4, 10), context=context
             )
             assert reduce_basis(basis) == helpers.reference_reduce_basis(basis)
+
+    def test_plex_completion_that_discarded_a_remainder(self):
+        # The S-pair remainder x1^6 - x1 leaves the window, so x2^2 - x1 is
+        # not a multiple of x2 - x1^3 modulo the output and must not drop.
+        basis = buchberger_truncated(
+            [poly("x2 - x1^3", PLEX), poly("x2^2 - x1", PLEX)],
+            TruncationWindow(2, 4),
+        )
+        assert basis.discarded_elements == 1
+        reduced = reduce_basis(basis)
+        assert reduced == helpers.reference_reduce_basis(basis)
+        assert reduced.elements == (poly("x1^6 - x1", PLEX), poly("x2 - x1^3", PLEX))
+
+    @pytest.mark.parametrize("field", [None, GF(2), GF(7)], ids=str)
+    def test_random_plex_binomials_keep_the_ideal(self, field):
+        """Completions that discard remainders: the reduced set generates the
+        same ideal, compared by the reduced bases of untruncated completions
+        of the input and of the output."""
+        context = RingContext(OrderKind.PURE_LEX, field=field)
+        rng = random.Random(6011)
+        wide = TruncationWindow(3, 40)
+        checked = 0
+        for _ in range(200):
+            gens = []
+            while len(gens) < rng.randint(2, 3):
+                g = Polynomial.from_terms(
+                    context,
+                    [
+                        (1, helpers.random_monomial(rng, 3, 4)),
+                        (-1, helpers.random_monomial(rng, 3, 4)),
+                    ],
+                )
+                if not g.is_zero:
+                    gens.append(g)
+            basis = buchberger_truncated(gens, TruncationWindow(3, 4))
+            if not basis.discarded_elements:
+                continue
+            reduced = reduce_basis(basis)
+            assert reduced == helpers.reference_reduce_basis(basis)
+            full_in = buchberger_truncated(basis.elements, wide)
+            full_out = buchberger_truncated(reduced.elements, wide)
+            assert not (full_in.discarded_pairs or full_in.discarded_elements)
+            assert not (full_out.discarded_pairs or full_out.discarded_elements)
+            assert reduce_basis(full_in) == reduce_basis(full_out)
+            checked += 1
+        assert checked >= 8
 
 
 class TestBayerStillman:
