@@ -17,7 +17,9 @@ when subtracting `X_d` from `X_m` with every guard bit set clears none.
 The working polynomial is a dict from key to coefficient (the dict
 accumulator of sympy's `PolyElement.rem`) with a heap of its keys.
 `divide` and `remainder` share the one loop; only `divide` records
-quotients.
+quotients.  Completion and verification reduce S-pairs from two table
+rows (`DivisorTable.spair_remainder`): the two packed tails, shifted by
+their factor keys, make the work dict, so no S-polynomial is built.
 """
 
 from __future__ import annotations
@@ -82,13 +84,12 @@ class DivisorTable:
         if not g.terms:
             raise ZeroPolynomialError("zero divisor")
         self.divisors.append(g)
-        if not self._fit(g, _max_exponent(g)):
+        if not self._fit(_top_index(g), _max_exponent(g)):
             self._pack_row(g)
 
-    def _fit(self, f, need):
-        """Widen the layout to the variables of f and exponents up to
-        `need`, packing every divisor again; False if it already fits."""
-        top = max(m.exps[-1][0] if m.exps else 0 for _, m in f.terms)
+    def _fit(self, top, need):
+        """Widen the layout to x1..x{top} and exponents up to `need`,
+        packing every divisor again; False if it already fits."""
         if top <= self._variables and need <= self._capacity:
             return False
         self._layout(
@@ -172,20 +173,78 @@ class DivisorTable:
         # Under a homogeneous order no monomial of the division exceeds
         # the degree of lm(f), nor then does any exponent.
         if self._homogeneous:
-            self._fit(f, self._degree(f.terms[0][1]))
+            need = self._degree(f.terms[0][1])
         else:
-            self._fit(f, _max_exponent(f))
+            need = _max_exponent(f)
+        self._fit(_top_index(f), need)
+        key = self._key
+        return self._reduce(lambda: {key(m): c for c, m in f.terms}, record)
+
+    def spair_remainder(self, i, j, lcm):
+        """The remainder modulo the table of the S-polynomial of divisors
+        i and j, whose leading monomials have the lcm `lcm`.
+
+        Equals `remainder(s_polynomial(g_i, g_j), table)`, but the two
+        packed tails go straight into the work dict, so no S-polynomial
+        is built.  The S-polynomial's monomials have weighted degree at
+        most that of `lcm`; under `plex` its exponents are bounded by an
+        exponent of `lcm` plus one of g_i or g_j.
+        """
+        if self._homogeneous:
+            need = self._degree(lcm)
+        else:
+            need = max((e for _, e in lcm.exps), default=0) + max(
+                _max_exponent(self.divisors[i]), _max_exponent(self.divisors[j])
+            )
+        self._fit(lcm.max_index(), need)
+        terms = self._reduce(lambda: self._spair_work(i, j, lcm), False)[0]
+        return self._polynomial(terms)
+
+    def _spair_work(self, i, j, lcm):
+        """The work dict of (lcm/lt_i) g_i - (lcm/lt_j) g_j: the leading
+        terms cancel, leaving the tail of row i times its factor key over
+        lc_i, minus that of row j over lc_j."""
+        one = self.context.one
+        k_lcm = self._key(lcm)
+        # The rows hold negated tails: row i's is negated back, row j's
+        # enters as stored.
+        k_lead, lc, tail = self._rows[i]
+        factor = k_lcm - k_lead
+        if lc is None:
+            work = {factor + k: -negated for negated, k in tail}
+        else:
+            scale = -(one / lc)
+            work = {factor + k: negated * scale for negated, k in tail}
+        k_lead, lc, tail = self._rows[j]
+        factor = k_lcm - k_lead
+        scale = None if lc is None else one / lc
+        for negated, k in tail:
+            c = negated if scale is None else negated * scale
+            product = factor + k
+            entry = work.get(product)
+            if entry is None:
+                work[product] = c
+            else:
+                rest = entry + c
+                if rest:
+                    work[product] = rest
+                else:
+                    del work[product]
+        return work
+
+    def _reduce(self, build, record):
+        """Run the division loop on the work dict `build()` makes, widening
+        the fields and starting again while a product overflows one."""
         while True:
-            outcome = self._run(f.terms, record)
+            outcome = self._run(build(), record)
             if outcome is not None:
                 return outcome
             self._layout(self._variables, 2 * self._width)
 
-    def _run(self, terms, record):
-        """One pass of the division loop; None when a product overflowed a
+    def _run(self, work, record):
+        """One pass of the division loop over `work`, a dict from key to
+        coefficient that it consumes; None when a product overflowed a
         field, which only `plex` allows."""
-        key = self._key
-        work = {key(m): c for c, m in terms}
         live = list(work)
         heapify(live)
         leads, rows = self._leads, self._rows
@@ -235,9 +294,27 @@ class DivisorTable:
         monomial = self._monomial
         return Polynomial(self.context, tuple((c, monomial(k)) for c, k in terms))
 
+    def is_interreduced(self):
+        """True when no divisor's leading monomial divides a term of
+        another divisor."""
+        leads, guard, mask = self._leads, self._guard, self._mask
+        flip = self._sign > 0
+        for position, (own, (_, _, tail)) in enumerate(zip(leads, self._rows)):
+            others = leads[:position] + leads[position + 1 :]
+            for x in (own, *(((-k if flip else k) & mask) for _, k in tail)):
+                with_guards = x | guard
+                for lead in others:
+                    if (with_guards - lead) & guard == guard:
+                        return False
+        return True
+
 
 def _max_exponent(f):
     return max((e for _, m in f.terms for _, e in m.exps), default=0)
+
+
+def _top_index(f):
+    return max(m.max_index() for _, m in f.terms)
 
 
 def _table(f, divisors):

@@ -374,6 +374,9 @@ def s_polynomial(f, g):
     """(lcm/lt(f)) f - (lcm/lt(g)) g, where lcm = LCM(lm(f), lm(g)).
 
     The leading monomials of the two summands cancel by construction.
+    Completion and verification reduce S-pairs inside
+    `DivisorTable.spair_remainder` without building them; tests compare
+    that against the remainder of this polynomial.
     """
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("S-polynomials need nonzero arguments")

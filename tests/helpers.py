@@ -131,6 +131,24 @@ def reference_divide(f, divisors):
     return DivisionResult(quotients, Polynomial(context, tuple(remainder_terms)), steps)
 
 
+def reference_is_reduced_set(elements):
+    """The oracle for `infinigb.groebner.is_reduced_set`: monic elements,
+    and no leading monomial divides any term of any other element, tested
+    monomial by monomial."""
+    elements = list(elements)
+    for g in elements:
+        if g.is_zero or g.lc() != g.context.one:
+            return False
+    for g in elements:
+        lm = g.lm()
+        for h in elements:
+            if h is g:
+                continue
+            if any(lm.divides(m) for m in h.monomials()):
+                return False
+    return True
+
+
 def reference_reduce_basis(basis):
     """The oracle for `infinigb.groebner.reduce_basis`: repeatedly replace
     each element by its monic remainder with respect to the others, by

@@ -114,6 +114,22 @@ class TestGb:
         validate(payload, "gb")
         assert payload["stable"] is None
 
+    def test_plex_completion_that_discards_is_asserted(self, capsys, tmp_path):
+        # The completion drops the remainder x1^6 - x1 (degree 6 > 4), so
+        # its output is no Groebner base of the window.
+        path = tmp_path / "plex.gens"
+        path.write_text("x2 - x1^3\nx2^2 - x1\n")
+        code, out, _ = run(
+            capsys,
+            "gb", "--order", "plex", "--gens", str(path),
+            "--n", "2", "--deg", "4", "--reduced",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload, "gb")
+        assert payload["elements"] == ["x1^6 - x1", "x2 - x1^3"]
+        assert payload["certificate"] == "asserted"
+
     def test_unknown_family_rejected(self, capsys):
         code, _, err = run(
             capsys,

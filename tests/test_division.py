@@ -33,9 +33,16 @@ from infinigb.monomials import (
     WeightedAlphabet,
     compare,
 )
-from infinigb.polynomials import GF, Polynomial, RingContext, parse_polynomial
+from infinigb.polynomials import (
+    GF,
+    Polynomial,
+    RingContext,
+    parse_polynomial,
+    s_polynomial,
+)
 
 HARL = RingContext(OrderKind.HOM_ANTI_REV_LEX)
+PLEX = RingContext(OrderKind.PURE_LEX)
 
 
 def poly(text, context=HARL):
@@ -315,6 +322,93 @@ class TestDivisorTable:
         with pytest.raises(RingContextMismatch):
             remainder(parse_polynomial("x1", RingContext(OrderKind.HOM_LEX)), table)
         assert len(table.divisors) == 1
+
+
+def spair_expected(divisors, i, j):
+    """The remainder of the S-polynomial built by `s_polynomial`, by the
+    kernel on a fresh table and by `reference_divide`, which must agree."""
+    s = s_polynomial(divisors[i], divisors[j])
+    expected = helpers.reference_divide(s, divisors).remainder
+    assert remainder(s, divisors) == expected
+    return expected
+
+
+def spair_lcm(divisors, i, j):
+    return divisors[i].lm().lcm(divisors[j].lm())
+
+
+class TestSpairRemainder:
+    """`DivisorTable.spair_remainder` reduces the S-polynomial of two rows
+    without building it, and gives the remainder of `s_polynomial`."""
+
+    @pytest.mark.parametrize(
+        "indices", [WIDE_INDICES, HIGH_INDICES], ids=["low", "high"]
+    )
+    @pytest.mark.parametrize("field", [None, GF(2), GF(7)], ids=str)
+    def test_every_pair_of_a_reused_table(self, field, indices):
+        rng = random.Random(7013)
+        seen = {"coprime": 0, "non-monic": 0, "nonzero": 0, "zero": 0}
+        for k in range(40):
+            ctx = RingContext(helpers.ALL_ORDERS[k % 5], field=field)
+
+            def draw():
+                g = helpers.random_polynomial(
+                    rng, ctx, max_var=4, max_degree=8, max_terms=4
+                )
+                # Half the rows monic, as completion appends them.
+                return relabel(g.monic() if rng.random() < 0.5 else g, indices)
+
+            divisors = [draw() for _ in range(rng.randint(2, 4))]
+            table = DivisorTable(ctx, divisors)
+            for step in range(2):
+                if step == 1:
+                    divisors.append(draw())
+                    table.append(divisors[-1])
+                for j in range(len(divisors)):
+                    for i in range(j):
+                        lcm = spair_lcm(divisors, i, j)
+                        expected = spair_expected(divisors, i, j)
+                        assert table.spair_remainder(i, j, lcm) == expected
+                        if divisors[i].lm().coprime(divisors[j].lm()):
+                            seen["coprime"] += 1
+                        if divisors[i].lc() != ctx.one:
+                            seen["non-monic"] += 1
+                        seen["zero" if expected.is_zero else "nonzero"] += 1
+        if field is not None and field.p == 2:
+            del seen["non-monic"]  # every GF(2) row is monic
+        assert min(seen.values()) >= 10, seen
+
+    def test_lcm_beyond_the_capacity_widens_the_layout(self):
+        # The rows fit fields of capacity 3, but reducing x1^2*x2 by x2 -
+        # x1^2 reaches x1^4 inside the lcm's degree 4.
+        ctx = RingContext(OrderKind.HOM_REV_LEX)
+        divisors = [
+            parse_polynomial("x2 - x1^2", ctx),
+            parse_polynomial("x2^2 - x1*x3", ctx),
+        ]
+        table = DivisorTable(ctx, divisors)
+        result = table.spair_remainder(0, 1, spair_lcm(divisors, 0, 1))
+        assert result == spair_expected(divisors, 0, 1)
+        assert result == parse_polynomial("x1*x3 - x1^4", ctx)
+
+    def test_plex_products_outgrow_the_field_width(self):
+        # The S-polynomial x3 - x1^5*x2*x3 fits the fields sized for it;
+        # reducing x2 to x1^5 then reaches x1^10, past them.
+        divisors = [
+            parse_polynomial("x2 - x1^5", PLEX),
+            parse_polynomial("2*x2^2*x3 - x3", PLEX),
+        ]
+        table = DivisorTable(PLEX, divisors)
+        result = table.spair_remainder(0, 1, spair_lcm(divisors, 0, 1))
+        assert result == spair_expected(divisors, 0, 1)
+        assert result == parse_polynomial("-x1^10*x3 + 1/2*x3", PLEX)
+
+    def test_rows_that_cancel_to_zero(self):
+        ctx = RingContext(OrderKind.HOM_REV_LEX)
+        divisors = [poly("x1*x2 - x1^3", ctx), poly("x2 - x1^2", ctx)]
+        table = DivisorTable(ctx, divisors)
+        assert table.spair_remainder(0, 1, spair_lcm(divisors, 0, 1)).is_zero
+        assert s_polynomial(divisors[0], divisors[1]).is_zero
 
 
 class TestRemainderUniqueness:

@@ -96,6 +96,19 @@ class TestBuchberger:
         basis = buchberger_truncated([], TruncationWindow(2, 2), context=HARL)
         assert basis.elements == ()
 
+    def test_plex_completion_that_discards_is_only_asserted(self):
+        # The remainder x1^6 - x1 of the one S-pair has degree 6 > 4.
+        basis = buchberger_truncated(
+            [poly("x2 - x1^3", PLEX), poly("x2^2 - x1", PLEX)],
+            TruncationWindow(2, 4),
+        )
+        assert basis.discarded_elements == 1
+        assert basis.certificate is Certificate.ASSERTED
+        reduced = reduce_basis(basis)
+        assert reduced.certificate is Certificate.ASSERTED
+        with pytest.raises(CertificationError):
+            is_member(poly("x1^6 - x1", PLEX), reduced)
+
     def test_random_ideals_reverify(self):
         rng = random.Random(409)
         window = TruncationWindow(3, 14)
@@ -246,7 +259,9 @@ class TestReduceBasisAgainstReference:
                     gens.append(g)
             basis = buchberger_truncated(gens, TruncationWindow(3, 4))
             if not basis.discarded_elements:
+                assert basis.certificate is Certificate.BUCHBERGER_VERIFIED
                 continue
+            assert basis.certificate is Certificate.ASSERTED
             reduced = reduce_basis(basis)
             assert reduced == helpers.reference_reduce_basis(basis)
             full_in = buchberger_truncated(basis.elements, wide)
@@ -256,6 +271,74 @@ class TestReduceBasisAgainstReference:
             assert reduce_basis(full_in) == reduce_basis(full_out)
             checked += 1
         assert checked >= 8
+
+
+class TestVerifyBuchberger:
+    """`verify_buchberger` reduces every pair inside the window, so sets
+    that are not Groebner bases fail it."""
+
+    def test_uncompleted_family_f_window_fails(self):
+        window = TruncationWindow(10, 20)
+        gens = helpers.family_f(HARL).instantiate(window)
+        claimed = GroebnerBasis(
+            HARL, tuple(gens), window, Certificate.ASSERTED, reduced=False
+        )
+        assert not verify_buchberger(claimed)
+        assert verify_buchberger(buchberger_truncated(gens, window, context=HARL))
+
+    @pytest.mark.parametrize(
+        "order", [OrderKind.HOM_REV_LEX, OrderKind.HOM_LEX], ids=str
+    )
+    def test_uncompleted_homogenized_cyclic5_fails(self, order):
+        context, gens = helpers.cyclic5_homogenized(order)
+        window = TruncationWindow(6, 12)
+        claimed = GroebnerBasis(
+            context, tuple(gens), window, Certificate.ASSERTED, reduced=False
+        )
+        assert not verify_buchberger(claimed)
+        assert verify_buchberger(buchberger_truncated(gens, window, context=context))
+
+
+class TestReducedSetAgainstReference:
+    """The packed reduced-set test equals the monomial loop kept in
+    tests/helpers.py, on random monic sets (mostly not reduced), on their
+    interreductions (reduced) and on non-monic sets."""
+
+    @pytest.mark.parametrize("field", [None, GF(2), GF(7)], ids=str)
+    @pytest.mark.parametrize("order", helpers.ALL_ORDERS, ids=str)
+    def test_random_sets(self, order, field):
+        rng = random.Random(6029)
+        context = RingContext(order, field=field)
+        high = {1: 200, 2: 3, 3: 131, 4: 64, 5: 1}
+        outcomes = []
+        for k in range(40):
+            gens = [
+                helpers.random_polynomial(
+                    rng, context, max_var=5, max_degree=8, max_terms=4
+                )
+                for _ in range(rng.randint(1, 4))
+            ]
+            if k % 2:
+                gens = [
+                    Polynomial.from_terms(
+                        context,
+                        [
+                            (c, Monomial.from_pairs((high[i], e) for i, e in m.exps))
+                            for c, m in g.terms
+                        ],
+                    )
+                    for g in gens
+                ]
+            monic = [g.monic() for g in gens]
+            claimed = GroebnerBasis(
+                context, tuple(monic), TruncationWindow(200, 1600),
+                Certificate.ASSERTED, reduced=False,
+            )
+            for elements in (gens, monic, reduce_basis(claimed).elements):
+                expected = helpers.reference_is_reduced_set(elements)
+                assert is_reduced_set(elements) == expected
+                outcomes.append(expected)
+        assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
 
 
 class TestBayerStillman:
