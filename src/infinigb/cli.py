@@ -288,13 +288,18 @@ def cmd_bijection(args):
                 (parts, partitions.phi(parts, family, p, route="oracle"))
                 for parts in x_side
             ]
+        # One route: `ok` means distinct images, all in the target family.
+        images = {b for _, b in pairs}
+        y_side = partitions.enumerate_family(
+            partitions.FamilySpec("Y", family, p), args.n
+        )
         report = {
             "n": args.n,
             "family": family.name,
             "p": p,
             "x_size": len(pairs),
             "route": args.route,
-            "ok": True,
+            "ok": len(images) == len(pairs) and images <= y_side,
         }
     report["seed"] = args.seed
     if args.format == "json":

@@ -33,7 +33,7 @@ from .errors import (
     RingContextMismatch,
     ZeroPolynomialError,
 )
-from .monomials import _KEY_SHAPES, Monomial, _trusted
+from .monomials import _KEY_SHAPES, _admissible, _pairs_of_degree, _trusted
 from .polynomials import Polynomial
 
 
@@ -74,6 +74,13 @@ class DivisorTable:
         self._homogeneous = context.order.homogeneous
         self._weight_of = dict(context.weights.overrides)
         self._layout(0, 2)
+        # One layout for all of them: widening per divisor would pack every
+        # earlier one again.
+        divisors = list(divisors)
+        self._fit(
+            max(map(_top_index, divisors), default=0),
+            max(map(_max_exponent, divisors), default=0),
+        )
         for g in divisors:
             self.append(g)
 
@@ -149,8 +156,12 @@ class DivisorTable:
         return -((self._degree(m) << self._shift) + self._sign * x)
 
     def _monomial(self, key):
-        """The monomial of a negated order key."""
+        """The monomial of a negated order key.  A guard bit set in it means
+        the layout was sized too small; decoding would never end, since a
+        guard bit reads as exponent 0 and is never cleared."""
         x = (key if self._sign < 0 else -key) & self._mask
+        if x & self._guard:
+            raise RuntimeError(f"packed key {key} sets a guard bit")
         width, n = self._width, self._variables
         field_mask = self._capacity
         pairs = []
@@ -314,7 +325,7 @@ def _max_exponent(f):
 
 
 def _top_index(f):
-    return max(m.max_index() for _, m in f.terms)
+    return max((m.max_index() for _, m in f.terms), default=0)
 
 
 def _table(f, divisors):
@@ -367,14 +378,10 @@ def is_member(f, basis):
     return remainder(f, basis.elements).is_zero
 
 
-def standard_monomials(basis, degree, variables=None):
-    """Monomials of the given weighted degree outside the leading-term ideal.
-
-    These form a vector-space basis of the degree slice of the quotient by
-    the span.  Requires a homogeneous order and homogeneous elements; the
-    enumeration may be restricted to a variable set (anything supporting
-    `in`), e.g. the generators of a subring.
-    """
+def _standard_walk(basis, bound, variables):
+    """The arguments of the walk over the standard monomials of a
+    homogeneous base up to weighted degree `bound`; the one check shared by
+    `standard_monomials` and the counted Hilbert series."""
     context = basis.context
     if not context.order.homogeneous:
         raise HomogeneityError("standard monomials need a homogeneous order")
@@ -383,58 +390,17 @@ def standard_monomials(basis, degree, variables=None):
         if not g.is_homogeneous():
             raise HomogeneityError("standard monomials need homogeneous elements")
         leads.append(g.lm())
-    if any(lm.is_one for lm in leads):
-        return []
-    if degree == 0:
-        return [Monomial.one()]
-
     weights = context.weights
-    indices = [
-        i
-        for i in weights.indices_with_weight_at_most(degree)
-        if variables is None or i in variables
-    ]
-    position = {index: k for k, index in enumerate(indices)}
-    # The walk fixes exponents from the largest variable down, so a leading
-    # monomial becomes decidable once the smallest variable of its support is
-    # reached; bucket it there.  A leading monomial using an inadmissible
-    # variable never divides anything enumerated here.
-    buckets = [[] for _ in indices]
-    for lm in leads:
-        if all(i in position for i in lm.support()):
-            buckets[position[lm.exps[0][0]]].append(lm)
+    return _admissible(weights, bound, variables), weights, bound, leads
 
-    exponents = [0] * len(indices)
-    out = []
 
-    def cap_from_leads(k, budget):
-        cap = budget
-        for lm in buckets[k]:
-            need = lm.exponent(indices[k])
-            if all(
-                exponents[position[i]] >= e
-                for i, e in lm.exps
-                if i != indices[k]
-            ):
-                cap = min(cap, need - 1)
-        return cap
+def standard_monomials(basis, degree, variables=None):
+    """Monomials of the given weighted degree outside the leading-term ideal.
 
-    def descend(k, remaining):
-        if k < 0:
-            if remaining == 0:
-                out.append(
-                    Monomial.from_pairs(
-                        (indices[j], exponents[j])
-                        for j in range(len(indices))
-                        if exponents[j]
-                    )
-                )
-            return
-        w = weights.weight(indices[k])
-        for exponent in range(cap_from_leads(k, remaining // w) + 1):
-            exponents[k] = exponent
-            descend(k - 1, remaining - exponent * w)
-        exponents[k] = 0
-
-    descend(len(indices) - 1, degree)
-    return out
+    These form a vector-space basis of the degree slice of the quotient by
+    the span.  Requires a homogeneous order and homogeneous elements; the
+    enumeration may be restricted to a variable set (anything supporting
+    `in`), e.g. the generators of a subring.
+    """
+    walk = _standard_walk(basis, degree, variables)
+    return [_trusted(pairs) for pairs in _pairs_of_degree(*walk)]

@@ -275,11 +275,13 @@ def bayer_stillman_basis(gens, *, window=None, context=None):
             raise RingContextMismatch("generators in mixed ring contexts")
         if g.is_zero:
             raise WindowError("zero generator")
-    leads = [g.lm() for g in gens]
-    for i in range(len(leads)):
-        for j in range(i + 1, len(leads)):
-            if not leads[i].coprime(leads[j]):
-                return None
+    # Pairwise coprime: each support misses the union of the earlier ones.
+    used = set()
+    for g in gens:
+        support = g.lm().support()
+        if not used.isdisjoint(support):
+            return None
+        used.update(support)
     if window is None:
         var_bound = max([g.max_variable_index() for g in gens], default=0)
         degree_bound = max([g.weighted_degree() for g in gens], default=0)

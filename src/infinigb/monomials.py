@@ -303,34 +303,95 @@ def monomials_of_degree(degree, weights=DEFAULT_WEIGHTS, variables=None):
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    if degree == 0:
-        return [Monomial.one()]
-    indices = [
-        i
-        for i in weights.indices_with_weight_at_most(degree)
-        if variables is None or i in variables
-    ]
-    out = []
-    acc = []
+    indices = _admissible(weights, degree, variables)
+    return [_trusted(pairs) for pairs in _pairs_of_degree(indices, weights, degree)]
 
-    def descend(k, remaining):
-        if remaining == 0:
-            out.append(Monomial.from_pairs(acc))
-            return
-        if k < 0:
-            return
-        index = indices[k]
-        w = weights.weight(index)
-        descend(k - 1, remaining)
-        exponent = 1
-        while exponent * w <= remaining:
-            acc.append((index, exponent))
-            descend(k - 1, remaining - exponent * w)
-            acc.pop()
-            exponent += 1
 
-    descend(len(indices) - 1, degree)
-    return out
+def _admissible(weights, bound, variables):
+    """The indices i with d_i <= bound, increasing, that lie in `variables`
+    (anything supporting `in`; None admits all)."""
+    indices = weights.indices_with_weight_at_most(bound)
+    return [i for i in indices if variables is None or i in variables]
+
+
+def _walk(indices, weights, bound, leads=()):
+    """The exponent vectors on `indices` (increasing) of weighted degree at
+    most `bound` that no monomial of `leads` divides, by an odometer that
+    fixes exponents from the largest variable down; a lead is decided, and
+    bucketed, at the smallest variable of its support.  A lead on a variable
+    outside `indices` is skipped; a lead 1 divides everything.  Each yield
+    is a run (exponents, degrees): the live list from position 1 on, and
+    any exponent e at position 0, of weighted degree degrees[e].
+    """
+    if bound < 0 or any(lead.is_one for lead in leads):
+        return
+    n = len(indices)
+    if not n:
+        yield [], range(1)
+        return
+    steps = [weights.weight(i) for i in indices]
+    position = {index: k for k, index in enumerate(indices)}
+    # Per position: (lead exponent there, the lead's later (position, exponent)s).
+    buckets = [[] for _ in indices]
+    for lead in leads:
+        if all(i in position for i, _ in lead.exps):
+            (first, need), *rest = lead.exps
+            buckets[position[first]].append(
+                (need, [(position[i], e) for i, e in rest])
+            )
+    exponents = [0] * n
+    tops = [0] * n
+    spent = [0] * (n + 1)  # spent[k]: weighted degree of positions >= k
+    k = n
+    while True:
+        while k:
+            k -= 1
+            exponents[k] = 0
+            spent[k] = spent[k + 1]
+            top = (bound - spent[k]) // steps[k]
+            for need, rest in buckets[k]:
+                if need <= top:
+                    for j, e in rest:
+                        if exponents[j] < e:
+                            break
+                    else:
+                        top = need - 1
+            tops[k] = top
+        low, step = spent[1], steps[0]
+        yield exponents, range(low, low + (tops[0] + 1) * step, step)
+        k = 1
+        while k < n and exponents[k] == tops[k]:
+            k += 1
+        if k == n:
+            return
+        exponents[k] += 1
+        spent[k] += steps[k]
+
+
+def _pairs_of_degree(indices, weights, degree, leads=()):
+    """The vectors `_walk` visits of exact weighted degree `degree`, at most
+    one per run, as increasing (index, exponent) pairs without zero
+    exponents, in the order of the walk."""
+    for exponents, degrees in _walk(indices, weights, degree, leads):
+        if degree in degrees:
+            first = degrees.index(degree)
+            pairs = ((indices[0], first),) if first else ()
+            yield pairs + tuple((i, e) for i, e in zip(indices, exponents) if e)
+
+
+def _counts_up_to(indices, weights, bound, leads=()):
+    """How many vectors `_walk` visits in each weighted degree 0..bound,
+    without building them: each run marks where its degrees start and
+    stop, and a running sum with the runs' common stride adds them up."""
+    counts, stride = [0] * (bound + 1), 1
+    for _, degrees in _walk(indices, weights, bound, leads):
+        stride = degrees.step
+        counts[degrees.start] += 1
+        if degrees.stop <= bound:
+            counts[degrees.stop] -= 1
+    for d in range(stride, bound + 1):
+        counts[d] += counts[d - stride]
+    return counts
 
 
 def format_monomial(m):

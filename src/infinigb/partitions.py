@@ -19,6 +19,7 @@ from .errors import CertificationError
 from .groebner import IdealPresentation, TruncationWindow, bayer_stillman_basis
 from .index_sets import probe_closure
 from .monomials import DEFAULT_WEIGHTS, Monomial, OrderKind
+from .monomials import _counts_up_to, _pairs_of_degree
 from .polynomials import Polynomial
 
 
@@ -72,6 +73,20 @@ class FamilySpec:
             return m in self.parts_in
         return True
 
+    def _standard_walk(self, n):
+        """The arguments of the walk whose standard monomials of degree at
+        most n are the family's partitions: part i is the variable x_i,
+        its multiplicity the exponent, under the default grading."""
+        indices = [m for m in range(1, n + 1) if self.admits_part(m)]
+        if self.kind == "gap2":
+            leads = [Monomial.variable(i, 2) for i in indices]
+            leads += [Monomial(((i, 1), (i + 1, 1))) for i in indices[:-1]]
+        elif self.kind == "Y":
+            leads = [Monomial.variable(i, self.p) for i in indices]
+        else:
+            leads = []
+        return indices, DEFAULT_WEIGHTS, n, leads
+
     def contains(self, parts):
         parts = check_partition(parts)
         if not all(self.admits_part(m) for m in parts):
@@ -93,70 +108,24 @@ _PRESETS = {
 
 
 def enumerate_family(spec, n):
-    """All partitions of n in the family, by direct search over parts."""
+    """All partitions of n in the family: the standard monomials of degree
+    n of the family's monomial ideal, read as partitions."""
     if n < 0:
         raise ValueError("partitions need a non-negative weight")
-    if spec.kind == "gap2":
-        return _enumerate_gap2(n)
-    values = [m for m in range(n, 0, -1) if spec.admits_part(m)]
-    max_mult = (spec.p - 1) if spec.kind == "Y" else None
-    out = set()
-    acc = []
-
-    def descend(k, remaining):
-        if remaining == 0:
-            out.add(tuple(acc))
-            return
-        if k >= len(values):
-            return
-        descend(k + 1, remaining)
-        value = values[k]
-        top = remaining // value
-        if max_mult is not None:
-            top = min(top, max_mult)
-        for count in range(1, top + 1):
-            acc.extend([value] * count)
-            descend(k + 1, remaining - count * value)
-            del acc[len(acc) - count :]
-
-    descend(0, n)
-    return out
-
-
-def _enumerate_gap2(n):
-    out = set()
-    acc = []
-
-    def descend(cap, remaining):
-        if remaining == 0:
-            out.add(tuple(acc))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            acc.append(part)
-            descend(part - 2, remaining - part)
-            acc.pop()
-
-    descend(n, n)
-    return out
+    return {
+        tuple(i for i, e in reversed(pairs) for _ in range(e))
+        for pairs in _pairs_of_degree(*spec._standard_walk(n))
+    }
 
 
 def all_partitions(n):
-    """Every partition of n, by the same direct search (oracle duty)."""
+    """Every partition of n."""
     return enumerate_family(FamilySpec("parts", index_sets.ALL), n)
 
 
 def partition_counts_up_to(bound):
-    """p(0..bound) by walking every partition once."""
-    counts = [0] * (bound + 1)
-    counts[0] = 1
-
-    def descend(max_part, total):
-        for part in range(1, min(max_part, bound - total) + 1):
-            counts[total + part] += 1
-            descend(part, total + part)
-
-    descend(bound, 0)
-    return counts
+    """p(0..bound), counting every partition once without building it."""
+    return _counts_up_to(*FamilySpec("parts", index_sets.ALL)._standard_walk(bound))
 
 
 def partition_to_monomial(parts):
@@ -356,16 +325,13 @@ def schur_identity_check(truncation):
     odd_twice = _bounded_multiplicity_product(
         [m for m in range(1, N + 1) if m in index_sets.ODD], 2, N
     )
-    count_a = [len(enumerate_family(FamilySpec.preset("A"), n)) for n in range(N + 1)]
-    count_b = [len(enumerate_family(FamilySpec.preset("B"), n)) for n in range(N + 1)]
-    count_c = [len(enumerate_family(FamilySpec.preset("C"), n)) for n in range(N + 1)]
     columns = {
         "product_pm1_mod6": list(product_mod6.coefficients),
         "distinct_pm1_mod3": list(distinct_mod3.coefficients),
         "odd_at_most_twice": list(odd_twice.coefficients),
-        "count_A": count_a,
-        "count_B": count_b,
-        "count_C": count_c,
+        "count_A": _counts_up_to(*FamilySpec.preset("A")._standard_walk(N)),
+        "count_B": _counts_up_to(*FamilySpec.preset("B")._standard_walk(N)),
+        "count_C": _counts_up_to(*FamilySpec.preset("C")._standard_walk(N)),
     }
     reference = columns["count_A"]
     return {
@@ -388,13 +354,11 @@ def rr_identity_check(truncation):
             block = block * series.TruncatedSeries.geometric(j, N)
         summed = summed + block.times_power(m * m)
         m += 1
-    count_p = [len(enumerate_family(FamilySpec.preset("P"), n)) for n in range(N + 1)]
-    count_q = [len(enumerate_family(FamilySpec.preset("Q"), n)) for n in range(N + 1)]
     columns = {
         "product_pm1_mod5": list(product_mod5.coefficients),
         "gap_sum_series": list(summed.coefficients),
-        "count_P": count_p,
-        "count_Q": count_q,
+        "count_P": _counts_up_to(*FamilySpec.preset("P")._standard_walk(N)),
+        "count_Q": _counts_up_to(*FamilySpec.preset("Q")._standard_walk(N)),
     }
     reference = columns["count_P"]
     return {

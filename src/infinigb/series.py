@@ -8,8 +8,9 @@ checked coefficientwise up to a truncation.
 
 from __future__ import annotations
 
-from .division import standard_monomials
+from .division import _standard_walk
 from .errors import CertificationError
+from .monomials import _counts_up_to
 
 
 class TruncatedSeries:
@@ -131,13 +132,11 @@ def ambient_series(weights, variables, truncation):
 
 def quotient_series_from_standard_monomials(basis, truncation, *, variables=None):
     """Hilbert series of the quotient by the span of a homogeneous base,
-    computed by counting standard monomials degree by degree; equals the
-    series of the quotient by the leading-term ideal."""
+    computed by counting its standard monomials in every degree up to the
+    truncation in one walk; equals the series of the quotient by the
+    leading-term ideal."""
     return TruncatedSeries(
-        tuple(
-            len(standard_monomials(basis, degree, variables=variables))
-            for degree in range(truncation + 1)
-        )
+        _counts_up_to(*_standard_walk(basis, truncation, variables))
     )
 
 

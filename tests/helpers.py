@@ -7,11 +7,16 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from infinigb.division import DivisionResult, standard_monomials
-from infinigb.errors import RingContextMismatch, ZeroPolynomialError
+from infinigb.errors import (
+    HomogeneityError,
+    RingContextMismatch,
+    ZeroPolynomialError,
+)
 from infinigb.groebner import (
     Certificate,
     GroebnerBasis,
     IdealPresentation,
+    TruncationWindow,
     _canonical_sorted,
     is_reduced_set,
 )
@@ -72,6 +77,26 @@ def random_monomial(rng, max_var, max_degree, weights=DEFAULT_WEIGHTS):
         m = Monomial.from_pairs(pairs)
         if m.degree(weights) <= max_degree:
             return m
+
+
+def random_monomial_ideal(rng, max_var=5, max_degree=12, max_leads=5):
+    """A base of `random_monomial` draws, under a random homogeneous order
+    and a grading with up to two weights overridden (possibly beyond
+    x{max_var}); certified, as a base of monomials always is."""
+    overrides = {
+        rng.randint(1, max_var + 2): rng.randint(1, 4)
+        for _ in range(rng.randint(0, 2))
+    }
+    context = RingContext(
+        rng.choice(HOMOGENEOUS_ORDERS), WeightedAlphabet.with_weights(overrides)
+    )
+    leads = [
+        random_monomial(rng, max_var, max_degree, context.weights)
+        for _ in range(rng.randint(0, max_leads))
+    ]
+    return _monomial_ideal_basis(
+        context, leads, TruncationWindow(max_var, max_degree)
+    )
 
 
 def random_polynomial(rng, context, max_var, max_degree, max_terms, allow_zero=False):
@@ -269,3 +294,128 @@ def _monomial_ideal_basis(context, lms, window):
 
 def _canonical_monomials(lms, context):
     return sorted(set(lms), key=sort_key(context.order, context.weights))
+
+
+def reference_standard_monomials(basis, degree, variables=None):
+    """The oracle for `infinigb.division.standard_monomials`, the recursive
+    walk it replaced.  Monomials of the given weighted degree outside the
+    leading-term ideal.
+
+    These form a vector-space basis of the degree slice of the quotient by
+    the span.  Requires a homogeneous order and homogeneous elements; the
+    enumeration may be restricted to a variable set (anything supporting
+    `in`), e.g. the generators of a subring.
+    """
+    context = basis.context
+    if not context.order.homogeneous:
+        raise HomogeneityError("standard monomials need a homogeneous order")
+    leads = []
+    for g in basis.elements:
+        if not g.is_homogeneous():
+            raise HomogeneityError("standard monomials need homogeneous elements")
+        leads.append(g.lm())
+    if any(lm.is_one for lm in leads):
+        return []
+    if degree == 0:
+        return [Monomial.one()]
+
+    weights = context.weights
+    indices = [
+        i
+        for i in weights.indices_with_weight_at_most(degree)
+        if variables is None or i in variables
+    ]
+    position = {index: k for k, index in enumerate(indices)}
+    # The walk fixes exponents from the largest variable down, so a leading
+    # monomial becomes decidable once the smallest variable of its support is
+    # reached; bucket it there.  A leading monomial using an inadmissible
+    # variable never divides anything enumerated here.
+    buckets = [[] for _ in indices]
+    for lm in leads:
+        if all(i in position for i in lm.support()):
+            buckets[position[lm.exps[0][0]]].append(lm)
+
+    exponents = [0] * len(indices)
+    out = []
+
+    def cap_from_leads(k, budget):
+        cap = budget
+        for lm in buckets[k]:
+            need = lm.exponent(indices[k])
+            if all(
+                exponents[position[i]] >= e
+                for i, e in lm.exps
+                if i != indices[k]
+            ):
+                cap = min(cap, need - 1)
+        return cap
+
+    def descend(k, remaining):
+        if k < 0:
+            if remaining == 0:
+                out.append(
+                    Monomial.from_pairs(
+                        (indices[j], exponents[j])
+                        for j in range(len(indices))
+                        if exponents[j]
+                    )
+                )
+            return
+        w = weights.weight(indices[k])
+        for exponent in range(cap_from_leads(k, remaining // w) + 1):
+            exponents[k] = exponent
+            descend(k - 1, remaining - exponent * w)
+        exponents[k] = 0
+
+    descend(len(indices) - 1, degree)
+    return out
+
+
+def reference_enumerate_family(spec, n):
+    """The oracle for `infinigb.partitions.enumerate_family`, the recursive
+    search it replaced: all partitions of n in the family, by direct search
+    over parts."""
+    if n < 0:
+        raise ValueError("partitions need a non-negative weight")
+    if spec.kind == "gap2":
+        return _reference_enumerate_gap2(n)
+    values = [m for m in range(n, 0, -1) if spec.admits_part(m)]
+    max_mult = (spec.p - 1) if spec.kind == "Y" else None
+    out = set()
+    acc = []
+
+    def descend(k, remaining):
+        if remaining == 0:
+            out.add(tuple(acc))
+            return
+        if k >= len(values):
+            return
+        descend(k + 1, remaining)
+        value = values[k]
+        top = remaining // value
+        if max_mult is not None:
+            top = min(top, max_mult)
+        for count in range(1, top + 1):
+            acc.extend([value] * count)
+            descend(k + 1, remaining - count * value)
+            del acc[len(acc) - count :]
+
+    descend(0, n)
+    return out
+
+
+def _reference_enumerate_gap2(n):
+    out = set()
+    acc = []
+
+    def descend(cap, remaining):
+        if remaining == 0:
+            out.add(tuple(acc))
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            acc.append(part)
+            descend(part - 2, remaining - part)
+            acc.pop()
+
+    descend(n, n)
+    return out

@@ -221,6 +221,34 @@ class TestBijection:
         assert len(out.splitlines()) > 3
         assert len(calls) == (1 if route == "division" else 0)
 
+    def test_single_route_reports_a_non_injective_map(self, capsys, monkeypatch):
+        from infinigb import partitions
+
+        real = partitions.phi_pairs
+
+        def collapsed(family, p, n):
+            pairs = real(family, p, n)
+            return [(parts, pairs[0][1]) for parts, _ in pairs]
+
+        monkeypatch.setattr(partitions, "phi_pairs", collapsed)
+        code, out, _ = run(
+            capsys, "bijection", "--preset", "AB", "--n", "6", "--route", "division"
+        )
+        assert code == 1
+        assert json.loads(out.splitlines()[-1])["ok"] is False
+
+    def test_single_route_reports_images_outside_the_target(
+        self, capsys, monkeypatch
+    ):
+        from infinigb import partitions
+
+        monkeypatch.setattr(partitions, "phi", lambda parts, *a, **k: parts)
+        code, out, _ = run(
+            capsys, "bijection", "--preset", "AB", "--n", "4", "--route", "oracle"
+        )
+        assert code == 1
+        assert json.loads(out.splitlines()[-1])["ok"] is False
+
 
 class TestIdentities:
     def test_schur_json(self, capsys):

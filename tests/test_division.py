@@ -313,6 +313,16 @@ class TestDivisorTable:
             f = poly(f)
             assert divide(f, table) == helpers.reference_divide(f, divisors)
 
+    @pytest.mark.parametrize("order", helpers.ALL_ORDERS)
+    def test_decoding_a_guard_bit_raises(self, order):
+        # Such a key means the layout was sized too small; decoding it
+        # must fail at once, not loop appending exponent-0 pairs.
+        ctx = RingContext(order)
+        table = DivisorTable(ctx, [poly("x1^2 - x2", ctx)])
+        key = table._guard if table._sign < 0 else -table._guard
+        with pytest.raises(RuntimeError, match=f"packed key {key} "):
+            table._monomial(key)
+
     def test_table_checks_its_divisors_and_dividends(self):
         with pytest.raises(ZeroPolynomialError):
             DivisorTable(HARL, [poly("x1"), Polynomial.zero(HARL)])
@@ -481,13 +491,13 @@ class TestStandardMonomials:
         assert result == [Monomial.variable(2)]
 
     def test_empty_basis_gives_every_monomial(self):
-        from infinigb.monomials import monomials_of_degree
-
         empty = GroebnerBasis(
             HARL, (), TruncationWindow(6, 6),
             Certificate.BUCHBERGER_VERIFIED, reduced=True,
         )
-        assert set(standard_monomials(empty, 6)) == set(monomials_of_degree(6))
+        assert standard_monomials(empty, 6) == helpers.reference_standard_monomials(
+            empty, 6
+        )
 
     def test_requires_homogeneous_order(self):
         ctx = RingContext(OrderKind.PURE_LEX)
@@ -500,12 +510,45 @@ class TestStandardMonomials:
         with pytest.raises(HomogeneityError):
             standard_monomials(basis, 3)
 
+    def test_walk_matches_the_recursive_reference(self):
+        rng = random.Random(8101)
+        for trial in range(40):
+            basis = helpers.random_monomial_ideal(rng)
+            variables = (
+                None if trial % 3 == 0 else set(rng.sample(range(1, 13), 8))
+            )
+            for degree in range(13):
+                assert standard_monomials(
+                    basis, degree, variables
+                ) == helpers.reference_standard_monomials(basis, degree, variables)
+
+    def test_unit_lead_leaves_nothing(self):
+        basis = GroebnerBasis(
+            HARL, (poly("1"),), TruncationWindow(2, 2),
+            Certificate.BAYER_STILLMAN, reduced=True,
+        )
+        assert standard_monomials(basis, 0) == []
+        assert standard_monomials(basis, 3) == []
+
+    def test_deep_walk_does_not_recurse(self):
+        # 1100 variables, one level each: deeper than the recursion limit.
+        from infinigb.series import quotient_series_from_standard_monomials
+
+        ctx = RingContext(OrderKind.HOM_REV_LEX)
+        basis = bayer_stillman_basis(
+            Polynomial.from_monomial(ctx, Monomial.variable(i))
+            for i in range(2, 1101)
+        )
+        assert standard_monomials(basis, 1100) == [Monomial.variable(1, 1100)]
+        counted = quotient_series_from_standard_monomials(basis, 1100)
+        assert counted.coefficients == (1,) * 1101
+
     def test_counts_bounded_multiplicity_partitions(self):
         # Leading terms x_i^2 for i in W leave exactly the W-partitions with
         # distinct parts as standard monomials.
         from infinigb import index_sets
         from infinigb.groebner import IdealPresentation
-        from infinigb.partitions import FamilySpec, enumerate_family
+        from infinigb.partitions import FamilySpec
 
         pres = IdealPresentation.power_substitution(
             index_sets.PM1_MOD3, 2, OrderKind.HOM_ANTI_REV_LEX
@@ -517,4 +560,4 @@ class TestStandardMonomials:
         spec = FamilySpec.preset("B")
         for n in (0, 4, 7, 10):
             count = len(standard_monomials(basis, n, variables=pres.variables))
-            assert count == len(enumerate_family(spec, n))
+            assert count == len(helpers.reference_enumerate_family(spec, n))

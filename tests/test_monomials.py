@@ -20,7 +20,8 @@ from infinigb.monomials import (
     monomials_of_degree,
     parse_monomial,
 )
-from infinigb.partitions import all_partitions
+from infinigb import index_sets
+from infinigb.partitions import FamilySpec
 
 X = Monomial.variable
 
@@ -160,7 +161,10 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(0, 31, 5))
     def test_counts_match_partition_enumerator(self, n):
-        assert len(monomials_of_degree(n)) == len(all_partitions(n))
+        every_part = FamilySpec("parts", index_sets.ALL)
+        assert len(monomials_of_degree(n)) == len(
+            helpers.reference_enumerate_family(every_part, n)
+        )
 
     def test_variable_restriction(self):
         only_even = [m for m in monomials_of_degree(6, variables=(2, 4, 6))]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from infinigb import index_sets, partitions
 from infinigb.errors import CertificationError
 from infinigb.monomials import Monomial
@@ -52,7 +53,7 @@ class TestFamilies:
         as_x2 = FamilySpec("X", W3, 2)
         as_x3 = FamilySpec("X", W_ODD, 3)
         for n in range(21):
-            family = enumerate_family(mod6, n)
+            family = helpers.reference_enumerate_family(mod6, n)
             assert enumerate_family(as_x2, n) == family
             assert enumerate_family(as_x3, n) == family
 
@@ -73,6 +74,22 @@ class TestFamilies:
             assert all(m % 2 == 1 for m in parts)
             assert all(c <= 2 for c in Counter(parts).values())
 
+    @pytest.mark.parametrize(
+        "spec",
+        [FamilySpec.preset(name) for name in "ABCPQ"]
+        + [
+            FamilySpec(kind, index_sets.avoiding_multiples_of(5), p)
+            for kind in "XY"
+            for p in (2, 3)
+        ],
+        ids=lambda spec: f"{spec.kind}-{spec.parts_in}-{spec.p}",
+    )
+    def test_walk_matches_the_recursive_reference(self, spec):
+        for n in range(26):
+            assert enumerate_family(spec, n) == helpers.reference_enumerate_family(
+                spec, n
+            )
+
     def test_closure_validation(self):
         with pytest.raises(ValueError):
             FamilySpec("X", index_sets.ODD, 2)
@@ -80,7 +97,8 @@ class TestFamilies:
     def test_partition_counts(self):
         counts = partition_counts_up_to(10)
         assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
-        assert len(all_partitions(8)) == counts[8]
+        every_part = FamilySpec("parts", index_sets.ALL)
+        assert len(helpers.reference_enumerate_family(every_part, 8)) == counts[8]
 
 
 class TestDictionary:
@@ -261,6 +279,17 @@ class TestIdentities:
         report = schur_identity_check(12)
         assert report["equal"]
         assert report["columns"]["count_A"][1] == 1
+
+    def test_count_columns_match_the_reference(self):
+        columns = {
+            **schur_identity_check(30)["columns"],
+            **rr_identity_check(30)["columns"],
+        }
+        for name in "ABCPQ":
+            spec = FamilySpec.preset(name)
+            assert columns[f"count_{name}"] == [
+                len(helpers.reference_enumerate_family(spec, n)) for n in range(31)
+            ]
 
     def test_rr_small(self):
         report = rr_identity_check(12)

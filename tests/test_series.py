@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import helpers
 from infinigb import index_sets
-from infinigb.errors import CertificationError
+from infinigb.errors import CertificationError, HomogeneityError
 from infinigb.groebner import (
     Certificate,
     GroebnerBasis,
@@ -131,7 +134,8 @@ class TestQuotient:
         )
         assert series.coefficient(10) == 4
         counts = [
-            len(enumerate_family(FamilySpec.preset("B"), n)) for n in range(11)
+            len(helpers.reference_enumerate_family(FamilySpec.preset("B"), n))
+            for n in range(11)
         ]
         assert list(series.coefficients) == counts
 
@@ -142,6 +146,49 @@ class TestQuotient:
             DEFAULT_WEIGHTS, index_sets.IndexSet("geq2", lambda i: i >= 2), 8
         )
         assert quotient == rest
+
+    def test_one_walk_counts_every_degree(self):
+        # Every variable up to 30 would make the per-degree reference slow,
+        # so the unrestricted walks stop at 20.
+        rng = random.Random(8102)
+        for trial in range(12):
+            basis = helpers.random_monomial_ideal(rng)
+            if trial % 3 == 0:
+                variables, bound = None, 20
+            else:
+                variables, bound = set(rng.sample(range(1, 31), 20)), 30
+            counted = quotient_series_from_standard_monomials(
+                basis, bound, variables=variables
+            )
+            assert list(counted.coefficients) == [
+                len(helpers.reference_standard_monomials(basis, d, variables))
+                for d in range(bound + 1)
+            ]
+
+    def test_unit_lead_gives_the_zero_series(self):
+        basis = GroebnerBasis(
+            HARL, (poly("1"),), TruncationWindow(2, 2),
+            Certificate.BAYER_STILLMAN, reduced=True,
+        )
+        assert quotient_series_from_standard_monomials(
+            basis, 5
+        ) == TruncatedSeries.zero(5)
+
+    def test_lead_on_an_inadmissible_variable_is_skipped(self):
+        basis = bayer_stillman_basis([poly("x5^2 - x2*x8")])
+        quotient = quotient_series_from_standard_monomials(
+            basis, 12, variables=(1, 2, 3)
+        )
+        assert quotient == ambient_series(DEFAULT_WEIGHTS, (1, 2, 3), 12)
+
+    @pytest.mark.parametrize(
+        "text, context",
+        [("x1^2 - x1", HARL), ("x2 - x1^2", RingContext(OrderKind.PURE_LEX))],
+    )
+    def test_non_homogeneous_input_is_refused(self, text, context):
+        basis = bayer_stillman_basis([poly(text, context)])
+        with pytest.raises(HomogeneityError):
+            quotient_series_from_standard_monomials(basis, 4)
 
 
 class TestRegularSequenceRoute:
