@@ -14,6 +14,7 @@ from .errors import (
     CertificationError,
     HomogeneityError,
     InfinigbError,
+    InputError,
     OrderKindError,
     ParseError,
     RingContextMismatch,

@@ -14,7 +14,7 @@ import sys
 
 from . import index_sets, partitions, series
 from .division import divide
-from .errors import InfinigbError
+from .errors import InfinigbError, InputError
 from .groebner import (
     STABILITY_WINDOW,
     IdealPresentation,
@@ -48,7 +48,10 @@ def _load_config(path):
                 "config files need Python 3.11+ (tomllib) or the tomli package"
             ) from None
     with open(path, "rb") as handle:
-        return toml.load(handle)
+        try:
+            return toml.load(handle)
+        except (toml.TOMLDecodeError, UnicodeDecodeError) as error:
+            raise InputError(f"config file {path}: {error}") from None
 
 
 _CONFIG_KINDS = {bool: "true or false", int: "an integer", str: "a string"}
@@ -64,11 +67,11 @@ def _apply_config(args, config, options):
             action = options[attr]
             kind = bool if action.nargs == 0 else action.type or str
             if type(value) is not kind:
-                raise InfinigbError(
+                raise InputError(
                     f"config key {key!r} must be {_CONFIG_KINDS[kind]}, got {value!r}"
                 )
             if action.choices is not None and value not in action.choices:
-                raise InfinigbError(
+                raise InputError(
                     f"config key {key!r} must be one of "
                     f"{', '.join(action.choices)}, got {value!r}"
                 )
@@ -130,10 +133,14 @@ def cmd_orders_demo(args):
 def _read_generators(path, context):
     gens = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.split("#", 1)[0].strip()
-            if stripped:
-                gens.append(parse_polynomial(stripped, context))
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError as error:
+            raise InputError(f"generator file {path}: {error}") from None
+    for line in lines:
+        stripped = line.split("#", 1)[0].strip()
+        if stripped:
+            gens.append(parse_polynomial(stripped, context))
     return gens
 
 
@@ -178,12 +185,12 @@ def cmd_gb(args):
         basis = buchberger_truncated(gens, window, context=context)
     else:
         if args.family not in _FAMILY_SPELLINGS:
-            raise InfinigbError(
+            raise InputError(
                 f"unknown family {args.family!r}; expected one of "
                 f"{sorted(_FAMILY_SPELLINGS)}"
             )
         if args.W is None or args.p is None:
-            raise InfinigbError("a parametric family needs --W and --p")
+            raise InputError("a parametric family needs --W and --p")
         presentation = _family_presentation(args.order, args.W, args.p)
         gens = presentation.instantiate(window)
         basis = bayer_stillman_basis(
@@ -226,12 +233,12 @@ _HILBERT_PRESETS = {
 def cmd_hilbert(args):
     if args.preset is not None:
         if args.preset not in _HILBERT_PRESETS:
-            raise InfinigbError(f"unknown preset {args.preset!r}")
+            raise InputError(f"unknown preset {args.preset!r}")
         set_name, p = _HILBERT_PRESETS[args.preset]
     elif args.W is not None and args.p is not None:
         set_name, p = args.W, args.p
     else:
-        raise InfinigbError("hilbert needs --preset or both --W and --p")
+        raise InputError("hilbert needs --preset or both --W and --p")
     N = args.N
     presentation = _family_presentation("harevlex", set_name, p)
     window = TruncationWindow(max(1, N), max(1, N))
@@ -270,7 +277,7 @@ _BIJECTION_PRESETS = {
 
 def cmd_bijection(args):
     if args.preset not in _BIJECTION_PRESETS:
-        raise InfinigbError(f"unknown preset {args.preset!r}")
+        raise InputError(f"unknown preset {args.preset!r}")
     set_name, p = _BIJECTION_PRESETS[args.preset]
     family = index_sets.from_name(set_name)
     if args.route == "both":
@@ -321,7 +328,7 @@ def cmd_bijection(args):
 
 def cmd_identities(args):
     if not args.schur and not args.rr:
-        raise InfinigbError("identities needs --schur and/or --rr")
+        raise InputError("identities needs --schur and/or --rr")
     payload = {"seed": args.seed}
     ok = True
     if args.schur:
@@ -444,7 +451,7 @@ def _check_numbers(args):
         value = getattr(args, name)
         if value is not None and value < least:
             bound = "non-negative" if least == 0 else f"at least {least}"
-            raise InfinigbError(f"--{name}: {what} must be {bound}, got {value}")
+            raise InputError(f"--{name}: {what} must be {bound}, got {value}")
 
 
 def main(argv=None):
@@ -458,7 +465,7 @@ def main(argv=None):
             args.route = "both"
         for required in _REQUIRED.get(args.handler, ()):
             if getattr(args, required) is None:
-                raise InfinigbError(f"missing required option --{required}")
+                raise InputError(f"missing required option --{required}")
         _check_numbers(args)
         if getattr(args, "reduced", None) is None and hasattr(args, "reduced"):
             args.reduced = False
@@ -467,7 +474,7 @@ def main(argv=None):
         if getattr(args, "rr", None) is None and hasattr(args, "rr"):
             args.rr = False
         return args.handler(args)
-    except (InfinigbError, OSError, ValueError) as error:
+    except (InfinigbError, OSError) as error:
         print(f"infinigb: {error}", file=sys.stderr)
         return 2
 

@@ -20,12 +20,27 @@ accumulator of sympy's `PolyElement.rem`) with a heap of its keys.
 quotients.  Completion and verification reduce S-pairs from two table
 rows (`DivisorTable.spair_remainder`): the two packed tails, shifted by
 their factor keys, make the work dict, so no S-polynomial is built.
+
+The loop does integer arithmetic only.  Over Q each row holds the
+primitive integer multiple of its divisor, with a positive leading
+coefficient, and the work dict holds integers whose polynomial is the
+true one times a positive integer scale lambda.  A step whose leading
+coefficient the row's does not divide first multiplies the work dict and
+lambda by the same factor, which leaves work/lambda unchanged: the
+fraction-free reduction over Z of Singular and of sympy's `ZZ` rings.
+Each remainder term keeps the lambda it was found at, and becomes a
+`Fraction` only when the result is unpacked.  Over GF(p) the rows are
+monic residues in 0..p-1, lambda stays 1, and a coefficient is reduced
+modulo p when it is popped, so a term that cancels modulo p is neither a
+step nor a remainder term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .errors import (
     CertificationError,
@@ -34,7 +49,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .monomials import _KEY_SHAPES, _admissible, _pairs_of_degree, _trusted
-from .polynomials import Polynomial
+from .polynomials import GFElement, Polynomial
 
 
 @dataclass(frozen=True)
@@ -72,6 +87,7 @@ class DivisorTable:
         self._backwards = backwards
         self._sign = exponent_sign
         self._homogeneous = context.order.homogeneous
+        self._modulus = None if context.field is None else context.field.p
         self._weight_of = dict(context.weights.overrides)
         self._layout(0, 2)
         # One layout for all of them: widening per divisor would pack every
@@ -123,15 +139,30 @@ class DivisorTable:
     def _pack_row(self, g):
         key = self._key
         terms = g.terms
-        lc, lm = terms[0]
+        lm = terms[0][1]
         self._leads.append(self._packed(lm))
-        # None for a monic divisor, whose quotient coefficient is the
-        # current one; the tail is negated once here, not per product.
+        p = self._modulus
+        if p is None:
+            # The primitive integer multiple, its leading coefficient > 0.
+            integers, _ = _cleared(terms)
+            content = gcd(*integers)
+            if integers[0] < 0:
+                content = -content
+            integers = [c // content for c in integers]
+        else:
+            inverse = pow(terms[0][0].value, -1, p)
+            integers = [c.value * inverse % p for c, _ in terms]
+        lc = integers[0]
+        # None for a leading coefficient 1, whose quotient coefficient is
+        # the current one; the tail is negated once here, not per product.
         self._rows.append(
             (
                 key(lm),
-                None if lc == self.context.one else lc,
-                tuple((-c, key(m)) for c, m in terms[1:]),
+                None if lc == 1 else lc,
+                tuple(
+                    (-c if p is None else p - c, key(m))
+                    for c, (_, m) in zip(integers[1:], terms[1:])
+                ),
             )
         )
 
@@ -189,7 +220,15 @@ class DivisorTable:
             need = _max_exponent(f)
         self._fit(_top_index(f), need)
         key = self._key
-        return self._reduce(lambda: {key(m): c for c, m in f.terms}, record)
+        terms = f.terms
+        if self._modulus is None:
+            integers, scale = _cleared(terms)
+        else:
+            integers, scale = [c.value for c, _ in terms], 1
+        return self._reduce(
+            lambda: ({key(m): c for c, (_, m) in zip(integers, terms)}, scale),
+            record,
+        )
 
     def spair_remainder(self, i, j, lcm):
         """The remainder modulo the table of the S-polynomial of divisors
@@ -212,25 +251,28 @@ class DivisorTable:
         return self._polynomial(terms)
 
     def _spair_work(self, i, j, lcm):
-        """The work dict of (lcm/lt_i) g_i - (lcm/lt_j) g_j: the leading
-        terms cancel, leaving the tail of row i times its factor key over
-        lc_i, minus that of row j over lc_j."""
-        one = self.context.one
+        """The work dict and scale of (lcm/lt_i) g_i - (lcm/lt_j) g_j.
+
+        With rows r_i = s_i g_i whose leading coefficients l_i, l_j have
+        gcd c, the dict holds a (lcm/lm_i) r_i - b (lcm/lm_j) r_j for
+        a = l_j / c and b = l_i / c, the S-polynomial times a * l_i: the
+        leading terms cancel, leaving the two tails shifted by their factor
+        keys.  Over GF(p) both rows are monic and a = b = 1.
+        """
         k_lcm = self._key(lcm)
+        k_lead_i, lc_i, tail_i = self._rows[i]
+        k_lead_j, lc_j, tail_j = self._rows[j]
+        lc_i = lc_i or 1
+        lc_j = lc_j or 1
+        common = gcd(lc_i, lc_j)
+        a, b = lc_j // common, lc_i // common
         # The rows hold negated tails: row i's is negated back, row j's
         # enters as stored.
-        k_lead, lc, tail = self._rows[i]
-        factor = k_lcm - k_lead
-        if lc is None:
-            work = {factor + k: -negated for negated, k in tail}
-        else:
-            scale = -(one / lc)
-            work = {factor + k: negated * scale for negated, k in tail}
-        k_lead, lc, tail = self._rows[j]
-        factor = k_lcm - k_lead
-        scale = None if lc is None else one / lc
-        for negated, k in tail:
-            c = negated if scale is None else negated * scale
+        factor = k_lcm - k_lead_i
+        work = {factor + k: -a * negated for negated, k in tail_i}
+        factor = k_lcm - k_lead_j
+        for negated, k in tail_j:
+            c = b * negated
             product = factor + k
             entry = work.get(product)
             if entry is None:
@@ -241,27 +283,33 @@ class DivisorTable:
                     work[product] = rest
                 else:
                     del work[product]
-        return work
+        return work, a * lc_i
 
     def _reduce(self, build, record):
-        """Run the division loop on the work dict `build()` makes, widening
-        the fields and starting again while a product overflows one."""
+        """Run the division loop on the work dict and scale `build()`
+        makes, widening the fields and starting again while a product
+        overflows one."""
         while True:
-            outcome = self._run(build(), record)
+            outcome = self._run(*build(), record)
             if outcome is not None:
                 return outcome
             self._layout(self._variables, 2 * self._width)
 
-    def _run(self, work, record):
+    def _run(self, work, scale, record):
         """One pass of the division loop over `work`, a dict from key to
-        coefficient that it consumes; None when a product overflowed a
-        field, which only `plex` allows."""
+        integer coefficient that it consumes, standing for work/scale;
+        None when a product overflowed a field, which only `plex` allows.
+
+        Remainder terms come out as (c, key, scale) and quotient terms as
+        (q, factor key, scale), with the scale current when each was made.
+        """
         live = list(work)
         heapify(live)
         leads, rows = self._leads, self._rows
         guard, mask = self._guard, self._mask
         flip = self._sign > 0
         overflow = 0 if self._homogeneous else guard
+        p = self._modulus
         quotients = {} if record else None
         remainder_terms = []
         steps = 0
@@ -270,54 +318,104 @@ class DivisorTable:
             c = work.pop(k, None)
             if c is None:
                 continue  # cancelled after it was queued
+            if p is not None:
+                c %= p
+                if not c:
+                    continue  # cancelled modulo p
             steps += 1
             with_guards = ((-k if flip else k) & mask) | guard
             for position, lead in enumerate(leads):
                 if (with_guards - lead) & guard == guard:
                     break
             else:
-                remainder_terms.append((c, k))
+                remainder_terms.append((c, k, scale))
                 continue
             k_lead, lc, tail = rows[position]
-            coefficient = c if lc is None else c / lc
+            if lc is not None:
+                # Only over Q: make lc divide c by multiplying the work dict
+                # and its scale alike, which leaves work/scale unchanged.
+                common = gcd(c, lc)
+                if common != lc:
+                    multiplier = lc // common
+                    for other in work:
+                        work[other] *= multiplier
+                    scale *= multiplier
+                c //= common
             factor = k - k_lead
-            # Subtract coefficient*factor*g; its leading term cancels m.
+            # Subtract c*factor*row; its leading term cancels the popped one.
             for negated, k_term in tail:
                 product = factor + k_term
                 if overflow and -product & overflow:
                     return None
                 entry = work.get(product)
                 if entry is None:
-                    work[product] = negated * coefficient
+                    work[product] = negated * c
                     heappush(live, product)
                 else:
-                    rest = entry + negated * coefficient
+                    rest = entry + negated * c
                     if rest:
                         work[product] = rest
                     else:
                         del work[product]
             if record:
-                quotients.setdefault(position, []).append((coefficient, factor))
+                quotients.setdefault(position, []).append((c, factor, scale))
         return remainder_terms, quotients, steps
 
     def _polynomial(self, terms):
-        """A polynomial from (coefficient, key) pairs in decreasing order."""
+        """A polynomial from (c, key, scale) triples in decreasing order,
+        each standing for the term (c/scale) * monomial."""
         monomial = self._monomial
-        return Polynomial(self.context, tuple((c, monomial(k)) for c, k in terms))
+        p = self._modulus
+        if p is None:
+            pairs = tuple((Fraction(c, s), monomial(k)) for c, k, s in terms)
+        else:
+            pairs = tuple((GFElement(c, p), monomial(k)) for c, k, _ in terms)
+        return Polynomial(self.context, pairs)
+
+    def _quotient(self, position, terms):
+        """The quotient of divisor `position` from its (q, factor key,
+        scale) records: row = (l/lc) * divisor, l the row's leading
+        coefficient and lc the divisor's, so each term is q*l/(scale*lc)."""
+        unit = self.context.coeff(self._rows[position][1] or 1)
+        unit = unit / self.divisors[position].terms[0][0]
+        pairs = self._polynomial(terms).terms
+        return Polynomial(self.context, tuple((c * unit, m) for c, m in pairs))
 
     def is_interreduced(self):
-        """True when no divisor's leading monomial divides a term of
-        another divisor."""
-        leads, guard, mask = self._leads, self._guard, self._mask
-        flip = self._sign > 0
-        for position, (own, (_, _, tail)) in enumerate(zip(leads, self._rows)):
-            others = leads[:position] + leads[position + 1 :]
-            for x in (own, *(((-k if flip else k) & mask) for _, k in tail)):
-                with_guards = x | guard
-                for lead in others:
-                    if (with_guards - lead) & guard == guard:
-                        return False
+        """True when no divisor's leading monomial divides a term of another
+        divisor.
+
+        A leading monomial divides a term only if the term uses its top
+        variable, so the leads are bucketed by top variable and each term
+        is tested against the buckets of its own variables alone; pairwise
+        coprime leads then cost one test per term, not one per lead.
+        """
+        divisors = self.divisors
+        buckets = {}
+        for position, g in enumerate(divisors):
+            buckets.setdefault(g.terms[0][1].max_index(), []).append(position)
+        if 0 in buckets:
+            # A constant leading monomial divides every other term.
+            return len(divisors) == 1
+        leads, guard, packed = self._leads, self._guard, self._packed
+        for position, g in enumerate(divisors):
+            for _, m in g.terms:
+                with_guards = packed(m) | guard
+                for index, _ in m.exps:
+                    for other in buckets.get(index, ()):
+                        if (
+                            other != position
+                            and (with_guards - leads[other]) & guard == guard
+                        ):
+                            return False
         return True
+
+
+def _cleared(terms):
+    """The numerators of rational terms over their least common
+    denominator, and that denominator."""
+    scale = lcm(*(c.denominator for c, _ in terms))
+    return [c.numerator * (scale // c.denominator) for c, _ in terms], scale
 
 
 def _max_exponent(f):
@@ -347,7 +445,7 @@ def divide(f, divisors):
     remainder_terms, quotients, steps = table._divide(f, True)
     return DivisionResult(
         tuple(
-            (position, table._polynomial(terms))
+            (position, table._quotient(position, terms))
             for position, terms in sorted(quotients.items())
         ),
         table._polynomial(remainder_terms),

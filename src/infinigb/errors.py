@@ -36,3 +36,12 @@ class HomogeneityError(InfinigbError):
 
 class CertificationError(InfinigbError):
     """A certified Groebner basis or regular sequence is required."""
+
+
+class InputError(InfinigbError, ValueError):
+    """A value given to the library or the command line is invalid.
+
+    A `ValueError` too, so callers that catch that keep working; the
+    command line treats only library errors as bad input, so an internal
+    `ValueError` is not mistaken for one.
+    """

@@ -20,6 +20,7 @@ from .division import DivisorTable, remainder
 from .errors import (
     CertificationError,
     HomogeneityError,
+    InputError,
     OrderKindError,
     RingContextMismatch,
     WindowError,
@@ -48,7 +49,7 @@ class TruncationWindow:
 
     def __post_init__(self):
         if self.var_bound < 1 or self.degree_bound < 1:
-            raise ValueError("window bounds must be positive")
+            raise InputError("window bounds must be positive")
 
     def admits(self, f):
         return (
@@ -139,7 +140,7 @@ def buchberger_truncated(gens, window, *, context=None):
     gens = list(gens)
     if context is None:
         if not gens:
-            raise ValueError("an explicit context is required for no generators")
+            raise InputError("an explicit context is required for no generators")
         context = gens[0].context
     _validate_generators(gens, window, context)
     weights = context.weights
@@ -194,16 +195,30 @@ def buchberger_truncated(gens, window, *, context=None):
 
 def verify_buchberger(basis):
     """Independent re-verification: every S-pair within the window reduces
-    to zero by plain division, with no coprime shortcut."""
+    to zero by plain division, with no coprime shortcut.
+
+    A pair's lcm has the weighted degree of its two leads less that of
+    their overlap, so each lead's exponents and degree are taken once and
+    the lcm is built only for the pairs inside the window.
+    """
     weights = basis.context.weights
+    weight_of = dict(weights.overrides)
     bound = basis.window.degree_bound
     table = DivisorTable(basis.context, basis.elements)
     leads = basis.leading_monomials()
-    for i in range(len(leads)):
+    exponents = [dict(m.exps) for m in leads]
+    degrees = [m.degree(weights) for m in leads]
+    for i, (mine, degree) in enumerate(zip(exponents, degrees)):
         for j in range(i + 1, len(leads)):
-            lcm = leads[i].lcm(leads[j])
-            if lcm.degree(weights) > bound:
+            other = exponents[j]
+            lcm_degree = degree + degrees[j]
+            for index, e in mine.items():
+                f = other.get(index)
+                if f is not None:
+                    lcm_degree -= min(e, f) * weight_of.get(index, index)
+            if lcm_degree > bound:
                 continue
+            lcm = leads[i].lcm(leads[j])
             if not table.spair_remainder(i, j, lcm).is_zero:
                 return False
     return True
@@ -268,7 +283,7 @@ def bayer_stillman_basis(gens, *, window=None, context=None):
     gens = list(gens)
     if context is None:
         if not gens:
-            raise ValueError("an explicit context is required for no generators")
+            raise InputError("an explicit context is required for no generators")
         context = gens[0].context
     for g in gens:
         if g.context != context:
@@ -319,7 +334,7 @@ class IdealPresentation:
             if g.context != self.context:
                 raise RingContextMismatch("generator in a different ring context")
             if g.is_zero:
-                raise ValueError("explicit generators must be nonzero")
+                raise InputError("explicit generators must be nonzero")
         object.__setattr__(self, "generators", tuple(self.generators))
 
     @classmethod
@@ -328,7 +343,7 @@ class IdealPresentation:
         subring on the variables of `parts`; requires p*parts within parts
         (probed on small members)."""
         if p < 2:
-            raise ValueError("the substitution exponent must be at least 2")
+            raise InputError("the substitution exponent must be at least 2")
         probe_closure(parts, p)
         context = RingContext(order, field=fieldtag)
 
@@ -482,7 +497,7 @@ def stabilized_reduced_basis(presentation, max_n, degree_bound):
     under-approximates the cut ideal, which the report's note records.
     """
     if max_n < STABILITY_WINDOW:
-        raise ValueError(f"max_n must be at least {STABILITY_WINDOW}")
+        raise InputError(f"max_n must be at least {STABILITY_WINDOW}")
     context = presentation.context
     history = []
     element_sets = []

@@ -7,6 +7,8 @@ name; two sets with the same name are considered equal.
 
 from __future__ import annotations
 
+from .errors import InputError
+
 
 class IndexSet:
     """A subset of the positive integers given by a membership rule."""
@@ -42,7 +44,7 @@ PM1_MOD6 = IndexSet("pm1mod6", lambda n: n % 6 in (1, 5))
 def avoiding_multiples_of(q):
     """The set {n : q does not divide n}; closed under m -> p*m for gcd(p, q) = 1."""
     if q < 2:
-        raise ValueError("modulus must be at least 2")
+        raise InputError("modulus must be at least 2")
     return IndexSet(f"nondiv{q}", lambda n, q=q: n % q != 0)
 
 
@@ -55,7 +57,7 @@ def probe_closure(parts, p):
     """Validate p*W inside W on all members up to CLOSURE_PROBE_BOUND."""
     for i in range(1, CLOSURE_PROBE_BOUND + 1):
         if i in parts and (p * i) not in parts:
-            raise ValueError(f"{parts!r} is not closed under multiplication by {p}")
+            raise InputError(f"{parts!r} is not closed under multiplication by {p}")
 
 
 _NAMED = {s.name: s for s in (ALL, ODD, PM1_MOD3, PM1_MOD5, PM1_MOD6)}
@@ -67,4 +69,4 @@ def from_name(name):
         return _NAMED[name]
     if name.startswith("nondiv") and name[len("nondiv"):].isdigit():
         return avoiding_multiples_of(int(name[len("nondiv"):]))
-    raise ValueError(f"unknown index set {name!r}")
+    raise InputError(f"unknown index set {name!r}")

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 
 
 class OrderKind(enum.Enum):
@@ -41,7 +41,7 @@ class OrderKind(enum.Enum):
         for kind in cls:
             if kind.value == name:
                 return kind
-        raise ValueError(f"unknown monomial order {name!r}")
+        raise InputError(f"unknown monomial order {name!r}")
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,11 @@ class WeightedAlphabet:
         seen = set()
         for index, weight in self.overrides:
             if index < 1:
-                raise ValueError("variable indices must be positive")
+                raise InputError("variable indices must be positive")
             if weight < 1:
-                raise ValueError("weights must be positive")
+                raise InputError("weights must be positive")
             if index in seen:
-                raise ValueError(f"duplicate weight override for x{index}")
+                raise InputError(f"duplicate weight override for x{index}")
             seen.add(index)
         object.__setattr__(self, "overrides", tuple(sorted(self.overrides)))
 
@@ -105,9 +105,9 @@ class Monomial:
         last = 0
         for index, exponent in exps:
             if index <= last:
-                raise ValueError("variable indices must be strictly increasing")
+                raise InputError("variable indices must be strictly increasing")
             if exponent < 1:
-                raise ValueError("exponents must be strictly positive")
+                raise InputError("exponents must be strictly positive")
             last = index
         self.exps = exps
 
@@ -302,7 +302,7 @@ def monomials_of_degree(degree, weights=DEFAULT_WEIGHTS, variables=None):
     the default weights this set corresponds to the partitions of `degree`.
     """
     if degree < 0:
-        raise ValueError("degree must be non-negative")
+        raise InputError("degree must be non-negative")
     indices = _admissible(weights, degree, variables)
     return [_trusted(pairs) for pairs in _pairs_of_degree(indices, weights, degree)]
 

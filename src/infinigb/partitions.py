@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import index_sets, series
 from .division import DivisorTable, remainder
-from .errors import CertificationError
+from .errors import CertificationError, InputError
 from .groebner import IdealPresentation, TruncationWindow, bayer_stillman_basis
 from .index_sets import probe_closure
 from .monomials import DEFAULT_WEIGHTS, Monomial, OrderKind
@@ -27,9 +27,9 @@ def check_partition(parts):
     parts = tuple(parts)
     for a, b in zip(parts, parts[1:]):
         if a < b:
-            raise ValueError("parts must be non-increasing")
+            raise InputError("parts must be non-increasing")
     if parts and parts[-1] < 1:
-        raise ValueError("parts must be positive")
+        raise InputError("parts must be positive")
     return parts
 
 
@@ -50,18 +50,18 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind in ("X", "Y"):
             if self.parts_in is None or self.p is None or self.p < 2:
-                raise ValueError(f"kind {self.kind} needs a part set and p >= 2")
+                raise InputError(f"kind {self.kind} needs a part set and p >= 2")
             probe_closure(self.parts_in, self.p)
         elif self.kind == "parts":
             if self.parts_in is None:
-                raise ValueError("kind 'parts' needs a part set")
+                raise InputError("kind 'parts' needs a part set")
         elif self.kind != "gap2":
-            raise ValueError(f"unknown family kind {self.kind!r}")
+            raise InputError(f"unknown family kind {self.kind!r}")
 
     @classmethod
     def preset(cls, name):
         if name not in _PRESETS:
-            raise ValueError(f"unknown preset {name!r}")
+            raise InputError(f"unknown preset {name!r}")
         return _PRESETS[name]
 
     def admits_part(self, m):
@@ -111,7 +111,7 @@ def enumerate_family(spec, n):
     """All partitions of n in the family: the standard monomials of degree
     n of the family's monomial ideal, read as partitions."""
     if n < 0:
-        raise ValueError("partitions need a non-negative weight")
+        raise InputError("partitions need a non-negative weight")
     return {
         tuple(i for i, e in reversed(pairs) for _ in range(e))
         for pairs in _pairs_of_degree(*spec._standard_walk(n))
@@ -214,7 +214,7 @@ def phi(parts, family, p, *, route="division"):
     p-copies-to-one rewrite run to its fixpoint."""
     parts = check_partition(parts)
     if not FamilySpec("X", family, p).contains(parts):
-        raise ValueError(f"{parts} has parts outside W minus {p}W")
+        raise InputError(f"{parts} has parts outside W minus {p}W")
     if route == "division":
         table = _substitution_table(
             family, p, OrderKind.HOM_ANTI_REV_LEX, sum(parts)
@@ -222,7 +222,7 @@ def phi(parts, family, p, *, route="division"):
         return _division_image(parts, table)
     if route == "oracle":
         return _rewrite_down(parts, family, p)
-    raise ValueError(f"unknown route {route!r}")
+    raise InputError(f"unknown route {route!r}")
 
 
 def phi_pairs(family, p, n):
@@ -239,13 +239,13 @@ def psi(parts, family, p, *, route="division"):
     equivalently the one-to-p-copies rewrite run to its fixpoint."""
     parts = check_partition(parts)
     if not FamilySpec("Y", family, p).contains(parts):
-        raise ValueError(f"{parts} is not a multiplicity-bounded W-partition")
+        raise InputError(f"{parts} is not a multiplicity-bounded W-partition")
     if route == "division":
         table = _substitution_table(family, p, OrderKind.HOM_LEX, sum(parts))
         return _division_image(parts, table)
     if route == "oracle":
         return _rewrite_up(parts, family, p)
-    raise ValueError(f"unknown route {route!r}")
+    raise InputError(f"unknown route {route!r}")
 
 
 def verify_bijection(family, p, n):

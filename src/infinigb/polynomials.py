@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ParseError, RingContextMismatch, ZeroPolynomialError
+from .errors import InputError, ParseError, RingContextMismatch, ZeroPolynomialError
 from .monomials import (
     DEFAULT_WEIGHTS,
     Monomial,
@@ -108,7 +108,7 @@ class GF:
 
     def __init__(self, p):
         if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
+            raise InputError(f"{p} is not prime")
         self.p = p
 
     def __call__(self, value):

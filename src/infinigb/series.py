@@ -9,7 +9,7 @@ checked coefficientwise up to a truncation.
 from __future__ import annotations
 
 from .division import _standard_walk
-from .errors import CertificationError
+from .errors import CertificationError, InputError
 from .monomials import _counts_up_to
 
 
@@ -21,7 +21,7 @@ class TruncatedSeries:
     def __init__(self, coefficients):
         coefficients = tuple(coefficients)
         if not coefficients:
-            raise ValueError("a truncated series needs at least the constant term")
+            raise InputError("a truncated series needs at least the constant term")
         for c in coefficients:
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficients only, got {c!r}")
@@ -39,7 +39,7 @@ class TruncatedSeries:
     @classmethod
     def one(cls, truncation):
         if truncation < 0:
-            raise ValueError(f"truncation must be non-negative, got {truncation}")
+            raise InputError(f"truncation must be non-negative, got {truncation}")
         return cls((1,) + (0,) * truncation)
 
     @classmethod
@@ -50,7 +50,7 @@ class TruncatedSeries:
     def geometric(cls, gap, truncation):
         """1/(1 - T^gap) = 1 + T^gap + T^(2 gap) + ..."""
         if gap < 1:
-            raise ValueError("gap must be positive")
+            raise InputError("gap must be positive")
         return cls(
             tuple(1 if n % gap == 0 else 0 for n in range(truncation + 1))
         )
@@ -82,7 +82,7 @@ class TruncatedSeries:
         exact condition for an integer-coefficient inverse."""
         bound, a, b = self._common(other)
         if b[0] not in (1, -1):
-            raise ValueError("division needs a constant term of +1 or -1")
+            raise InputError("division needs a constant term of +1 or -1")
         out = [0] * (bound + 1)
         for n in range(bound + 1):
             acc = a[n]
@@ -94,7 +94,7 @@ class TruncatedSeries:
     def times_power(self, gap):
         """Multiply by T^gap, keeping the truncation."""
         if gap < 0:
-            raise ValueError("gap must be non-negative")
+            raise InputError("gap must be non-negative")
         shifted = (0,) * gap + self.coefficients
         return TruncatedSeries(shifted[: self.truncation + 1])
 

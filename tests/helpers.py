@@ -114,6 +114,34 @@ def random_polynomial(rng, context, max_var, max_degree, max_terms, allow_zero=F
     return f
 
 
+def random_rational_polynomial(
+    rng, context, max_var, max_degree, max_terms, allow_zero=False
+):
+    """Like `random_polynomial`, with coefficients +-n/d for n up to 9 and
+    d up to 7, so that the leading coefficient is mostly neither 1 nor -1
+    and negative about half the time.  Over GF(p) a denominator divisible
+    by p is drawn again."""
+    p = None if context.field is None else context.field.p
+    terms = []
+    for _ in range(rng.randint(1, max_terms)):
+        denominator = rng.randint(1, 7)
+        while p is not None and denominator % p == 0:
+            denominator = rng.randint(1, 7)
+        numerator = rng.choice([-1, 1]) * rng.randint(1, 9)
+        terms.append(
+            (
+                Fraction(numerator, denominator),
+                random_monomial(rng, max_var, max_degree),
+            )
+        )
+    f = Polynomial.from_terms(context, terms)
+    if f.is_zero and not allow_zero:
+        return random_rational_polynomial(
+            rng, context, max_var, max_degree, max_terms, allow_zero
+        )
+    return f
+
+
 def reference_divide(f, divisors):
     """The oracle for `infinigb.division.divide`: the textbook loop that
     subtracts a whole divisor multiple from the working polynomial and tries

@@ -75,6 +75,25 @@ class TestDivide:
         assert code == 2
         assert "divisors" in err
 
+    def test_internal_value_error_is_not_bad_input(self, capsys, monkeypatch, gens_file):
+        # Only library errors are bad input: a ValueError from inside the
+        # kernel is a bug and must surface, not exit 2 as a usage error.
+        def broken(f, divisors):
+            raise ValueError("kernel bug")
+
+        monkeypatch.setattr(cli, "divide", broken)
+        with pytest.raises(ValueError, match="kernel bug"):
+            cli.main(["divide", "--order", "harevlex",
+                      "--divisors", gens_file, "--input", "x1^4"])
+
+    def test_undecodable_divisor_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "binary.gens"
+        path.write_bytes(b"x1^2 - \xff\xfe\n")
+        code, out, err = run(capsys, "divide", "--order", "harevlex",
+                             "--divisors", str(path), "--input", "x1^4")
+        assert code == 2 and out == ""
+        assert "generator file" in err
+
     def test_malformed_input_is_usage_error(self, capsys, gens_file):
         code, _, err = run(
             capsys,
@@ -329,6 +348,14 @@ class TestConfigAndDeterminism:
         assert code == 2
         assert out == ""
         assert f"config key {key}" in err
+
+    def test_malformed_config_is_a_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "run.toml"
+        config.write_text("N = = 5\n")
+        code, out, err = run(capsys, "identities", "--rr", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("infinigb: config file ")
 
     def test_seed_echoed(self, capsys):
         _, out, _ = run(

@@ -76,6 +76,36 @@ def test_reduced_bases_agree_with_sympy(context, sympy_order):
     assert checked == 8, "sampler kept overflowing the window"
 
 
+def test_rational_generators_agree_with_sympy():
+    # Denominators up to 7 and leading coefficients that are neither 1 nor
+    # positive, so the kernel's rows and work dicts are scaled integers.
+    context, sympy_order = CASES[2]
+    rng = random.Random(987_003)
+    window = TruncationWindow(4, 24)
+    checked = 0
+    attempts = 0
+    while checked < 4 and attempts < 40:
+        attempts += 1
+        gens = [
+            helpers.random_rational_polynomial(
+                rng, context, max_var=4, max_degree=4, max_terms=3
+            )
+            for _ in range(rng.randint(2, 3))
+        ]
+        ours = buchberger_truncated(gens, window, context=context)
+        if ours.discarded_pairs or ours.discarded_elements:
+            continue  # completion left the window; not comparable
+        reduced = reduce_basis(ours)
+        theirs = sympy.groebner(
+            [to_sympy(g) for g in gens], *PRECEDENCE, order=sympy_order,
+            domain="QQ",
+        )
+        assert as_poly_set(to_sympy(g) for g in reduced.elements) == \
+            as_poly_set(theirs.exprs)
+        checked += 1
+    assert checked == 4, "sampler kept overflowing the window"
+
+
 def test_remainders_agree_with_sympy():
     from infinigb.division import remainder
 

@@ -421,6 +421,93 @@ class TestSpairRemainder:
         assert s_polynomial(divisors[0], divisors[1]).is_zero
 
 
+class TestRationalCoefficients:
+    """The integer kernel against `reference_divide` and `s_polynomial` on
+    coefficients with denominators up to 7 and leading coefficients that
+    are negative or not units: rows made primitive, dividends with their
+    denominators cleared, work dicts scaled mid-division, residues mod p."""
+
+    @pytest.mark.parametrize("field", [None, GF(2), GF(7)], ids=str)
+    def test_divide_remainder_and_spairs(self, field):
+        rng = random.Random(9011)
+        seen = {"negative lead": 0, "non-unit lead": 0, "denominator": 0,
+                "nonzero spair": 0, "zero spair": 0}
+        for k in range(60):
+            ctx = RingContext(helpers.ALL_ORDERS[k % 5], field=field)
+
+            def draw(max_terms, allow_zero=False):
+                return helpers.random_rational_polynomial(
+                    rng, ctx, max_var=4, max_degree=8, max_terms=max_terms,
+                    allow_zero=allow_zero,
+                )
+
+            divisors = [draw(4) for _ in range(rng.randint(2, 4))]
+            table = DivisorTable(ctx, divisors)
+            for _ in range(3):
+                f = draw(5, allow_zero=True)
+                expected = helpers.reference_divide(f, divisors)
+                assert divide(f, table) == expected
+                assert remainder(f, table) == expected.remainder
+            for j in range(len(divisors)):
+                for i in range(j):
+                    s = s_polynomial(divisors[i], divisors[j])
+                    expected = helpers.reference_divide(s, divisors).remainder
+                    assert remainder(s, table) == expected
+                    lcm = spair_lcm(divisors, i, j)
+                    assert table.spair_remainder(i, j, lcm) == expected
+                    seen["zero spair" if expected.is_zero else "nonzero spair"] += 1
+            if field is None:
+                for g in divisors:
+                    lc = g.lc()
+                    seen["negative lead"] += lc < 0
+                    seen["non-unit lead"] += abs(lc) != 1
+                    seen["denominator"] += any(c.denominator > 1 for c, _ in g.terms)
+        if field is not None:
+            for name in ("negative lead", "non-unit lead", "denominator"):
+                del seen[name]
+        assert min(seen.values()) >= 10, seen
+
+    def test_rows_are_primitive_integer_multiples(self):
+        # -4/3*x1^2 + 2/5*x2 times -15/2 is 10*x1^2 - 3*x2.
+        g = poly("-4/3*x1^2 + 2/5*x2")
+        k_lead, lc, tail = DivisorTable(HARL, [g])._rows[0]
+        assert lc == 10 and [c for c, _ in tail] == [3]
+        # Over GF(7) the row is the monic residues: 3*x1^2 + 2*x2 over 3.
+        ctx = RingContext(OrderKind.HOM_ANTI_REV_LEX, field=GF(7))
+        g = parse_polynomial("3*x1^2 + 2*x2", ctx)
+        k_lead, lc, tail = DivisorTable(ctx, [g])._rows[0]
+        assert lc is None and [c for c, _ in tail] == [7 - 2 * 5 % 7]
+
+    @pytest.mark.parametrize("field", [None, GF(7)], ids=str)
+    def test_the_loop_sees_only_integers(self, field, monkeypatch):
+        ctx = RingContext(OrderKind.HOM_REV_LEX, field=field)
+        run = DivisorTable._run
+        calls = []
+
+        def checked(self, work, scale, record):
+            assert all(type(c) is int for c in work.values())
+            assert type(scale) is int
+            outcome = run(self, work, scale, record)
+            for c, _, s in outcome[0]:
+                assert type(c) is int and type(s) is int
+            for terms in (outcome[1] or {}).values():
+                assert all(type(q) is int and type(s) is int for q, _, s in terms)
+            calls.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(DivisorTable, "_run", checked)
+        divisors = [
+            parse_polynomial("-2/3*x1^2 + 5*x1*x2 - 1/5*x2^2", ctx),
+            parse_polynomial("3*x2^2 - 1/2*x1*x3", ctx),
+        ]
+        f = parse_polynomial("1/4*x1^4 - 5/6*x1^2*x2^2 + x3^4", ctx)
+        assert divide(f, divisors) == helpers.reference_divide(f, divisors)
+        table = DivisorTable(ctx, divisors)
+        expected = remainder(s_polynomial(*divisors), divisors)
+        assert table.spair_remainder(0, 1, spair_lcm(divisors, 0, 1)) == expected
+        assert len(calls) == 3
+
+
 class TestRemainderUniqueness:
     def test_groebner_divisors_give_order_independent_remainders(self):
         gens = [poly("x1^2 - x2"), poly("x2^2 - x4"), poly("x3^2 - x6")]

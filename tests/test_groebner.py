@@ -12,6 +12,8 @@ from infinigb.division import is_member, remainder
 from infinigb.errors import (
     CertificationError,
     HomogeneityError,
+    InfinigbError,
+    InputError,
     OrderKindError,
     WindowError,
 )
@@ -333,6 +335,48 @@ class TestReducedSetAgainstReference:
         assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
 
 
+    @pytest.mark.parametrize("field", [None, GF(7)], ids=str)
+    @pytest.mark.parametrize("order", helpers.ALL_ORDERS, ids=str)
+    def test_pairwise_coprime_leads(self, order, field):
+        # Leads are powers of distinct variables; each tail term uses only
+        # smaller variables and a smaller degree, so it stays below the
+        # lead under every order, and may or may not be divisible by
+        # another lead.  A constant element sometimes joins the set.
+        rng = random.Random(6043)
+        context = RingContext(order, field=field)
+
+        def tail_monomial(v, bound):
+            while True:
+                m = Monomial.from_pairs(
+                    (rng.randint(1, v - 1), rng.randint(1, 3))
+                    for _ in range(rng.randint(0, 2) if v > 1 else 0)
+                )
+                if m.degree() < bound:
+                    return m
+
+        outcomes = []
+        for k in range(60):
+            variables = rng.sample(range(1, 13), rng.randint(1, 6))
+            elements = []
+            for v in variables:
+                e = rng.randint(1, 3)
+                lead = Monomial.variable(v, e)
+                tail = [
+                    (rng.choice([-2, -1, 1, 3]), tail_monomial(v, v * e))
+                    for _ in range(rng.randint(0, 2))
+                ]
+                g = Polynomial.from_terms(context, [(1, lead)] + tail)
+                assert g.lm() == lead
+                elements.append(g.monic())
+            if k % 10 == 0:
+                elements.append(Polynomial.from_monomial(context, Monomial.one()))
+            rng.shuffle(elements)
+            expected = helpers.reference_is_reduced_set(elements)
+            assert is_reduced_set(elements) == expected
+            outcomes.append(expected)
+        assert outcomes.count(True) >= 15 and outcomes.count(False) >= 15
+
+
 class TestBayerStillman:
     def test_substitution_family_fast_path(self):
         pres = substitution_presentation(index_sets.PM1_MOD3, 2)
@@ -598,6 +642,34 @@ class TestRegularity:
             probe = sum(f.weighted_degree() for f in prefix) + 2
             for perm in itertools.permutations(prefix):
                 assert check_fr_condition(list(perm), probe)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TruncationWindow(0, 4),
+        lambda: GF(4),
+        lambda: IdealPresentation.power_substitution(
+            index_sets.ODD, 1, OrderKind.HOM_LEX
+        ),
+        lambda: IdealPresentation.power_substitution(
+            index_sets.ODD, 2, OrderKind.HOM_LEX
+        ),
+        lambda: IdealPresentation(HARL, generators=(Polynomial.zero(HARL),)),
+        lambda: buchberger_truncated([], TruncationWindow(2, 2)),
+        lambda: bayer_stillman_basis([]),
+        lambda: stabilized_reduced_basis(
+            substitution_presentation(index_sets.PM1_MOD3, 2), 2, 8
+        ),
+    ],
+    ids=["window", "GF", "exponent", "closure", "zero generator",
+         "completion context", "bayer-stillman context", "stability window"],
+)
+def test_validation_raises_a_typed_input_error(make):
+    with pytest.raises(InputError) as info:
+        make()
+    assert isinstance(info.value, InfinigbError)
+    assert isinstance(info.value, ValueError)
 
 
 class TestPresentation:
