@@ -178,13 +178,16 @@ class DivisorTable:
         weight_of = self._weight_of
         return sum(e * weight_of.get(i, i) for i, e in m.exps)
 
-    def _key(self, m):
+    def _key(self, m, degree=None):
         """The negated order key of m, so that the leading term is the
-        smallest key and a heap pops it first."""
+        smallest key and a heap pops it first; `degree`, when known, is the
+        weighted degree of m."""
         x = self._packed(m)
         if not self._homogeneous:
             return -x
-        return -((self._degree(m) << self._shift) + self._sign * x)
+        if degree is None:
+            degree = self._degree(m)
+        return -((degree << self._shift) + self._sign * x)
 
     def _monomial(self, key):
         """The monomial of a negated order key.  A guard bit set in it means
@@ -240,26 +243,28 @@ class DivisorTable:
         most that of `lcm`; under `plex` its exponents are bounded by an
         exponent of `lcm` plus one of g_i or g_j.
         """
+        degree = None
         if self._homogeneous:
-            need = self._degree(lcm)
+            need = degree = self._degree(lcm)
         else:
             need = max((e for _, e in lcm.exps), default=0) + max(
                 _max_exponent(self.divisors[i]), _max_exponent(self.divisors[j])
             )
         self._fit(lcm.max_index(), need)
-        terms = self._reduce(lambda: self._spair_work(i, j, lcm), False)[0]
+        terms = self._reduce(lambda: self._spair_work(i, j, lcm, degree), False)[0]
         return self._polynomial(terms)
 
-    def _spair_work(self, i, j, lcm):
+    def _spair_work(self, i, j, lcm, degree):
         """The work dict and scale of (lcm/lt_i) g_i - (lcm/lt_j) g_j.
 
         With rows r_i = s_i g_i whose leading coefficients l_i, l_j have
         gcd c, the dict holds a (lcm/lm_i) r_i - b (lcm/lm_j) r_j for
         a = l_j / c and b = l_i / c, the S-polynomial times a * l_i: the
         leading terms cancel, leaving the two tails shifted by their factor
-        keys.  Over GF(p) both rows are monic and a = b = 1.
+        keys.  Over GF(p) both rows are monic and a = b = 1.  `degree` is
+        the weighted degree of lcm, taken once by `spair_remainder`.
         """
-        k_lcm = self._key(lcm)
+        k_lcm = self._key(lcm, degree)
         k_lead_i, lc_i, tail_i = self._rows[i]
         k_lead_j, lc_j, tail_j = self._rows[j]
         lc_i = lc_i or 1
@@ -430,6 +435,23 @@ def _table(f, divisors):
     if isinstance(divisors, DivisorTable):
         return divisors
     return DivisorTable(f.context, divisors)
+
+
+def _sized_table(context, divisors, degree, dividends=()):
+    """A table of `divisors` laid out once for the divisions a caller will
+    make: of polynomials, or S-pairs of its rows, in the variables of
+    `divisors` and `dividends` and of weighted degree at most `degree`.
+
+    Under a homogeneous order no monomial of such a division exceeds that
+    degree, so none widens the layout and packs every row again, as
+    growing it per divisor or per division would.
+    """
+    table = DivisorTable(context)
+    top = max(map(_top_index, (*divisors, *dividends)), default=0)
+    table._fit(top, degree)
+    for g in divisors:
+        table.append(g)
+    return table
 
 
 def divide(f, divisors):

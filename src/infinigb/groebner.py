@@ -5,7 +5,17 @@ Ideals over infinitely many variables are handled through truncation
 windows: a window (n, D) works inside k[x1..xn] and discards S-pairs whose
 lcm degree exceeds D.  For homogeneous input under a homogeneous order the
 windowed result is a true Groebner base of the truncated ideal in degrees
-up to D; per-window bases assemble into bases for the full ideal.
+up to D, and its reduced base is unique; per-window bases assemble into
+bases for the full ideal.
+
+One completion loop (`_complete`) serves every caller.  The stabilization
+scan and the filtration go through the windows in order of n, and window
+n+1 instantiates every generator of window n.  When the input is
+homogeneous under a homogeneous order and D stays the same, window n+1
+therefore starts from window n's reduced base and forms S-pairs only with
+the generators it adds (Gebauer & Moeller 1988): by uniqueness its reduced
+base is the one a completion from scratch gives.  Every other window is
+completed from scratch.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from . import series
-from .division import DivisorTable, remainder
+from .division import DivisorTable, _sized_table, remainder
 from .errors import (
     CertificationError,
     HomogeneityError,
@@ -126,6 +136,94 @@ def _validate_generators(gens, window, context):
             raise WindowError(f"generator {g} outside window {window}")
 
 
+def _lead(g, weights):
+    """A leading monomial with its exponent dict and weighted degree, taken
+    once for all the pairs it joins."""
+    m = g.lm()
+    return m, dict(m.exps), m.degree(weights)
+
+
+def _pair_degree(a, b, weight_of):
+    """The weighted degree of the lcm of two `_lead`s, and whether the two
+    share a variable: the lcm has the degree of both leads less that of
+    their overlap, so no lcm is built."""
+    _, mine, lcm_degree = a
+    _, other, other_degree = b
+    lcm_degree += other_degree
+    overlap = False
+    for index, e in mine.items():
+        f = other.get(index)
+        if f is not None:
+            overlap = True
+            lcm_degree -= min(e, f) * weight_of.get(index, index)
+    return lcm_degree, overlap
+
+
+def _complete(start, gens, window, context):
+    """Complete `start + gens` to a Groebner base within the window, forming
+    S-pairs only where at least one member comes from `gens` or is a new
+    remainder.
+
+    `start` must already be a Groebner base of the window's degrees: each
+    of its S-pairs then has a standard representation over `start`, which
+    stays one over any larger set (Becker & Weispfenning 1993, ch. 5), so
+    its pairs count as resolved.  An empty `start` is the plain completion.
+    """
+    _validate_generators(gens, window, context)
+    weights = context.weights
+    weight_of = dict(weights.overrides)
+    bound = window.degree_bound
+    # No remainder uses a variable its inputs do not, and no S-pair kept
+    # exceeds the degree bound.
+    table = _sized_table(context, [*start, *gens], bound)
+    leads = [_lead(g, weights) for g in table.divisors]
+    queue = []
+    discarded_pairs = 0
+    discarded_elements = 0
+
+    def pair_up(j):
+        nonlocal discarded_pairs
+        new = leads[j]
+        for i in range(j):
+            lcm_degree, overlap = _pair_degree(leads[i], new, weight_of)
+            # A coprime pair reduces to zero without computation.
+            if not overlap:
+                continue
+            if lcm_degree > bound:
+                discarded_pairs += 1
+                continue
+            heapq.heappush(queue, (lcm_degree, i, j))
+
+    for j in range(len(start), len(leads)):
+        pair_up(j)
+
+    while queue:
+        _, i, j = heapq.heappop(queue)
+        r = table.spair_remainder(i, j, leads[i][0].lcm(leads[j][0]))
+        if r.is_zero:
+            continue
+        if not window.admits(r):
+            discarded_elements += 1
+            continue
+        r = r.monic()
+        table.append(r)
+        leads.append(_lead(r, weights))
+        pair_up(len(leads) - 1)
+
+    elements = tuple(_canonical_sorted(table.divisors, context))
+    return GroebnerBasis(
+        context,
+        elements,
+        window,
+        Certificate.ASSERTED
+        if discarded_elements
+        else Certificate.BUCHBERGER_VERIFIED,
+        reduced=is_reduced_set(elements),
+        discarded_pairs=discarded_pairs,
+        discarded_elements=discarded_elements,
+    )
+
+
 def buchberger_truncated(gens, window, *, context=None):
     """Complete `gens` to a Groebner base within the window.
 
@@ -142,83 +240,27 @@ def buchberger_truncated(gens, window, *, context=None):
         if not gens:
             raise InputError("an explicit context is required for no generators")
         context = gens[0].context
-    _validate_generators(gens, window, context)
-    weights = context.weights
-
-    lead = []
-    table = DivisorTable(context)
-    queue = []
-    discarded_pairs = 0
-    discarded_elements = 0
-
-    def append(g):
-        nonlocal discarded_pairs
-        table.append(g)
-        lead.append(g.lm())
-        j = len(lead) - 1
-        for i in range(j):
-            if lead[i].coprime(lead[j]):
-                continue
-            lcm = lead[i].lcm(lead[j])
-            lcm_degree = lcm.degree(weights)
-            if lcm_degree > window.degree_bound:
-                discarded_pairs += 1
-                continue
-            heapq.heappush(queue, (lcm_degree, i, j, lcm))
-
-    for g in gens:
-        append(g)
-
-    while queue:
-        _, i, j, lcm = heapq.heappop(queue)
-        r = table.spair_remainder(i, j, lcm)
-        if r.is_zero:
-            continue
-        if not window.admits(r):
-            discarded_elements += 1
-            continue
-        append(r.monic())
-
-    elements = tuple(_canonical_sorted(table.divisors, context))
-    return GroebnerBasis(
-        context,
-        elements,
-        window,
-        Certificate.ASSERTED
-        if discarded_elements
-        else Certificate.BUCHBERGER_VERIFIED,
-        reduced=is_reduced_set(elements),
-        discarded_pairs=discarded_pairs,
-        discarded_elements=discarded_elements,
-    )
+    return _complete((), gens, window, context)
 
 
 def verify_buchberger(basis):
     """Independent re-verification: every S-pair within the window reduces
     to zero by plain division, with no coprime shortcut.
 
-    A pair's lcm has the weighted degree of its two leads less that of
-    their overlap, so each lead's exponents and degree are taken once and
-    the lcm is built only for the pairs inside the window.
+    Each lead's exponents and degree are taken once (`_lead`), and the lcm
+    is built only for the pairs inside the window.
     """
-    weights = basis.context.weights
+    context = basis.context
+    weights = context.weights
     weight_of = dict(weights.overrides)
     bound = basis.window.degree_bound
-    table = DivisorTable(basis.context, basis.elements)
-    leads = basis.leading_monomials()
-    exponents = [dict(m.exps) for m in leads]
-    degrees = [m.degree(weights) for m in leads]
-    for i, (mine, degree) in enumerate(zip(exponents, degrees)):
-        for j in range(i + 1, len(leads)):
-            other = exponents[j]
-            lcm_degree = degree + degrees[j]
-            for index, e in mine.items():
-                f = other.get(index)
-                if f is not None:
-                    lcm_degree -= min(e, f) * weight_of.get(index, index)
-            if lcm_degree > bound:
+    table = DivisorTable(context, basis.elements)
+    leads = [_lead(g, weights) for g in basis.elements]
+    for j, other in enumerate(leads):
+        for i in range(j):
+            if _pair_degree(leads[i], other, weight_of)[0] > bound:
                 continue
-            lcm = leads[i].lcm(leads[j])
+            lcm = leads[i][0].lcm(other[0])
             if not table.spair_remainder(i, j, lcm).is_zero:
                 return False
     return True
@@ -242,14 +284,17 @@ def reduce_basis(basis):
     pending = [g.monic() for g in basis.elements if not g.is_zero]
     while True:
         minimal = []
+        leads = []
         dropped = []
         for g in _canonical_sorted(pending, context):
             lm = g.lm()
-            if any(h.lm().divides(lm) for h in minimal):
+            if any(m.divides(lm) for m in leads):
                 dropped.append(g)
             else:
                 minimal.append(g)
-        table = DivisorTable(context, minimal)
+                leads.append(lm)
+        degree = max((g.weighted_degree() for g in pending), default=0)
+        table = _sized_table(context, minimal, degree, dropped)
         extra = [remainder(g, table) for g in dropped]
         extra = [r.monic() for r in extra if not r.is_zero]
         if not extra:
@@ -393,6 +438,39 @@ class IdealPresentation:
         return out
 
 
+def _window_bases(presentation, windows):
+    """The reduced base of each window in turn, for windows increasing in
+    var_bound.
+
+    A window instantiates every generator of the one before it, so when
+    carrying is exact its completion starts from the previous window's
+    reduced base and adds only the generators instantiated for the first
+    time.  It is exact when the order is homogeneous, every instantiated
+    generator is homogeneous and the degree bound is the previous one's:
+    then no remainder leaves the window and the previous base is a
+    Groebner base of the new window's degrees for its own ideal, so the
+    completion is one of the new ideal and its reduced base is the unique
+    one.  Any other window is completed from scratch.
+    """
+    context = presentation.context
+    previous = seen = None
+    for window in windows:
+        gens = presentation.instantiate(window)
+        start, new = (), gens
+        if (
+            previous is not None
+            and previous.window.degree_bound == window.degree_bound
+            and context.order.homogeneous
+            and all(g.is_homogeneous() for g in gens)
+            and seen.issubset(gens)
+        ):
+            start = previous.elements
+            new = [g for g in gens if g not in seen]
+        previous = reduce_basis(_complete(start, new, window, context))
+        seen = set(gens)
+        yield previous
+
+
 def assemble_filtration(presentation, windows, *, check_coherence=True):
     """Union of per-window reduced bases; a base of the whole ideal in the
     limit, certified here only as asserted.
@@ -407,13 +485,8 @@ def assemble_filtration(presentation, windows, *, check_coherence=True):
     ):
         raise WindowError("windows must be strictly increasing in var_bound")
     context = presentation.context
-    per_window = []
-    union = []
-    for window in windows:
-        gens = presentation.instantiate(window)
-        basis = reduce_basis(buchberger_truncated(gens, window, context=context))
-        per_window.append(basis)
-        union.extend(basis.elements)
+    per_window = list(_window_bases(presentation, windows))
+    union = [g for basis in per_window for g in basis.elements]
     elements = tuple(_canonical_sorted(union, context))
     combined = GroebnerBasis(
         context,
@@ -501,10 +574,8 @@ def stabilized_reduced_basis(presentation, max_n, degree_bound):
     context = presentation.context
     history = []
     element_sets = []
-    for n in range(1, max_n + 1):
-        window = TruncationWindow(n, degree_bound)
-        gens = presentation.instantiate(window)
-        basis = reduce_basis(buchberger_truncated(gens, window, context=context))
+    windows = [TruncationWindow(n, degree_bound) for n in range(1, max_n + 1)]
+    for n, basis in enumerate(_window_bases(presentation, windows), start=1):
         history.append((n, len(basis.elements)))
         element_sets.append(set(basis.elements))
     window_ns = tuple(range(max_n - STABILITY_WINDOW + 1, max_n + 1))

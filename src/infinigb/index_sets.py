@@ -1,11 +1,14 @@
 """Named decidable sets of positive integers.
 
 These double as variable-index predicates (which x_i belong to a subring)
-and as part constraints for partition families.  A set is identified by its
-name; two sets with the same name are considered equal.
+and as part constraints for partition families.  Sets compare by identity:
+two rules that share a name are different sets, and each named set is a
+single object, so equal names from `from_name` give the same set.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .errors import InputError
 
@@ -25,14 +28,6 @@ class IndexSet:
     def __repr__(self):
         return f"IndexSet({self.name!r})"
 
-    def __eq__(self, other):
-        if isinstance(other, IndexSet):
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((IndexSet, self.name))
-
 
 ALL = IndexSet("all", lambda n: True)
 ODD = IndexSet("odd", lambda n: n % 2 == 1)
@@ -41,8 +36,10 @@ PM1_MOD5 = IndexSet("pm1mod5", lambda n: n % 5 in (1, 4))
 PM1_MOD6 = IndexSet("pm1mod6", lambda n: n % 6 in (1, 5))
 
 
+@cache
 def avoiding_multiples_of(q):
-    """The set {n : q does not divide n}; closed under m -> p*m for gcd(p, q) = 1."""
+    """The set {n : q does not divide n}; closed under m -> p*m for gcd(p, q) = 1.
+    One object per q."""
     if q < 2:
         raise InputError("modulus must be at least 2")
     return IndexSet(f"nondiv{q}", lambda n, q=q: n % q != 0)

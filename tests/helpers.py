@@ -18,7 +18,9 @@ from infinigb.groebner import (
     IdealPresentation,
     TruncationWindow,
     _canonical_sorted,
+    buchberger_truncated,
     is_reduced_set,
+    reduce_basis,
 )
 from infinigb.monomials import (
     DEFAULT_WEIGHTS,
@@ -251,6 +253,19 @@ def family_f(context):
         )
 
     return IdealPresentation(context, family=rule)
+
+
+def reference_window_bases(presentation, windows):
+    """The oracle for windows that carry a reduced base into the next: each
+    window's reduced base completed from scratch from the generators it
+    instantiates."""
+    context = presentation.context
+    return [
+        reduce_basis(
+            buchberger_truncated(presentation.instantiate(w), w, context=context)
+        )
+        for w in windows
+    ]
 
 
 def cyclic5_homogenized(order, field=None):

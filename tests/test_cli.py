@@ -425,6 +425,12 @@ GOLDEN_STDOUT = {
         "1dd2985168889b5d73cc054c146d6f950929bd635e9a38a07ac1e1d86a34878a",
     ("hilbert", "--preset", "schur-p3", "--N", "20"):
         "0f25bc737c55cf7ef8847b5a9fb80a93961224bf8dcba3cda0fb007f8d7f5a23",
+    ("gb", "--order", "harevlex", "--family", "power-substitution",
+     "--W", "pm1mod3", "--p", "2", "--n", "12", "--deg", "24"):
+        "eb76210100c02b7908bfff73111c4a7eb517c1c33c57bee9f805d535bcf7e94f",
+    ("gb", "--order", "hlex", "--family", "power-substitution",
+     "--W", "pm1mod3", "--p", "2", "--n", "12", "--deg", "24"):
+        "667cf474377922ad820432038ca78228fde32416db76d4db017adb37a5d72e4f",
 }
 
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import helpers
-from infinigb import index_sets
+from infinigb import groebner, index_sets
 from infinigb.division import is_member, remainder
 from infinigb.errors import (
     CertificationError,
@@ -30,6 +30,7 @@ from infinigb.groebner import (
     purelex_restriction_check,
     reduce_basis,
     stabilized_reduced_basis,
+    _canonical_sorted,
     _window_coherent,
     verify_buchberger,
 )
@@ -546,6 +547,186 @@ class TestStabilization:
         scan = stabilized_reduced_basis(pres, max_n=8, degree_bound=10)
         assert not scan.stabilized
         assert scan.unstable
+
+
+# The Family F scan that `gb --family` and the hilbert-windows benchmark
+# run, as computed by completing every window from scratch.
+FAMILY_F_HISTORY_30_60 = (
+    (1, 0), (2, 0), (3, 1), (4, 1), (5, 3), (6, 3), (7, 5), (8, 5),
+    (9, 9), (10, 9), (11, 11), (12, 11), (13, 15), (14, 15), (15, 18),
+    (16, 18), (17, 26), (18, 26), (19, 34), (20, 34), (21, 37), (22, 37),
+    (23, 47), (24, 47), (25, 49), (26, 49), (27, 60), (28, 60), (29, 61),
+    (30, 61),
+)
+
+
+def random_binomial_family(seed, context):
+    """i -> x_i*x_{s(i)} - x_{i+s(i)} for a random shift s, homogeneous
+    under d_i = i."""
+    rng = random.Random(seed)
+    shifts = {}
+
+    def rule(i):
+        s = shifts.setdefault(i, rng.randint(1, 3))
+        return Polynomial.from_terms(
+            context,
+            (
+                (1, Monomial.from_pairs(((i, 1), (s, 1)))),
+                (-1, Monomial.variable(i + s)),
+            ),
+        )
+
+    return IdealPresentation(context, family=rule)
+
+
+HARL_GF7 = RingContext(OrderKind.HOM_ANTI_REV_LEX, field=GF(7))
+HLEX = RingContext(OrderKind.HOM_LEX)
+
+# (presentation, max_n, degree_bound): homogeneous input under homogeneous
+# orders, the inputs whose windows carry their reduced base forward.
+CARRIED_SCANS = {
+    "family-f": lambda: (helpers.family_f(HARL), 16, 32),
+    "family-f-gf7": lambda: (helpers.family_f(HARL_GF7), 16, 32),
+    "family-f-hlex": lambda: (helpers.family_f(HLEX), 14, 28),
+    "subst-pm1mod3-p2-harevlex": lambda: (
+        substitution_presentation(index_sets.PM1_MOD3, 2), 12, 24
+    ),
+    "subst-pm1mod3-p2-hlex": lambda: (
+        substitution_presentation(index_sets.PM1_MOD3, 2, OrderKind.HOM_LEX), 12, 24
+    ),
+    "subst-odd-p3-hlex": lambda: (
+        substitution_presentation(index_sets.ODD, 3, OrderKind.HOM_LEX), 15, 30
+    ),
+    "subst-odd-p3-harevlex-gf7": lambda: (
+        IdealPresentation.power_substitution(
+            index_sets.ODD, 3, OrderKind.HOM_ANTI_REV_LEX, GF(7)
+        ),
+        15, 30,
+    ),
+    "explicit-and-family": lambda: (
+        IdealPresentation(
+            HARL,
+            generators=(poly("x1*x3 - x2^2"), poly("x2*x5 - x3*x4")),
+            family=helpers.family_f(HARL).family,
+        ),
+        12, 20,
+    ),
+    "random-binomials-1": lambda: (random_binomial_family(1, HARL), 12, 24),
+    "random-binomials-2": lambda: (random_binomial_family(2, HLEX), 12, 24),
+    "random-binomials-3": lambda: (random_binomial_family(3, HARL_GF7), 12, 24),
+}
+
+
+def growing_family():
+    def rule(i, ctx=HARL):
+        return Polynomial.from_terms(
+            ctx, [(1, Monomial.variable(j)) for j in range(1, i + 1)]
+        )
+
+    return IdealPresentation(HARL, family=rule, family_indices=index_sets.ALL)
+
+
+def plex_family():
+    def rule(i, ctx=PLEX):
+        return Polynomial.from_terms(
+            ctx, ((1, Monomial.variable(i, 2)), (-1, Monomial.variable(i + 1)))
+        )
+
+    return IdealPresentation(
+        PLEX, generators=(poly("x2^2 - x1", PLEX),), family=rule
+    )
+
+
+# Inputs that must complete every window from scratch.
+SCRATCH_SCANS = {
+    "non-homogeneous": lambda: (growing_family(), 8, 10),
+    "plex": lambda: (plex_family(), 6, 8),
+}
+
+
+def spy_starts(monkeypatch):
+    """Record the size of the carried base each completion starts from."""
+    starts = []
+    complete = groebner._complete
+
+    def spy(start, gens, window, context):
+        starts.append(len(start))
+        return complete(start, gens, window, context)
+
+    monkeypatch.setattr(groebner, "_complete", spy)
+    return starts
+
+
+def assert_scan_matches(scan, reference, max_n):
+    assert scan.history == tuple(
+        (n, len(b.elements)) for n, b in enumerate(reference, start=1)
+    )
+    tail = [set(b.elements) for b in reference[max_n - 3 :]]
+    stable = set.intersection(*tail)
+    assert set(scan.stable) == stable
+    assert set(scan.unstable) == set.union(*tail) - stable
+
+
+class TestIncrementalWindows:
+    def test_family_f_history_is_pinned(self):
+        scan = stabilized_reduced_basis(helpers.family_f(HARL), 30, 60)
+        assert scan.history == FAMILY_F_HISTORY_30_60
+
+    @pytest.mark.parametrize("case", list(CARRIED_SCANS))
+    def test_carried_bases_equal_scratch_bases_at_every_n(self, case, monkeypatch):
+        pres, max_n, bound = CARRIED_SCANS[case]()
+        windows = [TruncationWindow(n, bound) for n in range(1, max_n + 1)]
+        reference = helpers.reference_window_bases(pres, windows)
+        starts = spy_starts(monkeypatch)
+        carried = list(groebner._window_bases(pres, windows))
+        assert [b.elements for b in carried] == [b.elements for b in reference]
+        assert all(b.reduced for b in carried)
+        # Every window after the first starts from its predecessor's base.
+        assert starts == [0] + [len(b.elements) for b in reference[:-1]]
+        assert_scan_matches(
+            stabilized_reduced_basis(pres, max_n, bound), reference, max_n
+        )
+
+    @pytest.mark.parametrize("case", list(CARRIED_SCANS))
+    def test_carried_filtration_equals_scratch_union(self, case):
+        pres, max_n, bound = CARRIED_SCANS[case]()
+        windows = [TruncationWindow(n, bound) for n in range(2, max_n + 1, 3)]
+        reference = helpers.reference_window_bases(pres, windows)
+        union = assemble_filtration(pres, windows)
+        expected = _canonical_sorted(
+            [g for b in reference for g in b.elements], pres.context
+        )
+        assert list(union.elements) == expected
+
+    @pytest.mark.parametrize("case", list(SCRATCH_SCANS))
+    def test_other_input_completes_each_window_from_scratch(self, case, monkeypatch):
+        pres, max_n, bound = SCRATCH_SCANS[case]()
+        windows = [TruncationWindow(n, bound) for n in range(1, max_n + 1)]
+        reference = helpers.reference_window_bases(pres, windows)
+        starts = spy_starts(monkeypatch)
+        bases = list(groebner._window_bases(pres, windows))
+        assert starts == [0] * max_n
+        assert [b.elements for b in bases] == [b.elements for b in reference]
+        assert_scan_matches(
+            stabilized_reduced_basis(pres, max_n, bound), reference, max_n
+        )
+        union = assemble_filtration(pres, windows)
+        assert list(union.elements) == _canonical_sorted(
+            [g for b in reference for g in b.elements], pres.context
+        )
+
+    def test_a_new_degree_bound_restarts_the_filtration(self, monkeypatch):
+        pres = substitution_presentation(index_sets.PM1_MOD3, 2)
+        windows = [
+            TruncationWindow(4, 16), TruncationWindow(8, 24), TruncationWindow(12, 24)
+        ]
+        reference = helpers.reference_window_bases(pres, windows)
+        starts = spy_starts(monkeypatch)
+        union = assemble_filtration(pres, windows)
+        assert starts == [0, 0, len(reference[1].elements)]
+        assert list(union.elements) == _canonical_sorted(
+            [g for b in reference for g in b.elements], pres.context
+        )
 
 
 class TestPureLexRestriction:

@@ -101,6 +101,22 @@ class TestFamilies:
         assert len(helpers.reference_enumerate_family(every_part, 8)) == counts[8]
 
 
+class TestIndexSets:
+    def test_sets_sharing_a_name_stay_distinct(self):
+        odd = index_sets.IndexSet("w", lambda n: n % 2)
+        every = index_sets.IndexSet("w", lambda n: True)
+        assert odd != every
+        assert len({odd, every}) == 2
+        assert FamilySpec("parts", odd) != FamilySpec("parts", every)
+        assert FamilySpec("parts", odd) == FamilySpec("parts", odd)
+
+    def test_each_named_set_is_one_object(self):
+        assert index_sets.from_name("odd") is index_sets.ODD
+        assert index_sets.avoiding_multiples_of(5) is index_sets.avoiding_multiples_of(5)
+        assert index_sets.from_name("nondiv5") is index_sets.avoiding_multiples_of(5)
+        assert index_sets.avoiding_multiples_of(5) != index_sets.avoiding_multiples_of(7)
+
+
 class TestDictionary:
     def test_examples(self):
         assert partition_to_monomial((4, 2, 1)) == Monomial.from_pairs(
