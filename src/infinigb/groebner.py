@@ -72,22 +72,27 @@ class TruncationWindow:
 class GroebnerBasis:
     """A finite set of polynomials with order, window and certificate data.
 
-    `reduced` records the reduced-basis predicate: every element monic and
-    no leading monomial divides any term of another element.  Discard
-    counters are bookkeeping only and do not participate in equality.
+    `reduced` is derived from the elements each time it is read (see the
+    property).  Discard counters are bookkeeping only and do not
+    participate in equality.
     """
 
     context: RingContext
     elements: tuple
     window: TruncationWindow
     certificate: Certificate
-    reduced: bool
     discarded_pairs: int = field(default=0, compare=False)
     discarded_elements: int = field(default=0, compare=False)
 
     @property
     def order(self):
         return self.context.order
+
+    @property
+    def reduced(self):
+        """The reduced-basis predicate on the elements: every element monic
+        and no leading monomial divides any term of another element."""
+        return is_reduced_set(self.elements)
 
     @property
     def is_certified(self):
@@ -126,13 +131,24 @@ def is_reduced_set(elements):
     return DivisorTable(elements[0].context, elements).is_interreduced()
 
 
+def _generator_context(gens, context):
+    """`context` when given, else the first generator's."""
+    if context is None:
+        if not gens:
+            raise InputError("an explicit context is required for no generators")
+        context = gens[0].context
+    return context
+
+
 def _validate_generators(gens, window, context):
+    """Each generator lies in `context`, is nonzero and, unless `window` is
+    None, lies inside the window."""
     for g in gens:
         if g.context != context:
             raise RingContextMismatch("generators in mixed ring contexts")
         if g.is_zero:
             raise WindowError("zero generator")
-        if not window.admits(g):
+        if window is not None and not window.admits(g):
             raise WindowError(f"generator {g} outside window {window}")
 
 
@@ -218,7 +234,6 @@ def _complete(start, gens, window, context):
         Certificate.ASSERTED
         if discarded_elements
         else Certificate.BUCHBERGER_VERIFIED,
-        reduced=is_reduced_set(elements),
         discarded_pairs=discarded_pairs,
         discarded_elements=discarded_elements,
     )
@@ -236,11 +251,7 @@ def buchberger_truncated(gens, window, *, context=None):
     not a Groebner base of the window, so it is certified only as asserted.
     """
     gens = list(gens)
-    if context is None:
-        if not gens:
-            raise InputError("an explicit context is required for no generators")
-        context = gens[0].context
-    return _complete((), gens, window, context)
+    return _complete((), gens, window, _generator_context(gens, context))
 
 
 def verify_buchberger(basis):
@@ -313,7 +324,6 @@ def reduce_basis(basis):
         elements,
         basis.window,
         basis.certificate,
-        reduced=is_reduced_set(elements),
         discarded_pairs=basis.discarded_pairs,
         discarded_elements=basis.discarded_elements,
     )
@@ -323,18 +333,12 @@ def bayer_stillman_basis(gens, *, window=None, context=None):
     """Certify `gens` as a Groebner base when the leading monomials are
     pairwise coprime (hence a monomial regular sequence); the S-polynomial
     of such a pair reduces to zero against the pair itself, so no completion
-    is needed.  Returns None when the shortcut does not apply.
+    is needed.  Returns None when the shortcut does not apply; generators
+    outside a given window raise first.
     """
     gens = list(gens)
-    if context is None:
-        if not gens:
-            raise InputError("an explicit context is required for no generators")
-        context = gens[0].context
-    for g in gens:
-        if g.context != context:
-            raise RingContextMismatch("generators in mixed ring contexts")
-        if g.is_zero:
-            raise WindowError("zero generator")
+    context = _generator_context(gens, context)
+    _validate_generators(gens, window, context)
     # Pairwise coprime: each support misses the union of the earlier ones.
     used = set()
     for g in gens:
@@ -346,16 +350,8 @@ def bayer_stillman_basis(gens, *, window=None, context=None):
         var_bound = max([g.max_variable_index() for g in gens], default=0)
         degree_bound = max([g.weighted_degree() for g in gens], default=0)
         window = TruncationWindow(max(1, var_bound), max(1, degree_bound))
-    else:
-        _validate_generators(gens, window, context)
     elements = tuple(_canonical_sorted(gens, context))
-    return GroebnerBasis(
-        context,
-        elements,
-        window,
-        Certificate.BAYER_STILLMAN,
-        reduced=is_reduced_set(elements),
-    )
+    return GroebnerBasis(context, elements, window, Certificate.BAYER_STILLMAN)
 
 
 @dataclass(frozen=True)
@@ -493,7 +489,6 @@ def assemble_filtration(presentation, windows, *, check_coherence=True):
         elements,
         windows[-1] if windows else TruncationWindow(1, 1),
         Certificate.ASSERTED,
-        reduced=False,
     )
     if check_coherence:
         for window, basis in zip(windows, per_window):
@@ -610,11 +605,7 @@ def purelex_restriction_check(basis, n):
         if g.lm().max_index() <= n and g.max_variable_index() > n:
             return False
     sub = GroebnerBasis(
-        basis.context,
-        tuple(restricted),
-        basis.window,
-        Certificate.ASSERTED,
-        reduced=False,
+        basis.context, tuple(restricted), basis.window, Certificate.ASSERTED
     )
     return verify_buchberger(sub)
 

@@ -118,11 +118,6 @@ def enumerate_family(spec, n):
     }
 
 
-def all_partitions(n):
-    """Every partition of n."""
-    return enumerate_family(FamilySpec("parts", index_sets.ALL), n)
-
-
 def partition_counts_up_to(bound):
     """p(0..bound), counting every partition once without building it."""
     return _counts_up_to(*FamilySpec("parts", index_sets.ALL)._standard_walk(bound))

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from infinigb import index_sets
 from infinigb.division import DivisionResult, standard_monomials
 from infinigb.errors import (
     HomogeneityError,
@@ -19,7 +20,6 @@ from infinigb.groebner import (
     TruncationWindow,
     _canonical_sorted,
     buchberger_truncated,
-    is_reduced_set,
     reduce_basis,
 )
 from infinigb.monomials import (
@@ -29,6 +29,7 @@ from infinigb.monomials import (
     WeightedAlphabet,
     sort_key,
 )
+from infinigb.partitions import FamilySpec, enumerate_family
 from infinigb.polynomials import Polynomial, RingContext
 
 ALL_ORDERS = list(OrderKind)
@@ -234,7 +235,6 @@ def reference_reduce_basis(basis):
         elements,
         basis.window,
         basis.certificate,
-        reduced=is_reduced_set(elements),
         discarded_pairs=basis.discarded_pairs,
         discarded_elements=basis.discarded_elements,
     )
@@ -331,7 +331,7 @@ def _monomial_ideal_basis(context, lms, window):
         Polynomial.from_monomial(context, lm) for lm in _canonical_monomials(lms, context)
     )
     return GroebnerBasis(
-        context, elements, window, Certificate.BAYER_STILLMAN, reduced=False
+        context, elements, window, Certificate.BAYER_STILLMAN
     )
 
 
@@ -462,3 +462,8 @@ def _reference_enumerate_gap2(n):
 
     descend(n, n)
     return out
+
+
+def all_partitions(n):
+    """Every partition of n."""
+    return enumerate_family(FamilySpec("parts", index_sets.ALL), n)

@@ -439,3 +439,37 @@ def test_stdout_matches_pinned_digest(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+HLEX_GENS = "x1^2 - x2\nx1*x2 - x3\n2*x2^2 - x4\n"
+PLEX_GENS = "x2 - x1^3\nx2^2 - x1\n"
+
+# `gb --gens FILE` stdout and exit code: an hlex completion that is not
+# reduced (`"reduced": false`), and a plex completion that discards an
+# out-of-window remainder (`asserted`; without --reduced it fails
+# verification and exits 1), each with and without --reduced.
+GB_GENS_STDOUT = {
+    (HLEX_GENS, "--order", "hlex", "--n", "4", "--deg", "8"): (
+        0, "28ca956ac2fcd3eae08cb1f138de02c9cb749fc2ae5bd5bbc6e2f33912a04204"
+    ),
+    (HLEX_GENS, "--order", "hlex", "--n", "4", "--deg", "8", "--reduced"): (
+        0, "7e02a2c22960b13beff64d63f66d1db782d4b27b204bdbcfbd09656c96ee2ab0"
+    ),
+    (PLEX_GENS, "--order", "plex", "--n", "2", "--deg", "4"): (
+        1, "5affd50c744b7943a6f988e93c868fd8d2c20a69434ef974638ec34fab5b17c0"
+    ),
+    (PLEX_GENS, "--order", "plex", "--n", "2", "--deg", "4", "--reduced"): (
+        0, "6ee636ca60cb3b823bac6828c5fc5161ec80654b35a2819e67539d39f122a7f7"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(GB_GENS_STDOUT), ids=lambda case: " ".join(case[1:])
+)
+def test_gb_gens_stdout_matches_pinned_digest(capsys, tmp_path, case):
+    text, *argv = case
+    path = tmp_path / "input.gens"
+    path.write_text(text)
+    code, out, _ = run(capsys, "gb", "--gens", str(path), *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GB_GENS_STDOUT[case]

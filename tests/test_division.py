@@ -556,7 +556,6 @@ class TestMembership:
             (poly("x1^2 - x2"),),
             TruncationWindow(2, 4),
             Certificate.ASSERTED,
-            reduced=False,
         )
         with pytest.raises(CertificationError):
             is_member(poly("x1"), asserted)
@@ -580,7 +579,7 @@ class TestStandardMonomials:
     def test_empty_basis_gives_every_monomial(self):
         empty = GroebnerBasis(
             HARL, (), TruncationWindow(6, 6),
-            Certificate.BUCHBERGER_VERIFIED, reduced=True,
+            Certificate.BUCHBERGER_VERIFIED,
         )
         assert standard_monomials(empty, 6) == helpers.reference_standard_monomials(
             empty, 6
@@ -612,7 +611,7 @@ class TestStandardMonomials:
     def test_unit_lead_leaves_nothing(self):
         basis = GroebnerBasis(
             HARL, (poly("1"),), TruncationWindow(2, 2),
-            Certificate.BAYER_STILLMAN, reduced=True,
+            Certificate.BAYER_STILLMAN,
         )
         assert standard_monomials(basis, 0) == []
         assert standard_monomials(basis, 3) == []

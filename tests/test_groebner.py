@@ -8,7 +8,7 @@ import pytest
 
 import helpers
 from infinigb import groebner, index_sets
-from infinigb.division import is_member, remainder
+from infinigb.division import DivisorTable, is_member, remainder
 from infinigb.errors import (
     CertificationError,
     HomogeneityError,
@@ -276,7 +276,7 @@ class TestVerifyBuchberger:
         window = TruncationWindow(10, 20)
         gens = helpers.family_f(HARL).instantiate(window)
         claimed = GroebnerBasis(
-            HARL, tuple(gens), window, Certificate.ASSERTED, reduced=False
+            HARL, tuple(gens), window, Certificate.ASSERTED
         )
         assert not verify_buchberger(claimed)
         assert verify_buchberger(buchberger_truncated(gens, window, context=HARL))
@@ -288,7 +288,7 @@ class TestVerifyBuchberger:
         context, gens = helpers.cyclic5_homogenized(order)
         window = TruncationWindow(6, 12)
         claimed = GroebnerBasis(
-            context, tuple(gens), window, Certificate.ASSERTED, reduced=False
+            context, tuple(gens), window, Certificate.ASSERTED
         )
         assert not verify_buchberger(claimed)
         assert verify_buchberger(buchberger_truncated(gens, window, context=context))
@@ -327,7 +327,7 @@ class TestReducedSetAgainstReference:
             monic = [g.monic() for g in gens]
             claimed = GroebnerBasis(
                 context, tuple(monic), TruncationWindow(200, 1600),
-                Certificate.ASSERTED, reduced=False,
+                Certificate.ASSERTED,
             )
             for elements in (gens, monic, reduce_basis(claimed).elements):
                 expected = helpers.reference_is_reduced_set(elements)
@@ -408,12 +408,73 @@ class TestBayerStillman:
         gens = [poly("x1*x2 - 1", PLEX), poly("x2*x3", PLEX)]
         assert bayer_stillman_basis(gens) is None
 
+    def test_generator_outside_window_rejected(self):
+        # Checked before the shortcut, so leads that share a variable do
+        # not hide it.
+        window = TruncationWindow(4, 8)
+        for gens in (
+            [poly("x1^2 - x2"), poly("x5^2 - x10")],
+            [poly("x1*x2 - x3"), poly("x2*x3 - x5")],
+        ):
+            with pytest.raises(WindowError, match="outside window"):
+                bayer_stillman_basis(gens, window=window)
+
     def test_agreement_with_buchberger(self):
         gens = [poly("x1^2 - x2"), poly("x3^2 - x6"), poly("x5^2 - x10")]
         window = TruncationWindow(10, 20)
         fast = bayer_stillman_basis(gens, window=window)
         slow = buchberger_truncated(gens, window)
         assert set(fast.leading_monomials()) == set(slow.leading_monomials())
+
+
+
+class TestReducedIsDerived:
+    """`GroebnerBasis.reduced` is read off the elements when asked for:
+    building a base never tests reducedness, and the flag agrees with the
+    oracle."""
+
+    def test_no_construction_tests_reducedness(self, monkeypatch):
+        calls = []
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        spy(groebner, "is_reduced_set")
+        spy(DivisorTable, "is_interreduced")
+
+        hlex = RingContext(OrderKind.HOM_LEX)
+        gens = [poly(t, hlex) for t in ("x1^2 - x2", "x1*x2 - x3", "2*x2^2 - x4")]
+        completed = buchberger_truncated(gens, TruncationWindow(4, 8))
+        interreduced = reduce_basis(completed)
+        window = TruncationWindow(12, 30)
+        certified = []
+        for order in (OrderKind.HOM_ANTI_REV_LEX, OrderKind.HOM_LEX):
+            pres = substitution_presentation(index_sets.PM1_MOD3, 2, order)
+            certified.append(bayer_stillman_basis(
+                pres.instantiate(window), window=window, context=pres.context
+            ))
+        family = helpers.family_f(HARL)
+        stabilized_reduced_basis(family, 8, 16)
+        windows = [TruncationWindow(n, 16) for n in range(1, 9)]
+        scanned = list(groebner._window_bases(family, windows))
+        union = assemble_filtration(family, windows[3::4])
+        assert calls == []
+
+        results = [completed, interreduced, *certified, *scanned, union]
+        flags = [basis.reduced for basis in results]
+        assert flags == [
+            helpers.reference_is_reduced_set(basis.elements) for basis in results
+        ]
+        # The hlex completion and the hlex substitution family are bases
+        # that are not reduced; reading the flag is what tests it.
+        assert flags[:4] == [False, True, True, False]
+        assert calls.count("is_reduced_set") == len(results)
 
 
 class TestFiltration:
@@ -452,7 +513,7 @@ class TestFiltration:
 
 def monomial_basis(context, lms, window):
     elements = tuple(Polynomial.from_monomial(context, m) for m in set(lms))
-    return GroebnerBasis(context, elements, window, Certificate.ASSERTED, reduced=False)
+    return GroebnerBasis(context, elements, window, Certificate.ASSERTED)
 
 
 COHERENCE_WEIGHTS = [
@@ -757,7 +818,6 @@ class TestPureLexRestriction:
             (poly("x1*x2 + 1", PLEX), poly("x2^2 - 1", PLEX)),
             TruncationWindow(2, 8),
             Certificate.ASSERTED,
-            reduced=False,
         )
         assert not purelex_restriction_check(claimed, 2)
 

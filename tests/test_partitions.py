@@ -14,7 +14,6 @@ from infinigb.errors import CertificationError
 from infinigb.monomials import Monomial
 from infinigb.partitions import (
     FamilySpec,
-    all_partitions,
     enumerate_family,
     monomial_to_partition,
     partition_counts_up_to,
@@ -131,7 +130,7 @@ class TestDictionary:
 
     @pytest.mark.parametrize("n", range(0, 16))
     def test_round_trip_all_partitions(self, n):
-        for parts in all_partitions(n):
+        for parts in helpers.all_partitions(n):
             assert monomial_to_partition(partition_to_monomial(parts)) == parts
 
     def test_rejects_non_monotone(self):

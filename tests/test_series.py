@@ -115,7 +115,7 @@ class TestQuotient:
     def test_empty_basis_is_ambient(self):
         empty = GroebnerBasis(
             HARL, (), TruncationWindow(8, 8),
-            Certificate.BUCHBERGER_VERIFIED, reduced=True,
+            Certificate.BUCHBERGER_VERIFIED,
         )
         assert quotient_series_from_standard_monomials(empty, 8) == ambient_series(
             DEFAULT_WEIGHTS, None, 8
@@ -168,7 +168,7 @@ class TestQuotient:
     def test_unit_lead_gives_the_zero_series(self):
         basis = GroebnerBasis(
             HARL, (poly("1"),), TruncationWindow(2, 2),
-            Certificate.BAYER_STILLMAN, reduced=True,
+            Certificate.BAYER_STILLMAN,
         )
         assert quotient_series_from_standard_monomials(
             basis, 5
