@@ -144,11 +144,30 @@ def _read_generators(path, context):
     return gens
 
 
+# The largest exponent `divide` accepts in its input and divisors.  A
+# division's work grows with the exponents: by x1 - 1, x1^e takes e + 1
+# steps and has a quotient of e terms.
+DIVIDE_EXPONENT_CAP = 1000
+
+
+def _check_exponents(polynomials, source):
+    for f in polynomials:
+        for _, m in f.terms:
+            for index, exponent in m.exps:
+                if exponent > DIVIDE_EXPONENT_CAP:
+                    raise InputError(
+                        f"{source}: exponent {exponent} of x{index} is above "
+                        f"the divide exponent cap {DIVIDE_EXPONENT_CAP}"
+                    )
+
+
 def cmd_divide(args):
     order = OrderKind.from_name(args.order)
     context = RingContext(order)
     divisors = _read_generators(args.divisors, context)
+    _check_exponents(divisors, f"divisor file {args.divisors}")
     f = parse_polynomial(args.input, context)
+    _check_exponents([f], "--input")
     result = divide(f, divisors)
     payload = {
         "input": str(f),

@@ -17,9 +17,13 @@ when subtracting `X_d` from `X_m` with every guard bit set clears none.
 The working polynomial is a dict from key to coefficient (the dict
 accumulator of sympy's `PolyElement.rem`) with a heap of its keys.
 `divide` and `remainder` share the one loop; only `divide` records
-quotients.  Completion and verification reduce S-pairs from two table
-rows (`DivisorTable.spair_remainder`): the two packed tails, shifted by
-their factor keys, make the work dict, so no S-polynomial is built.
+quotients.  The divisor search scans only the leads whose top variable
+the term uses, bucketed by that variable, and returns the smallest
+dividing position, as a scan over every lead would.  Completion and
+verification reduce S-pairs from two table rows
+(`DivisorTable.spair_remainder`): the two packed tails, shifted by their
+factor keys, make the work dict, so no S-polynomial is built, and the
+pair's lcm, gcd and lcm degree come from the two packed leads.
 
 The loop does integer arithmetic only.  Over Q each row holds the
 primitive integer multiple of its divisor, with a positive leading
@@ -37,6 +41,7 @@ step nor a remainder term.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -50,6 +55,10 @@ from .errors import (
 )
 from .monomials import _KEY_SHAPES, _admissible, _pairs_of_degree, _trusted
 from .polynomials import GFElement, Polynomial
+
+
+# Beyond every position, so that the divisor search needs no None test.
+_NO_POSITION = sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -77,7 +86,8 @@ class DivisorTable:
     of lm(f), which bounds its exponents; under `plex` nothing does, so
     there a product that sets a guard bit widens the fields and restarts
     the division.  A polynomial with a larger variable index or exponent
-    widens the layout before its division starts.
+    widens the layout before its division starts.  Every layout rebuilds
+    the divisor index with the rows.
     """
 
     def __init__(self, context, divisors=()):
@@ -89,6 +99,8 @@ class DivisorTable:
         self._homogeneous = context.order.homogeneous
         self._modulus = None if context.field is None else context.field.p
         self._weight_of = dict(context.weights.overrides)
+        # The weighted degree of each leading monomial, for the S-pairs.
+        self._degrees = []
         self._layout(0, 2)
         # One layout for all of them: widening per divisor would pack every
         # earlier one again.
@@ -107,6 +119,7 @@ class DivisorTable:
         if not g.terms:
             raise ZeroPolynomialError("zero divisor")
         self.divisors.append(g)
+        self._degrees.append(self._degree(g.terms[0][1]))
         if not self._fit(_top_index(g), _max_exponent(g)):
             self._pack_row(g)
 
@@ -131,8 +144,27 @@ class DivisorTable:
         self._guard = sum(
             1 << (field * width + width - 1) for field in range(variables)
         )
+        self._ones = self._guard >> (width - 1)
+        weight_of = self._weight_of
+        self._field_weights = [
+            weight_of.get(index, index)
+            for index in (
+                range(1, variables + 1)
+                if self._backwards
+                else range(variables, 0, -1)
+            )
+        ]
         self._leads = []
+        # The guard bits of the variables each lead uses.
+        self._supports = []
         self._rows = []
+        # The divisor index: a bucket of (position, packed lead) pairs in
+        # increasing position for each top variable of a lead, under that
+        # variable's guard bit; the guard bits of the variables with a
+        # bucket; the first position of a constant lead.
+        self._buckets = {}
+        self._bucketed = 0
+        self._constant = _NO_POSITION
         for g in self.divisors:
             self._pack_row(g)
 
@@ -140,7 +172,23 @@ class DivisorTable:
         key = self._key
         terms = g.terms
         lm = terms[0][1]
-        self._leads.append(self._packed(lm))
+        position = len(self._leads)
+        x = self._packed(lm)
+        self._leads.append(x)
+        support = ((x | self._guard) - self._ones) & self._guard
+        self._supports.append(support)
+        if support:
+            # The guard bit of the top variable: the highest field holds
+            # it when x1 is in the lowest, else the lowest does.
+            top = (
+                1 << (support.bit_length() - 1)
+                if self._backwards
+                else support & -support
+            )
+            self._buckets.setdefault(top, []).append((position, x))
+            self._bucketed |= top
+        elif self._constant == _NO_POSITION:
+            self._constant = position
         p = self._modulus
         if p is None:
             # The primitive integer multiple, its leading coefficient > 0.
@@ -157,7 +205,7 @@ class DivisorTable:
         # the current one; the tail is negated once here, not per product.
         self._rows.append(
             (
-                key(lm),
+                self._order_key(x, self._degrees[position]),
                 None if lc == 1 else lc,
                 tuple(
                     (-c if p is None else p - c, key(m))
@@ -178,16 +226,54 @@ class DivisorTable:
         weight_of = self._weight_of
         return sum(e * weight_of.get(i, i) for i, e in m.exps)
 
-    def _key(self, m, degree=None):
+    def _key(self, m):
         """The negated order key of m, so that the leading term is the
-        smallest key and a heap pops it first; `degree`, when known, is the
-        weighted degree of m."""
-        x = self._packed(m)
+        smallest key and a heap pops it first."""
+        return self._order_key(
+            self._packed(m), self._homogeneous and self._degree(m)
+        )
+
+    def _order_key(self, x, degree):
+        """The negated order key of the packed exponents x, of weighted
+        degree `degree`."""
         if not self._homogeneous:
             return -x
-        if degree is None:
-            degree = self._degree(m)
         return -((degree << self._shift) + self._sign * x)
+
+    def _packed_degree(self, x):
+        """The weighted degree of the packed exponents x, walking only the
+        fields that are not zero."""
+        width, field_mask = self._width, self._capacity
+        weights = self._field_weights
+        degree = 0
+        while x:
+            field = ((x & -x).bit_length() - 1) // width
+            exponent = (x >> (field * width)) & field_mask
+            x ^= exponent << (field * width)
+            degree += exponent * weights[field]
+        return degree
+
+    def _lcm_and_gcd(self, i, j):
+        """The packed lcm and gcd of leads i and j: subtracting lead j from
+        lead i with every guard bit set leaves the guard bit of each field
+        where i's exponent is at least j's, and the fields of those guard
+        bits take i's exponent in the lcm, the others j's."""
+        a, b = self._leads[i], self._leads[j]
+        guard = self._guard
+        at_least = ((a | guard) - b) & guard
+        fields = at_least - (at_least >> (self._width - 1))
+        lcm = (a & fields) | (b & ~fields)
+        return lcm, a + b - lcm
+
+    def spair_degree(self, i, j):
+        """The weighted degree of the lcm of the leading monomials of
+        divisors i and j, and whether they are coprime: the lcm has the
+        degree of both less that of their gcd, which is 1 exactly when the
+        two use no variable in common."""
+        degree = self._degrees[i] + self._degrees[j]
+        if not self._supports[i] & self._supports[j]:
+            return degree, True
+        return degree - self._packed_degree(self._lcm_and_gcd(i, j)[1]), False
 
     def _monomial(self, key):
         """The monomial of a negated order key.  A guard bit set in it means
@@ -233,28 +319,29 @@ class DivisorTable:
             record,
         )
 
-    def spair_remainder(self, i, j, lcm):
+    def spair_remainder(self, i, j):
         """The remainder modulo the table of the S-polynomial of divisors
-        i and j, whose leading monomials have the lcm `lcm`.
+        i and j.
 
         Equals `remainder(s_polynomial(g_i, g_j), table)`, but the two
         packed tails go straight into the work dict, so no S-polynomial
         is built.  The S-polynomial's monomials have weighted degree at
-        most that of `lcm`; under `plex` its exponents are bounded by an
-        exponent of `lcm` plus one of g_i or g_j.
+        most that of the leads' lcm; under `plex` its exponents are
+        bounded by an exponent of the lcm plus one of g_i or g_j.
         """
-        degree = None
+        degree = 0
         if self._homogeneous:
-            need = degree = self._degree(lcm)
+            need = degree = self.spair_degree(i, j)[0]
         else:
-            need = max((e for _, e in lcm.exps), default=0) + max(
-                _max_exponent(self.divisors[i]), _max_exponent(self.divisors[j])
-            )
-        self._fit(lcm.max_index(), need)
-        terms = self._reduce(lambda: self._spair_work(i, j, lcm, degree), False)[0]
+            g_i, g_j = self.divisors[i], self.divisors[j]
+            need = max(
+                (e for g in (g_i, g_j) for _, e in g.lm().exps), default=0
+            ) + max(_max_exponent(g_i), _max_exponent(g_j))
+        self._fit(0, need)
+        terms = self._reduce(lambda: self._spair_work(i, j, degree), False)[0]
         return self._polynomial(terms)
 
-    def _spair_work(self, i, j, lcm, degree):
+    def _spair_work(self, i, j, degree):
         """The work dict and scale of (lcm/lt_i) g_i - (lcm/lt_j) g_j.
 
         With rows r_i = s_i g_i whose leading coefficients l_i, l_j have
@@ -262,9 +349,10 @@ class DivisorTable:
         a = l_j / c and b = l_i / c, the S-polynomial times a * l_i: the
         leading terms cancel, leaving the two tails shifted by their factor
         keys.  Over GF(p) both rows are monic and a = b = 1.  `degree` is
-        the weighted degree of lcm, taken once by `spair_remainder`.
+        the weighted degree of the lcm; its packed exponents are taken here,
+        in the current layout, so a widened layout takes them again.
         """
-        k_lcm = self._key(lcm, degree)
+        k_lcm = self._order_key(self._lcm_and_gcd(i, j)[0], degree)
         k_lead_i, lc_i, tail_i = self._rows[i]
         k_lead_j, lc_j, tail_j = self._rows[j]
         lc_i = lc_i or 1
@@ -310,10 +398,11 @@ class DivisorTable:
         """
         live = list(work)
         heapify(live)
-        leads, rows = self._leads, self._rows
-        guard, mask = self._guard, self._mask
+        rows = self._rows
+        first_divisor = self._first_divisor
+        mask = self._mask
         flip = self._sign > 0
-        overflow = 0 if self._homogeneous else guard
+        overflow = 0 if self._homogeneous else self._guard
         p = self._modulus
         quotients = {} if record else None
         remainder_terms = []
@@ -328,11 +417,8 @@ class DivisorTable:
                 if not c:
                     continue  # cancelled modulo p
             steps += 1
-            with_guards = ((-k if flip else k) & mask) | guard
-            for position, lead in enumerate(leads):
-                if (with_guards - lead) & guard == guard:
-                    break
-            else:
+            position = first_divisor((-k if flip else k) & mask)
+            if position is None:
                 remainder_terms.append((c, k, scale))
                 continue
             k_lead, lc, tail = rows[position]
@@ -366,6 +452,31 @@ class DivisorTable:
                 quotients.setdefault(position, []).append((c, factor, scale))
         return remainder_terms, quotients, steps
 
+    def _first_divisor(self, x):
+        """The smallest position whose leading monomial divides the packed
+        exponents x, or None.
+
+        A lead divides x only if x uses the lead's top variable, so only
+        the buckets of the variables x uses are scanned (their guard bits
+        are those that survive subtracting one from every field of x with
+        its guard bits set), each in increasing position up to the best
+        found so far.  A constant lead divides every x.
+        """
+        guard, buckets = self._guard, self._buckets
+        with_guards = x | guard
+        used = (with_guards - self._ones) & self._bucketed
+        best = self._constant
+        while used:
+            low = used & -used
+            used ^= low
+            for position, lead in buckets[low]:
+                if position >= best:
+                    break
+                if (with_guards - lead) & guard == guard:
+                    best = position
+                    break
+        return None if best == _NO_POSITION else best
+
     def _polynomial(self, terms):
         """A polynomial from (c, key, scale) triples in decreasing order,
         each standing for the term (c/scale) * monomial."""
@@ -390,27 +501,27 @@ class DivisorTable:
         """True when no divisor's leading monomial divides a term of another
         divisor.
 
-        A leading monomial divides a term only if the term uses its top
-        variable, so the leads are bucketed by top variable and each term
-        is tested against the buckets of its own variables alone; pairwise
-        coprime leads then cost one test per term, not one per lead.
+        Each term is tested only against the buckets of the divisor index
+        that its own variables select, so pairwise coprime leads cost about
+        one test per term, not one per lead.
         """
-        divisors = self.divisors
-        buckets = {}
-        for position, g in enumerate(divisors):
-            buckets.setdefault(g.terms[0][1].max_index(), []).append(position)
-        if 0 in buckets:
+        if self._constant != _NO_POSITION:
             # A constant leading monomial divides every other term.
-            return len(divisors) == 1
-        leads, guard, packed = self._leads, self._guard, self._packed
-        for position, g in enumerate(divisors):
-            for _, m in g.terms:
-                with_guards = packed(m) | guard
-                for index, _ in m.exps:
-                    for other in buckets.get(index, ()):
+            return len(self.divisors) == 1
+        guard, buckets = self._guard, self._buckets
+        ones, bucketed, mask = self._ones, self._bucketed, self._mask
+        flip = self._sign > 0
+        for position, (k_lead, _, tail) in enumerate(self._rows):
+            for k in (k_lead, *(k for _, k in tail)):
+                with_guards = ((-k if flip else k) & mask) | guard
+                used = (with_guards - ones) & bucketed
+                while used:
+                    low = used & -used
+                    used ^= low
+                    for other, lead in buckets[low]:
                         if (
                             other != position
-                            and (with_guards - leads[other]) & guard == guard
+                            and (with_guards - lead) & guard == guard
                         ):
                             return False
         return True

@@ -16,6 +16,11 @@ therefore starts from window n's reduced base and forms S-pairs only with
 the generators it adds (Gebauer & Moeller 1988): by uniqueness its reduced
 base is the one a completion from scratch gives.  Every other window is
 completed from scratch.
+
+Pairs are scheduled and window-tested by their lcm degree, read off the
+divisor table's packed leading monomials (`DivisorTable.spair_degree`),
+and reduced from the table's rows (`DivisorTable.spair_remainder`), so
+no S-polynomial, lcm or `Monomial` is built per pair.
 """
 
 from __future__ import annotations
@@ -152,29 +157,6 @@ def _validate_generators(gens, window, context):
             raise WindowError(f"generator {g} outside window {window}")
 
 
-def _lead(g, weights):
-    """A leading monomial with its exponent dict and weighted degree, taken
-    once for all the pairs it joins."""
-    m = g.lm()
-    return m, dict(m.exps), m.degree(weights)
-
-
-def _pair_degree(a, b, weight_of):
-    """The weighted degree of the lcm of two `_lead`s, and whether the two
-    share a variable: the lcm has the degree of both leads less that of
-    their overlap, so no lcm is built."""
-    _, mine, lcm_degree = a
-    _, other, other_degree = b
-    lcm_degree += other_degree
-    overlap = False
-    for index, e in mine.items():
-        f = other.get(index)
-        if f is not None:
-            overlap = True
-            lcm_degree -= min(e, f) * weight_of.get(index, index)
-    return lcm_degree, overlap
-
-
 def _complete(start, gens, window, context):
     """Complete `start + gens` to a Groebner base within the window, forming
     S-pairs only where at least one member comes from `gens` or is a new
@@ -186,36 +168,32 @@ def _complete(start, gens, window, context):
     its pairs count as resolved.  An empty `start` is the plain completion.
     """
     _validate_generators(gens, window, context)
-    weights = context.weights
-    weight_of = dict(weights.overrides)
     bound = window.degree_bound
     # No remainder uses a variable its inputs do not, and no S-pair kept
     # exceeds the degree bound.
     table = _sized_table(context, [*start, *gens], bound)
-    leads = [_lead(g, weights) for g in table.divisors]
     queue = []
     discarded_pairs = 0
     discarded_elements = 0
 
     def pair_up(j):
         nonlocal discarded_pairs
-        new = leads[j]
         for i in range(j):
-            lcm_degree, overlap = _pair_degree(leads[i], new, weight_of)
+            lcm_degree, coprime = table.spair_degree(i, j)
             # A coprime pair reduces to zero without computation.
-            if not overlap:
+            if coprime:
                 continue
             if lcm_degree > bound:
                 discarded_pairs += 1
                 continue
             heapq.heappush(queue, (lcm_degree, i, j))
 
-    for j in range(len(start), len(leads)):
+    for j in range(len(start), len(table.divisors)):
         pair_up(j)
 
     while queue:
         _, i, j = heapq.heappop(queue)
-        r = table.spair_remainder(i, j, leads[i][0].lcm(leads[j][0]))
+        r = table.spair_remainder(i, j)
         if r.is_zero:
             continue
         if not window.admits(r):
@@ -223,8 +201,7 @@ def _complete(start, gens, window, context):
             continue
         r = r.monic()
         table.append(r)
-        leads.append(_lead(r, weights))
-        pair_up(len(leads) - 1)
+        pair_up(len(table.divisors) - 1)
 
     elements = tuple(_canonical_sorted(table.divisors, context))
     return GroebnerBasis(
@@ -258,21 +235,17 @@ def verify_buchberger(basis):
     """Independent re-verification: every S-pair within the window reduces
     to zero by plain division, with no coprime shortcut.
 
-    Each lead's exponents and degree are taken once (`_lead`), and the lcm
-    is built only for the pairs inside the window.
+    The window test reads each pair's lcm degree off the table's packed
+    leading monomials, so no `Monomial` lcm is built.
     """
-    context = basis.context
-    weights = context.weights
-    weight_of = dict(weights.overrides)
     bound = basis.window.degree_bound
-    table = DivisorTable(context, basis.elements)
-    leads = [_lead(g, weights) for g in basis.elements]
-    for j, other in enumerate(leads):
+    # Laid out once for every S-pair inside the window.
+    table = _sized_table(basis.context, basis.elements, bound)
+    for j in range(len(basis.elements)):
         for i in range(j):
-            if _pair_degree(leads[i], other, weight_of)[0] > bound:
+            if table.spair_degree(i, j)[0] > bound:
                 continue
-            lcm = leads[i][0].lcm(other[0])
-            if not table.spair_remainder(i, j, lcm).is_zero:
+            if not table.spair_remainder(i, j).is_zero:
                 return False
     return True
 
@@ -640,9 +613,7 @@ def check_fr_condition(sequence, probe_degree):
     variables = range(1, n + 1)
     expected = series.ambient_series(context.weights, variables, probe_degree)
     for f in work:
-        expected = expected * series.one_minus_power(
-            f.weighted_degree(), probe_degree
-        )
+        expected = expected.times_one_minus_power(f.weighted_degree())
     if not work:
         return True
     window = TruncationWindow(n, probe_degree)

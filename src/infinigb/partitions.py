@@ -298,13 +298,11 @@ def verify_bijection(family, p, n):
 
 
 def _bounded_multiplicity_product(values, max_mult, truncation):
+    """The product over m in `values` of 1 + T^m + ... + T^(max_mult m),
+    each factor taken as (1 - T^((max_mult + 1) m)) / (1 - T^m)."""
     out = series.TruncatedSeries.one(truncation)
     for m in values:
-        coefficients = [0] * (truncation + 1)
-        for k in range(0, max_mult + 1):
-            if k * m <= truncation:
-                coefficients[k * m] = 1
-        out = out * series.TruncatedSeries(coefficients)
+        out = out.times_one_minus_power((max_mult + 1) * m).over_one_minus_power(m)
     return out
 
 
@@ -342,11 +340,11 @@ def rr_identity_check(truncation):
     N = truncation
     product_mod5 = series.ambient_series(DEFAULT_WEIGHTS, index_sets.PM1_MOD5, N)
     summed = series.TruncatedSeries.one(N)
+    # The m-th block is the product of 1/(1 - T^j) for j = 1..m.
+    block = series.TruncatedSeries.one(N)
     m = 1
     while m * m <= N:
-        block = series.TruncatedSeries.one(N)
-        for j in range(1, m + 1):
-            block = block * series.TruncatedSeries.geometric(j, N)
+        block = block.over_one_minus_power(m)
         summed = summed + block.times_power(m * m)
         m += 1
     columns = {

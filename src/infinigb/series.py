@@ -91,6 +91,24 @@ class TruncatedSeries:
             out[n] = acc * b[0]
         return TruncatedSeries(tuple(out))
 
+    def times_one_minus_power(self, gap):
+        """Multiply by 1 - T^gap in O(N): a_n -= a_{n-gap}, n descending."""
+        if gap < 0:
+            raise InputError("gap must be non-negative")
+        out = list(self.coefficients)
+        for n in range(len(out) - 1, gap - 1, -1):
+            out[n] -= out[n - gap]
+        return TruncatedSeries(out)
+
+    def over_one_minus_power(self, gap):
+        """Divide by 1 - T^gap in O(N): a_n += a_{n-gap}, n ascending."""
+        if gap < 1:
+            raise InputError("gap must be positive")
+        out = list(self.coefficients)
+        for n in range(gap, len(out)):
+            out[n] += out[n - gap]
+        return TruncatedSeries(out)
+
     def times_power(self, gap):
         """Multiply by T^gap, keeping the truncation."""
         if gap < 0:
@@ -126,7 +144,7 @@ def ambient_series(weights, variables, truncation):
     out = TruncatedSeries.one(truncation)
     for index in weights.indices_with_weight_at_most(truncation):
         if variables is None or index in variables:
-            out = out * TruncatedSeries.geometric(weights.weight(index), truncation)
+            out = out.over_one_minus_power(weights.weight(index))
     return out
 
 
@@ -164,5 +182,5 @@ def regular_sequence_series(presentation, truncation):
         )
     out = ambient_series(presentation.context.weights, presentation.variables, truncation)
     for g in gens:
-        out = out * one_minus_power(g.weighted_degree(), truncation)
+        out = out.times_one_minus_power(g.weighted_degree())
     return out

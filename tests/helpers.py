@@ -187,6 +187,18 @@ def reference_divide(f, divisors):
     return DivisionResult(quotients, Polynomial(context, tuple(remainder_terms)), steps)
 
 
+def reference_first_divisor(table, x):
+    """The oracle for `DivisorTable._first_divisor`: the linear scan that
+    tests every packed leading monomial of the table in position order and
+    returns the first that divides the packed exponents x, or None."""
+    guard = table._guard
+    with_guards = x | guard
+    for position, lead in enumerate(table._leads):
+        if (with_guards - lead) & guard == guard:
+            return position
+    return None
+
+
 def reference_is_reduced_set(elements):
     """The oracle for `infinigb.groebner.is_reduced_set`: monic elements,
     and no leading monomial divides any term of any other element, tested

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import importlib.resources
 import json
+import time
 
 import jsonschema
 import pytest
@@ -93,6 +94,30 @@ class TestDivide:
                              "--divisors", str(path), "--input", "x1^4")
         assert code == 2 and out == ""
         assert "generator file" in err
+
+    def test_exponent_above_the_cap_is_usage_error(self, capsys, tmp_path):
+        linear = tmp_path / "linear.gens"
+        linear.write_text("x1 - 1\n")
+        cap = cli.DIVIDE_EXPONENT_CAP
+        # Without the cap this division would take 10^20 steps.
+        start = time.monotonic()
+        code, out, err = run(capsys, "divide", "--order", "hlex",
+                             "--divisors", str(linear),
+                             "--input", "x1^99999999999999999999")
+        assert time.monotonic() - start < 1
+        assert code == 2 and out == ""
+        assert f"cap {cap}" in err
+        steep = tmp_path / "steep.gens"
+        steep.write_text(f"x1^{cap + 1} - 1\n")
+        code, out, err = run(capsys, "divide", "--order", "hlex",
+                             "--divisors", str(steep), "--input", "x1")
+        assert code == 2 and out == ""
+        assert "divisor file" in err and f"cap {cap}" in err
+        # At the cap the division runs: x1^cap = q*(x1 - 1) + 1.
+        code, out, _ = run(capsys, "divide", "--order", "hlex",
+                           "--divisors", str(linear), "--input", f"x1^{cap}")
+        assert code == 0
+        assert json.loads(out)["remainder"] == "1"
 
     def test_malformed_input_is_usage_error(self, capsys, gens_file):
         code, _, err = run(

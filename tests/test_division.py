@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from infinigb.division import (
@@ -25,6 +28,9 @@ from infinigb.groebner import (
     GroebnerBasis,
     TruncationWindow,
     bayer_stillman_basis,
+    buchberger_truncated,
+    reduce_basis,
+    verify_buchberger,
 )
 from infinigb.monomials import (
     DEFAULT_WEIGHTS,
@@ -334,6 +340,141 @@ class TestDivisorTable:
         assert len(table.divisors) == 1
 
 
+@contextmanager
+def checked_search():
+    """Check every divisor search made inside the block against the linear
+    scan, and record (position, field width) for each."""
+    real = DivisorTable._first_divisor
+    searches = []
+
+    def checked(self, x):
+        position = real(self, x)
+        assert position == helpers.reference_first_divisor(self, x)
+        searches.append((position, self._width))
+        return position
+
+    DivisorTable._first_divisor = checked
+    try:
+        yield searches
+    finally:
+        DivisorTable._first_divisor = real
+
+
+@st.composite
+def index_cases(draw):
+    """A context (any order, field and weight overrides), nonzero divisors
+    over a few indices up to x200, possibly with repeated leading monomials
+    and a constant divisor at any position, dividends over the same indices
+    and one divisor to append after the first division."""
+    ctx = RingContext(
+        draw(st.sampled_from(helpers.ALL_ORDERS)),
+        WeightedAlphabet.with_weights(
+            draw(st.dictionaries(st.integers(1, 200), st.integers(1, 4), max_size=2))
+        ),
+        draw(st.sampled_from([None, GF(2), GF(7)])),
+    )
+    pool = draw(st.lists(st.integers(1, 200), min_size=1, max_size=5, unique=True))
+    monomials = st.lists(
+        st.tuples(st.sampled_from(pool), st.integers(1, 4)), max_size=3
+    ).map(Monomial.from_pairs)
+    polynomials = st.lists(
+        st.tuples(st.integers(-3, 3).filter(bool), monomials),
+        min_size=1, max_size=4,
+    ).map(lambda pairs: Polynomial.from_terms(ctx, pairs))
+    nonzero = polynomials.filter(lambda f: not f.is_zero)
+    divisors = draw(st.lists(nonzero, min_size=1, max_size=6))
+    # 3 is a unit over Q, GF(2) and GF(7).
+    for _ in range(draw(st.integers(0, 2))):
+        twin = Polynomial.from_terms(ctx, [(3, draw(st.sampled_from(divisors)).lm())])
+        divisors.insert(draw(st.integers(0, len(divisors))), twin)
+    if draw(st.booleans()):
+        constant = Polynomial.from_terms(ctx, [(3, Monomial.one())])
+        divisors.insert(draw(st.integers(0, len(divisors))), constant)
+    dividends = draw(st.lists(polynomials, min_size=2, max_size=3))
+    return ctx, divisors, dividends, draw(nonzero)
+
+
+class TestDivisorIndex:
+    """The bucketed divisor search returns the smallest dividing position,
+    as the linear scan kept in tests/helpers.py does, so quotients and
+    remainders modulo any divisor list stay those of `reference_divide`."""
+
+    @settings(max_examples=150)
+    @given(case=index_cases())
+    def test_search_matches_the_linear_scan(self, case):
+        ctx, divisors, dividends, extra = case
+        table = DivisorTable(ctx, divisors)
+        with checked_search():
+            for step, f in enumerate(dividends):
+                if step == 1:
+                    divisors = [*divisors, extra]
+                    table.append(extra)
+                assert divide(f, table) == helpers.reference_divide(f, divisors)
+                for g in (f, *divisors):
+                    for _, m in g.terms:
+                        x = table._packed(m)
+                        assert table._first_divisor(x) == (
+                            helpers.reference_first_divisor(table, x)
+                        )
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_constant_lead_at_any_position(self, position):
+        divisors = [poly("x1^2 - x2"), poly("x3 - x1"), poly("x2*x5 + x4")]
+        divisors.insert(position, poly("5"))
+        table = DivisorTable(HARL, divisors)
+        f = poly("x1^3*x2 + x2*x5*x7 - x3^2 + 2")
+        with checked_search() as searches:
+            assert divide(f, table) == helpers.reference_divide(f, divisors)
+            assert table.is_interreduced() is False
+        assert position in {p for p, _ in searches}
+
+    def test_family_f_searches_test_few_leads(self, monkeypatch):
+        # A lead test is `with_guards - lead`: packed exponents become an
+        # int whose reflected subtraction counts while a search runs.  On
+        # this window the linear scan made about 20 tests per search.
+        searching, tests, searches = [False], [0], [0]
+
+        class Lead(int):
+            def __rsub__(self, other):
+                tests[0] += searching[0]
+                return int.__sub__(other, self)
+
+        packed, search = DivisorTable._packed, DivisorTable._first_divisor
+
+        def counted(self, x):
+            searching[0] = True
+            searches[0] += 1
+            try:
+                return search(self, x)
+            finally:
+                searching[0] = False
+
+        monkeypatch.setattr(
+            DivisorTable, "_packed", lambda self, m: Lead(packed(self, m))
+        )
+        monkeypatch.setattr(DivisorTable, "_first_divisor", counted)
+        window = TruncationWindow(30, 60)
+        gens = helpers.family_f(HARL).instantiate(window)
+        basis = reduce_basis(buchberger_truncated(gens, window, context=HARL))
+        assert verify_buchberger(basis)
+        assert searches[0] > 5000
+        assert tests[0] <= 8 * searches[0]
+
+    def test_plex_division_that_widens_midway(self):
+        # x2^8 -> x1^40: the fields sized for x2^8 overflow at x1^20, the
+        # layout widens and the division starts again on the new buckets.
+        divisors = [poly("x2 - x1^5", PLEX), poly("x3*x2 - x1", PLEX)]
+        table = DivisorTable(PLEX, divisors)
+        f = poly("x2^8 + x3^2*x2^3", PLEX)
+        with checked_search() as searches:
+            assert divide(f, table) == helpers.reference_divide(f, divisors)
+            widths = [width for _, width in searches]
+            assert len(set(widths)) == 2 and widths == sorted(widths)
+            divisors.append(poly("x1^7 - x3", PLEX))
+            table.append(divisors[-1])
+            assert divide(f, table) == helpers.reference_divide(f, divisors)
+
+
 def spair_expected(divisors, i, j):
     """The remainder of the S-polynomial built by `s_polynomial`, by the
     kernel on a fresh table and by `reference_divide`, which must agree."""
@@ -341,10 +482,6 @@ def spair_expected(divisors, i, j):
     expected = helpers.reference_divide(s, divisors).remainder
     assert remainder(s, divisors) == expected
     return expected
-
-
-def spair_lcm(divisors, i, j):
-    return divisors[i].lm().lcm(divisors[j].lm())
 
 
 class TestSpairRemainder:
@@ -376,9 +513,8 @@ class TestSpairRemainder:
                     table.append(divisors[-1])
                 for j in range(len(divisors)):
                     for i in range(j):
-                        lcm = spair_lcm(divisors, i, j)
                         expected = spair_expected(divisors, i, j)
-                        assert table.spair_remainder(i, j, lcm) == expected
+                        assert table.spair_remainder(i, j) == expected
                         if divisors[i].lm().coprime(divisors[j].lm()):
                             seen["coprime"] += 1
                         if divisors[i].lc() != ctx.one:
@@ -397,7 +533,7 @@ class TestSpairRemainder:
             parse_polynomial("x2^2 - x1*x3", ctx),
         ]
         table = DivisorTable(ctx, divisors)
-        result = table.spair_remainder(0, 1, spair_lcm(divisors, 0, 1))
+        result = table.spair_remainder(0, 1)
         assert result == spair_expected(divisors, 0, 1)
         assert result == parse_polynomial("x1*x3 - x1^4", ctx)
 
@@ -409,7 +545,7 @@ class TestSpairRemainder:
             parse_polynomial("2*x2^2*x3 - x3", PLEX),
         ]
         table = DivisorTable(PLEX, divisors)
-        result = table.spair_remainder(0, 1, spair_lcm(divisors, 0, 1))
+        result = table.spair_remainder(0, 1)
         assert result == spair_expected(divisors, 0, 1)
         assert result == parse_polynomial("-x1^10*x3 + 1/2*x3", PLEX)
 
@@ -417,8 +553,39 @@ class TestSpairRemainder:
         ctx = RingContext(OrderKind.HOM_REV_LEX)
         divisors = [poly("x1*x2 - x1^3", ctx), poly("x2 - x1^2", ctx)]
         table = DivisorTable(ctx, divisors)
-        assert table.spair_remainder(0, 1, spair_lcm(divisors, 0, 1)).is_zero
+        assert table.spair_remainder(0, 1).is_zero
         assert s_polynomial(divisors[0], divisors[1]).is_zero
+
+
+class TestPackedPairs:
+    """The packed lcm and gcd of two leading monomials, and the lcm degree
+    read from them, against `Monomial` arithmetic."""
+
+    @given(
+        a=helpers.monomials(max_index=200, max_exponent=9),
+        b=helpers.monomials(max_index=200, max_exponent=9),
+        order=st.sampled_from(helpers.ALL_ORDERS),
+        overrides=st.dictionaries(
+            st.integers(1, 200), st.integers(1, 6), max_size=3
+        ),
+    )
+    def test_lcm_gcd_and_degree(self, a, b, order, overrides):
+        ctx = RingContext(order, WeightedAlphabet.with_weights(overrides))
+        table = DivisorTable(
+            ctx, [Polynomial.from_terms(ctx, [(1, m)]) for m in (a, b)]
+        )
+        lcm = a.lcm(b)
+        mine, other = dict(a.exps), dict(b.exps)
+        gcd = Monomial.from_pairs(
+            (i, min(e, other[i])) for i, e in mine.items() if i in other
+        )
+        degree = lcm.degree(ctx.weights)
+        for i, j in ((0, 1), (1, 0)):
+            packed_lcm, packed_gcd = table._lcm_and_gcd(i, j)
+            assert packed_lcm == table._packed(lcm)
+            assert packed_gcd == table._packed(gcd)
+            assert table.spair_degree(i, j) == (degree, a.coprime(b))
+            assert table._order_key(packed_lcm, degree) == table._key(lcm)
 
 
 class TestRationalCoefficients:
@@ -453,8 +620,7 @@ class TestRationalCoefficients:
                     s = s_polynomial(divisors[i], divisors[j])
                     expected = helpers.reference_divide(s, divisors).remainder
                     assert remainder(s, table) == expected
-                    lcm = spair_lcm(divisors, i, j)
-                    assert table.spair_remainder(i, j, lcm) == expected
+                    assert table.spair_remainder(i, j) == expected
                     seen["zero spair" if expected.is_zero else "nonzero spair"] += 1
             if field is None:
                 for g in divisors:
@@ -504,7 +670,7 @@ class TestRationalCoefficients:
         assert divide(f, divisors) == helpers.reference_divide(f, divisors)
         table = DivisorTable(ctx, divisors)
         expected = remainder(s_polynomial(*divisors), divisors)
-        assert table.spair_remainder(0, 1, spair_lcm(divisors, 0, 1)) == expected
+        assert table.spair_remainder(0, 1) == expected
         assert len(calls) == 3
 
 

@@ -293,6 +293,42 @@ class TestVerifyBuchberger:
         assert not verify_buchberger(claimed)
         assert verify_buchberger(buchberger_truncated(gens, window, context=context))
 
+    @pytest.mark.parametrize(
+        "weights, degree_bound",
+        [(DEFAULT_WEIGHTS, 24), (WeightedAlphabet.with_weights({4: 3, 9: 6}), 16)],
+        ids=["d_i=i", "overrides"],
+    )
+    def test_reduces_exactly_the_in_window_pairs(
+        self, weights, degree_bound, monkeypatch
+    ):
+        # Criterion-free: every pair whose lcm degree, computed here with
+        # Monomial arithmetic, is within the bound is reduced, coprime or
+        # not, and no other pair is.
+        context = RingContext(OrderKind.HOM_ANTI_REV_LEX, weights)
+        window = TruncationWindow(12, degree_bound)
+        basis = reduce_basis(buchberger_truncated(
+            helpers.family_f(context).instantiate(window), window, context=context
+        ))
+        reduced = []
+        real = DivisorTable.spair_remainder
+
+        def spy(self, i, j):
+            reduced.append((i, j))
+            return real(self, i, j)
+
+        monkeypatch.setattr(DivisorTable, "spair_remainder", spy)
+        assert verify_buchberger(basis)
+        leads = basis.leading_monomials()
+        expected = [
+            (i, j)
+            for j in range(len(leads))
+            for i in range(j)
+            if leads[i].lcm(leads[j]).degree(weights) <= window.degree_bound
+        ]
+        assert reduced == expected
+        coprime = [(i, j) for i, j in expected if leads[i].coprime(leads[j])]
+        assert 0 < len(coprime) < len(expected) < len(leads) * (len(leads) - 1) // 2
+
 
 class TestReducedSetAgainstReference:
     """The packed reduced-set test equals the monomial loop kept in

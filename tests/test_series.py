@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 from infinigb import index_sets
@@ -75,6 +77,29 @@ class TestArithmetic:
     def test_times_power(self):
         s = TruncatedSeries((1, 2, 3))
         assert s.times_power(1).coefficients == (0, 1, 2)
+
+    @given(
+        coefficients=st.lists(st.integers(-50, 50), min_size=1, max_size=30),
+        gap=st.integers(1, 35),
+    )
+    def test_one_minus_power_factors_match_the_dense_product(
+        self, coefficients, gap
+    ):
+        # The O(N) recurrences against the dense product, which stays the
+        # oracle; a gap beyond the truncation leaves the series unchanged.
+        s = TruncatedSeries(coefficients)
+        N = s.truncation
+        assert s.times_one_minus_power(gap) == s * one_minus_power(gap, N)
+        assert s.over_one_minus_power(gap) == s * TruncatedSeries.geometric(gap, N)
+        assert s.times_one_minus_power(gap).over_one_minus_power(gap) == s
+        assert s.times_one_minus_power(0) == TruncatedSeries.zero(N)
+
+    def test_one_minus_power_factors_refuse_bad_gaps(self):
+        s = TruncatedSeries((1, 2, 3))
+        with pytest.raises(ValueError):
+            s.times_one_minus_power(-1)
+        with pytest.raises(ValueError):
+            s.over_one_minus_power(0)
 
     def test_integer_coefficients_enforced(self):
         from fractions import Fraction
