@@ -149,6 +149,12 @@ def _read_generators(path, context):
 # steps and has a quotient of e terms.
 DIVIDE_EXPONENT_CAP = 1000
 
+# The largest series truncation --N that `identities` and `hilbert` accept.
+# Their work grows about like N^2 with coefficients of N^(1/2) digits: at
+# N = 2000, `identities --schur --rr` takes about 2 s and `hilbert --W all
+# --p 2` about 1 s on one core of a shared 2-vCPU x86-64 host.
+SERIES_TRUNCATION_CAP = 2000
+
 
 def _check_exponents(polynomials, source):
     for f in polynomials:
@@ -471,6 +477,12 @@ def _check_numbers(args):
         if value is not None and value < least:
             bound = "non-negative" if least == 0 else f"at least {least}"
             raise InputError(f"--{name}: {what} must be {bound}, got {value}")
+    capped = args.handler in (cmd_hilbert, cmd_identities)
+    if capped and args.N > SERIES_TRUNCATION_CAP:
+        raise InputError(
+            f"--N: {args.N} is above the series truncation cap "
+            f"{SERIES_TRUNCATION_CAP}"
+        )
 
 
 def main(argv=None):

@@ -319,7 +319,7 @@ class DivisorTable:
             record,
         )
 
-    def spair_remainder(self, i, j):
+    def spair_remainder(self, i, j, degree=None):
         """The remainder modulo the table of the S-polynomial of divisors
         i and j.
 
@@ -327,11 +327,14 @@ class DivisorTable:
         packed tails go straight into the work dict, so no S-polynomial
         is built.  The S-polynomial's monomials have weighted degree at
         most that of the leads' lcm; under `plex` its exponents are
-        bounded by an exponent of the lcm plus one of g_i or g_j.
+        bounded by an exponent of the lcm plus one of g_i or g_j.  A
+        caller that has the lcm degree from `spair_degree` passes it as
+        `degree`, so it is not taken again.
         """
-        degree = 0
         if self._homogeneous:
-            need = degree = self.spair_degree(i, j)[0]
+            if degree is None:
+                degree = self.spair_degree(i, j)[0]
+            need = degree
         else:
             g_i, g_j = self.divisors[i], self.divisors[j]
             need = max(

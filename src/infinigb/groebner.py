@@ -192,8 +192,8 @@ def _complete(start, gens, window, context):
         pair_up(j)
 
     while queue:
-        _, i, j = heapq.heappop(queue)
-        r = table.spair_remainder(i, j)
+        lcm_degree, i, j = heapq.heappop(queue)
+        r = table.spair_remainder(i, j, lcm_degree)
         if r.is_zero:
             continue
         if not window.admits(r):
@@ -243,9 +243,10 @@ def verify_buchberger(basis):
     table = _sized_table(basis.context, basis.elements, bound)
     for j in range(len(basis.elements)):
         for i in range(j):
-            if table.spair_degree(i, j)[0] > bound:
+            lcm_degree = table.spair_degree(i, j)[0]
+            if lcm_degree > bound:
                 continue
-            if not table.spair_remainder(i, j).is_zero:
+            if not table.spair_remainder(i, j, lcm_degree).is_zero:
                 return False
     return True
 
@@ -419,23 +420,29 @@ def _window_bases(presentation, windows):
     then no remainder leaves the window and the previous base is a
     Groebner base of the new window's degrees for its own ideal, so the
     completion is one of the new ideal and its reduced base is the unique
-    one.  Any other window is completed from scratch.
+    one.  A carried window that instantiates no new generator keeps the
+    previous base as it is.  Any other window is completed from scratch.
     """
     context = presentation.context
     previous = seen = None
     for window in windows:
         gens = presentation.instantiate(window)
-        start, new = (), gens
-        if (
+        carried = (
             previous is not None
             and previous.window.degree_bound == window.degree_bound
             and context.order.homogeneous
             and all(g.is_homogeneous() for g in gens)
             and seen.issubset(gens)
-        ):
-            start = previous.elements
-            new = [g for g in gens if g not in seen]
-        previous = reduce_basis(_complete(start, new, window, context))
+        )
+        new = [g for g in gens if g not in seen] if carried else gens
+        if carried and not new:
+            # The completion would form no pair and keep the base as it is.
+            previous = GroebnerBasis(
+                context, previous.elements, window, Certificate.BUCHBERGER_VERIFIED
+            )
+        else:
+            start = previous.elements if carried else ()
+            previous = reduce_basis(_complete(start, new, window, context))
         seen = set(gens)
         yield previous
 

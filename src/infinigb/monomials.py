@@ -14,6 +14,7 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import cache
+from operator import add, sub
 
 from .errors import InputError, ParseError
 
@@ -314,6 +315,23 @@ def _admissible(weights, bound, variables):
     return [i for i in indices if variables is None or i in variables]
 
 
+def _lead_buckets(indices, leads):
+    """Per position of `indices` (increasing), the leads decided there, at
+    the smallest variable of their support, each as (its exponent there,
+    its later (position, exponent)s).  A lead on a variable outside
+    `indices` divides nothing on them and is left out; the caller handles a
+    lead 1."""
+    position = {index: k for k, index in enumerate(indices)}
+    buckets = [[] for _ in indices]
+    for lead in leads:
+        if all(i in position for i, _ in lead.exps):
+            (first, need), *rest = lead.exps
+            buckets[position[first]].append(
+                (need, [(position[i], e) for i, e in rest])
+            )
+    return buckets
+
+
 def _walk(indices, weights, bound, leads=()):
     """The exponent vectors on `indices` (increasing) of weighted degree at
     most `bound` that no monomial of `leads` divides, by an odometer that
@@ -330,15 +348,7 @@ def _walk(indices, weights, bound, leads=()):
         yield [], range(1)
         return
     steps = [weights.weight(i) for i in indices]
-    position = {index: k for k, index in enumerate(indices)}
-    # Per position: (lead exponent there, the lead's later (position, exponent)s).
-    buckets = [[] for _ in indices]
-    for lead in leads:
-        if all(i in position for i, _ in lead.exps):
-            (first, need), *rest = lead.exps
-            buckets[position[first]].append(
-                (need, [(position[i], e) for i, e in rest])
-            )
+    buckets = _lead_buckets(indices, leads)
     exponents = [0] * n
     tops = [0] * n
     spent = [0] * (n + 1)  # spent[k]: weighted degree of positions >= k
@@ -381,17 +391,120 @@ def _pairs_of_degree(indices, weights, degree, leads=()):
 
 def _counts_up_to(indices, weights, bound, leads=()):
     """How many vectors `_walk` visits in each weighted degree 0..bound,
-    without building them: each run marks where its degrees start and
-    stop, and a running sum with the runs' common stride adds them up."""
-    counts, stride = [0] * (bound + 1), 1
-    for _, degrees in _walk(indices, weights, bound, leads):
-        stride = degrees.step
-        counts[degrees.start] += 1
-        if degrees.stop <= bound:
-            counts[degrees.stop] -= 1
-    for d in range(stride, bound + 1):
-        counts[d] += counts[d - stride]
-    return counts
+    counted by a transfer-matrix dynamic program (Stanley, EC1 4.7) that
+    visits none of them.
+
+    Like the walk it fixes positions from the largest variable down and
+    caps each exponent by the walk's rule.  A state is what a later lead
+    decided at a position not yet fixed can still read: the exponents at
+    the positions `_watched` names, each capped at the largest exponent a
+    lead asks there.  Each state keeps one count per degree.  At a
+    position, the exponents that lead to one next state form a run, added
+    at once from sums over the position's stride, so a count costs
+    O(positions * states * bound) however many vectors there are.
+    """
+    if bound < 0:
+        return []
+    length = bound + 1
+    if any(lead.is_one for lead in leads):
+        return [0] * length
+    buckets = _lead_buckets(indices, leads)
+    watched = _watched(buckets)
+    # state -> (least degree with a nonzero count, counts by degree)
+    states = {(): (0, [1] + [0] * bound)}
+    for k in reversed(range(len(indices))):
+        step = weights.weight(indices[k])
+        before, after = watched[k + 1], watched[k]
+        slot = {j: s for s, (j, _) in enumerate(before)}
+        tests = [(need, [(slot[j], e) for j, e in rest]) for need, rest in buckets[k]]
+        own = after[0][1] if after and after[0][0] == k else 0
+        if after == before:
+            # Every state stays itself; only the ones that may use the
+            # position change, so a position fixed at 0 costs nothing.
+            for key, (low, counts) in list(states.items()):
+                top = _top(key, tests, (bound - low) // step)
+                if top:
+                    sums = _stride_sums(counts, step)
+                    states[key] = (low, _window(sums, low, step, 0, top))
+            continue
+        keep = [(slot[j], cap) for j, cap in after[1 if own else 0 :]]
+        following = {}
+        for key, (low, counts) in states.items():
+            top = _top(key, tests, (bound - low) // step)
+            base = tuple(key[s] if key[s] < cap else cap for s, cap in keep)
+            if not own:
+                runs = ((base, 0, top),)
+            else:
+                runs = [((e,) + base, e, e) for e in range(min(own, top + 1))]
+                if top >= own:
+                    runs.append(((own,) + base, own, top))
+            sums = None
+            for state, first, last in runs:
+                shift = first * step
+                if first == last:
+                    moved = [0] * shift + counts[: length - shift] if shift else counts
+                else:
+                    if sums is None:
+                        sums = _stride_sums(counts, step)
+                    moved = _window(sums, low, step, first, last)
+                entry = following.get(state)
+                if entry is None:
+                    following[state] = (low + shift, moved)
+                else:
+                    following[state] = (
+                        min(entry[0], low + shift),
+                        list(map(add, entry[1], moved)),
+                    )
+        states = following
+    return list(states[()][1])
+
+
+def _watched(buckets):
+    """Per k in 0..len(buckets): the (position, cap) pairs, by increasing
+    position, of the exponents a state holds once positions k and above
+    are fixed; position j is read by a lead decided at p < k with j >= k,
+    and its cap is the largest exponent such leads ask at j."""
+    watched = [{} for _ in range(len(buckets) + 1)]
+    for p, bucket in enumerate(buckets):
+        for _, rest in bucket:
+            for j, e in rest:
+                for k in range(p + 1, j + 1):
+                    if watched[k].get(j, 0) < e:
+                        watched[k][j] = e
+    return [sorted(w.items()) for w in watched]
+
+
+def _top(key, tests, top):
+    """The walk's cap on an exponent: the budget `top`, lowered below each
+    lead decided here whose later exponents the state `key` meets."""
+    for need, rest in tests:
+        if need <= top:
+            for s, e in rest:
+                if key[s] < e:
+                    break
+            else:
+                top = need - 1
+    return top
+
+
+def _stride_sums(counts, step):
+    """sums[d] = counts[d] + counts[d - step] + counts[d - 2 step] + ..."""
+    sums = counts[:step]
+    for start in range(step, len(counts), step):
+        sums += map(add, counts[start : start + step], sums[start - step : start])
+    return sums
+
+
+def _window(sums, low, step, first, last):
+    """moved[d] = counts[d - first step] + ... + counts[d - last step],
+    from the stride sums of counts, which are zero below `low`."""
+    length = len(sums)
+    shift = first * step
+    moved = [0] * shift + sums[: length - shift]
+    stop = (last + 1) * step
+    if low + stop < length:
+        moved[stop:] = map(sub, moved[stop:], sums[: length - stop])
+    return moved
 
 
 def format_monomial(m):

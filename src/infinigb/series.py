@@ -151,8 +151,10 @@ def ambient_series(weights, variables, truncation):
 def quotient_series_from_standard_monomials(basis, truncation, *, variables=None):
     """Hilbert series of the quotient by the span of a homogeneous base,
     computed by counting its standard monomials in every degree up to the
-    truncation in one walk; equals the series of the quotient by the
-    leading-term ideal."""
+    truncation at once, by the transfer-matrix count of
+    `monomials._counts_up_to` over the leading monomials, which builds no
+    monomial; equals the series of the quotient by the leading-term
+    ideal."""
     return TruncatedSeries(
         _counts_up_to(*_standard_walk(basis, truncation, variables))
     )

@@ -27,6 +27,7 @@ from infinigb.monomials import (
     Monomial,
     OrderKind,
     WeightedAlphabet,
+    _walk,
     sort_key,
 )
 from infinigb.partitions import FamilySpec, enumerate_family
@@ -424,6 +425,22 @@ def reference_standard_monomials(basis, degree, variables=None):
 
     descend(len(indices) - 1, degree)
     return out
+
+
+def reference_counts_up_to(indices, weights, bound, leads=()):
+    """The oracle for `infinigb.monomials._counts_up_to`, the counting walk
+    it replaced: how many vectors `_walk` visits in each weighted degree
+    0..bound.  Each run marks where its degrees start and stop, and a
+    running sum with the runs' common stride adds them up."""
+    counts, stride = [0] * (bound + 1), 1
+    for _, degrees in _walk(indices, weights, bound, leads):
+        stride = degrees.step
+        counts[degrees.start] += 1
+        if degrees.stop <= bound:
+            counts[degrees.stop] -= 1
+    for d in range(stride, bound + 1):
+        counts[d] += counts[d - stride]
+    return counts
 
 
 def reference_enumerate_family(spec, n):

@@ -326,6 +326,35 @@ class TestIdentities:
         code, _, err = run(capsys, "identities", "--N", "8")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("identities", "--schur", "--rr"),
+            ("hilbert", "--preset", "schur-p3"),
+            ("hilbert", "--W", "all", "--p", "2"),
+        ],
+        ids=" ".join,
+    )
+    def test_truncation_above_the_cap_is_a_usage_error(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        cap = cli.SERIES_TRUNCATION_CAP
+        for N in (cap + 1, 10**20):
+            start = time.monotonic()
+            code, out, err = run(capsys, *argv, "--N", str(N))
+            assert time.monotonic() - start < 1
+            assert code == 2 and out == ""
+            assert f"series truncation cap {cap}" in err
+        # The cap is inclusive, on the flag and in a config file alike.
+        monkeypatch.setattr(cli, "SERIES_TRUNCATION_CAP", 12)
+        code, out, _ = run(capsys, *argv, "--N", "12")
+        assert code == 0 and out
+        config = tmp_path / "run.toml"
+        config.write_text("N = 13\n")
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert code == 2 and out == ""
+        assert "series truncation cap 12" in err
+
     @pytest.mark.parametrize("flag", ["--schur", "--rr"])
     def test_negative_truncation_is_a_usage_error(self, capsys, flag):
         code, out, err = run(capsys, "identities", flag, "--N", "-1")

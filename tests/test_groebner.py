@@ -310,11 +310,13 @@ class TestVerifyBuchberger:
             helpers.family_f(context).instantiate(window), window, context=context
         ))
         reduced = []
+        degrees = []
         real = DivisorTable.spair_remainder
 
-        def spy(self, i, j):
+        def spy(self, i, j, degree=None):
             reduced.append((i, j))
-            return real(self, i, j)
+            degrees.append(degree)
+            return real(self, i, j, degree)
 
         monkeypatch.setattr(DivisorTable, "spair_remainder", spy)
         assert verify_buchberger(basis)
@@ -326,6 +328,10 @@ class TestVerifyBuchberger:
             if leads[i].lcm(leads[j]).degree(weights) <= window.degree_bound
         ]
         assert reduced == expected
+        # Each pair gets the lcm degree the window test read.
+        assert degrees == [
+            leads[i].lcm(leads[j]).degree(weights) for i, j in expected
+        ]
         coprime = [(i, j) for i, j in expected if leads[i].coprime(leads[j])]
         assert 0 < len(coprime) < len(expected) < len(leads) * (len(leads) - 1) // 2
 
@@ -769,6 +775,14 @@ class TestIncrementalWindows:
         scan = stabilized_reduced_basis(helpers.family_f(HARL), 30, 60)
         assert scan.history == FAMILY_F_HISTORY_30_60
 
+    def test_windows_without_new_generators_complete_nothing(self, monkeypatch):
+        # Window n instantiates Family F's generators i <= (n - 1) / 2, so
+        # only the first window and the odd n from 3 on are completed.
+        starts = spy_starts(monkeypatch)
+        scan = stabilized_reduced_basis(helpers.family_f(HARL), 30, 60)
+        assert scan.history == FAMILY_F_HISTORY_30_60
+        assert len(starts) == 15
+
     @pytest.mark.parametrize("case", list(CARRIED_SCANS))
     def test_carried_bases_equal_scratch_bases_at_every_n(self, case, monkeypatch):
         pres, max_n, bound = CARRIED_SCANS[case]()
@@ -777,9 +791,17 @@ class TestIncrementalWindows:
         starts = spy_starts(monkeypatch)
         carried = list(groebner._window_bases(pres, windows))
         assert [b.elements for b in carried] == [b.elements for b in reference]
+        assert [(b.window, b.certificate) for b in carried] == [
+            (b.window, b.certificate) for b in reference
+        ]
         assert all(b.reduced for b in carried)
-        # Every window after the first starts from its predecessor's base.
-        assert starts == [0] + [len(b.elements) for b in reference[:-1]]
+        # Every window after the first that instantiates a new generator
+        # starts from its predecessor's base; the others complete nothing.
+        gens = [set(pres.instantiate(w)) for w in windows]
+        grows = [bool(now - old) for old, now in zip(gens, gens[1:])]
+        assert starts == [0] + [
+            len(b.elements) for b, grew in zip(reference, grows) if grew
+        ]
         assert_scan_matches(
             stabilized_reduced_basis(pres, max_n, bound), reference, max_n
         )

@@ -5,11 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from infinigb import index_sets
+from infinigb import cli, index_sets, monomials, partitions
+from infinigb.division import _standard_walk
 from infinigb.errors import CertificationError, HomogeneityError
 from infinigb.groebner import (
     Certificate,
@@ -17,8 +18,17 @@ from infinigb.groebner import (
     IdealPresentation,
     TruncationWindow,
     bayer_stillman_basis,
+    buchberger_truncated,
+    reduce_basis,
 )
-from infinigb.monomials import DEFAULT_WEIGHTS, OrderKind, WeightedAlphabet
+from infinigb.monomials import (
+    DEFAULT_WEIGHTS,
+    Monomial,
+    OrderKind,
+    WeightedAlphabet,
+    _counts_up_to,
+    parse_monomial,
+)
 from infinigb.partitions import enumerate_family, FamilySpec, partition_counts_up_to
 from infinigb.polynomials import RingContext, parse_polynomial
 from infinigb.series import (
@@ -214,6 +224,103 @@ class TestQuotient:
         basis = bayer_stillman_basis([poly(text, context)])
         with pytest.raises(HomogeneityError):
             quotient_series_from_standard_monomials(basis, 4)
+
+
+def assert_counts_match_the_walk(walk):
+    assert _counts_up_to(*walk) == helpers.reference_counts_up_to(*walk)
+
+
+class TestCountsUpTo:
+    """`monomials._counts_up_to`, the transfer-matrix count, against the
+    walk that counted before it (`helpers.reference_counts_up_to`).  For
+    pure-power ideals the count factors like the product columns, so the
+    walk is the oracle here, never the product code."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        overrides=st.dictionaries(
+            st.integers(1, 14), st.integers(1, 5), max_size=3
+        ),
+        variables=st.sets(st.integers(1, 14), max_size=7),
+        leads=st.lists(
+            helpers.monomials(max_index=14, max_exponent=4), max_size=6
+        ),
+        bound=st.integers(0, 60),
+    )
+    @example(overrides={}, variables={1, 2, 3}, leads=[Monomial.one()], bound=9)
+    @example(overrides={}, variables={1, 2, 3}, leads=[], bound=0)
+    @example(overrides={}, variables=set(), leads=[Monomial.variable(1)], bound=7)
+    @example(overrides={2: 1}, variables={2}, leads=[], bound=-1)
+    def test_matches_the_walk(self, overrides, variables, leads, bound):
+        weights = WeightedAlphabet.with_weights(overrides)
+        indices = [
+            i for i in weights.indices_with_weight_at_most(bound) if i in variables
+        ]
+        assert_counts_match_the_walk((indices, weights, bound, leads))
+
+    @pytest.mark.parametrize(
+        "overrides, leads",
+        [
+            ({}, ["x1^2"]),
+            ({}, ["x1^3", "x2^2"]),
+            ({3: 1}, ["x1*x2", "x2^3", "x3^2"]),
+            ({2: 3}, ["x1^2*x3", "x2*x3^2", "x1*x4"]),
+        ],
+    )
+    def test_every_bound_of_small_ideals(self, overrides, leads):
+        # A lead that cuts a run ending exactly at the bound is easy for
+        # random bounds to miss.
+        weights = WeightedAlphabet.with_weights(overrides)
+        leads = [parse_monomial(text) for text in leads]
+        for bound in range(17):
+            indices = [
+                i for i in weights.indices_with_weight_at_most(bound) if i <= 4
+            ]
+            assert_counts_match_the_walk((indices, weights, bound, leads))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rng=st.randoms(use_true_random=False),
+        variables=st.sets(st.integers(1, 14), max_size=8),
+        bound=st.integers(0, 60),
+    )
+    def test_random_monomial_ideals(self, rng, variables, bound):
+        basis = helpers.random_monomial_ideal(
+            rng, max_var=rng.randint(1, 8), max_leads=8
+        )
+        assert_counts_match_the_walk(_standard_walk(basis, bound, variables))
+
+    @pytest.mark.parametrize("name", ["A", "B", "C", "P", "Q"])
+    def test_partition_families_at_60(self, name):
+        assert_counts_match_the_walk(FamilySpec.preset(name)._standard_walk(60))
+
+    @pytest.mark.parametrize("preset", ["schur-p2", "schur-p3"])
+    def test_hilbert_presets_at_60(self, preset):
+        pres = cli._family_presentation("harevlex", *cli._HILBERT_PRESETS[preset])
+        window = TruncationWindow(60, 60)
+        basis = bayer_stillman_basis(
+            pres.instantiate(window), window=window, context=pres.context
+        )
+        assert_counts_match_the_walk(_standard_walk(basis, 60, pres.variables))
+
+    def test_family_f_leading_ideal_at_30_60(self):
+        # Leads such as x_i*x_j*x_k with far-apart indices keep several
+        # later exponents in each state.
+        window = TruncationWindow(30, 60)
+        basis = reduce_basis(buchberger_truncated(
+            helpers.family_f(HARL).instantiate(window), window, context=HARL
+        ))
+        for variables in (None, range(1, 31)):
+            assert_counts_match_the_walk(_standard_walk(basis, 60, variables))
+
+    def test_no_vector_is_walked(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the count walked")
+
+        monkeypatch.setattr(monomials, "_walk", refuse)
+        assert partitions.schur_identity_check(30)["equal"]
+        assert partitions.rr_identity_check(30)["equal"]
+        assert partition_counts_up_to(5) == [1, 1, 2, 3, 5, 7]
 
 
 class TestRegularSequenceRoute:
