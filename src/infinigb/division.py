@@ -319,21 +319,18 @@ class DivisorTable:
             record,
         )
 
-    def spair_remainder(self, i, j, degree=None):
+    def spair_remainder(self, i, j, degree):
         """The remainder modulo the table of the S-polynomial of divisors
-        i and j.
+        i and j, whose leads' lcm has weighted degree `degree`, as
+        `spair_degree(i, j)` gives it.
 
         Equals `remainder(s_polynomial(g_i, g_j), table)`, but the two
         packed tails go straight into the work dict, so no S-polynomial
         is built.  The S-polynomial's monomials have weighted degree at
         most that of the leads' lcm; under `plex` its exponents are
-        bounded by an exponent of the lcm plus one of g_i or g_j.  A
-        caller that has the lcm degree from `spair_degree` passes it as
-        `degree`, so it is not taken again.
+        bounded by an exponent of the lcm plus one of g_i or g_j.
         """
         if self._homogeneous:
-            if degree is None:
-                degree = self.spair_degree(i, j)[0]
             need = degree
         else:
             g_i, g_j = self.divisors[i], self.divisors[j]

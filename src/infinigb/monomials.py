@@ -418,15 +418,6 @@ def _counts_up_to(indices, weights, bound, leads=()):
         slot = {j: s for s, (j, _) in enumerate(before)}
         tests = [(need, [(slot[j], e) for j, e in rest]) for need, rest in buckets[k]]
         own = after[0][1] if after and after[0][0] == k else 0
-        if after == before:
-            # Every state stays itself; only the ones that may use the
-            # position change, so a position fixed at 0 costs nothing.
-            for key, (low, counts) in list(states.items()):
-                top = _top(key, tests, (bound - low) // step)
-                if top:
-                    sums = _stride_sums(counts, step)
-                    states[key] = (low, _window(sums, low, step, 0, top))
-            continue
         keep = [(slot[j], cap) for j, cap in after[1 if own else 0 :]]
         following = {}
         for key, (low, counts) in states.items():
@@ -442,6 +433,7 @@ def _counts_up_to(indices, weights, bound, leads=()):
             for state, first, last in runs:
                 shift = first * step
                 if first == last:
+                    # A position fixed at 0 passes its counts on uncopied.
                     moved = [0] * shift + counts[: length - shift] if shift else counts
                 else:
                     if sums is None:

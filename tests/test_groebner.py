@@ -313,7 +313,7 @@ class TestVerifyBuchberger:
         degrees = []
         real = DivisorTable.spair_remainder
 
-        def spy(self, i, j, degree=None):
+        def spy(self, i, j, degree):
             reduced.append((i, j))
             degrees.append(degree)
             return real(self, i, j, degree)
@@ -771,16 +771,12 @@ def assert_scan_matches(scan, reference, max_n):
 
 
 class TestIncrementalWindows:
-    def test_family_f_history_is_pinned(self):
-        scan = stabilized_reduced_basis(helpers.family_f(HARL), 30, 60)
-        assert scan.history == FAMILY_F_HISTORY_30_60
-
-    def test_windows_without_new_generators_complete_nothing(self, monkeypatch):
-        # Window n instantiates Family F's generators i <= (n - 1) / 2, so
-        # only the first window and the odd n from 3 on are completed.
+    def test_family_f_history_is_pinned(self, monkeypatch):
         starts = spy_starts(monkeypatch)
         scan = stabilized_reduced_basis(helpers.family_f(HARL), 30, 60)
         assert scan.history == FAMILY_F_HISTORY_30_60
+        # Window n instantiates Family F's generators i <= (n - 1) / 2, so
+        # only the first window and the odd n from 3 on are completed.
         assert len(starts) == 15
 
     @pytest.mark.parametrize("case", list(CARRIED_SCANS))
