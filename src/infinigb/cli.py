@@ -485,6 +485,11 @@ def _check_numbers(args):
         )
 
 
+# The value of each option that neither a flag nor the config set, on the
+# commands that have it.
+_DEFAULTS = {"route": "both", "reduced": False, "schur": False, "rr": False}
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -492,18 +497,13 @@ def main(argv=None):
         _apply_config(args, _load_config(args.config), _options(parser, args.command))
         if args.format is None:
             args.format = args.default_format
-        if getattr(args, "route", None) is None and hasattr(args, "route"):
-            args.route = "both"
+        for name, value in _DEFAULTS.items():
+            if getattr(args, name, value) is None:
+                setattr(args, name, value)
         for required in _REQUIRED.get(args.handler, ()):
             if getattr(args, required) is None:
                 raise InputError(f"missing required option --{required}")
         _check_numbers(args)
-        if getattr(args, "reduced", None) is None and hasattr(args, "reduced"):
-            args.reduced = False
-        if getattr(args, "schur", None) is None and hasattr(args, "schur"):
-            args.schur = False
-        if getattr(args, "rr", None) is None and hasattr(args, "rr"):
-            args.rr = False
         return args.handler(args)
     except (InfinigbError, OSError) as error:
         print(f"infinigb: {error}", file=sys.stderr)

@@ -19,8 +19,11 @@ accumulator of sympy's `PolyElement.rem`) with a heap of its keys.
 `divide` and `remainder` share the one loop; only `divide` records
 quotients.  The divisor search scans only the leads whose top variable
 the term uses, bucketed by that variable, and returns the smallest
-dividing position, as a scan over every lead would.  Completion and
-verification reduce S-pairs from two table rows
+dividing position, as a scan over every lead would.  It is the library's
+only test of lead divisibility: `DivisorTable.first_divisor` asks it of a
+`Monomial`, and so interreduction finds its minimal elements, the
+reduced-set test its divisible terms and the filtration its coherence.
+Completion and verification reduce S-pairs from two table rows
 (`DivisorTable.spair_remainder`): the two packed tails, shifted by their
 factor keys, make the work dict, so no S-polynomial is built, and the
 pair's lcm, gcd and lcm degree come from the two packed leads.
@@ -452,6 +455,13 @@ class DivisorTable:
                 quotients.setdefault(position, []).append((c, factor, scale))
         return remainder_terms, quotients, steps
 
+    def first_divisor(self, m):
+        """The smallest position whose leading monomial divides the
+        monomial m, or None; the one lead-divisibility query of the
+        library.  Widens the layout first when m does not fit it."""
+        self._fit(m.max_index(), max((e for _, e in m.exps), default=0))
+        return self._first_divisor(self._packed(m))
+
     def _first_divisor(self, x):
         """The smallest position whose leading monomial divides the packed
         exponents x, or None.
@@ -497,35 +507,6 @@ class DivisorTable:
         pairs = self._polynomial(terms).terms
         return Polynomial(self.context, tuple((c * unit, m) for c, m in pairs))
 
-    def is_interreduced(self):
-        """True when no divisor's leading monomial divides a term of another
-        divisor.
-
-        Each term is tested only against the buckets of the divisor index
-        that its own variables select, so pairwise coprime leads cost about
-        one test per term, not one per lead.
-        """
-        if self._constant != _NO_POSITION:
-            # A constant leading monomial divides every other term.
-            return len(self.divisors) == 1
-        guard, buckets = self._guard, self._buckets
-        ones, bucketed, mask = self._ones, self._bucketed, self._mask
-        flip = self._sign > 0
-        for position, (k_lead, _, tail) in enumerate(self._rows):
-            for k in (k_lead, *(k for _, k in tail)):
-                with_guards = ((-k if flip else k) & mask) | guard
-                used = (with_guards - ones) & bucketed
-                while used:
-                    low = used & -used
-                    used ^= low
-                    for other, lead in buckets[low]:
-                        if (
-                            other != position
-                            and (with_guards - lead) & guard == guard
-                        ):
-                            return False
-        return True
-
 
 def _cleared(terms):
     """The numerators of rational terms over their least common
@@ -548,17 +529,17 @@ def _table(f, divisors):
     return DivisorTable(f.context, divisors)
 
 
-def _sized_table(context, divisors, degree, dividends=()):
+def _sized_table(context, divisors, degree):
     """A table of `divisors` laid out once for the divisions a caller will
     make: of polynomials, or S-pairs of its rows, in the variables of
-    `divisors` and `dividends` and of weighted degree at most `degree`.
+    `divisors` and of weighted degree at most `degree`.
 
     Under a homogeneous order no monomial of such a division exceeds that
     degree, so none widens the layout and packs every row again, as
     growing it per divisor or per division would.
     """
     table = DivisorTable(context)
-    top = max(map(_top_index, (*divisors, *dividends)), default=0)
+    top = max(map(_top_index, divisors), default=0)
     table._fit(top, degree)
     for g in divisors:
         table.append(g)

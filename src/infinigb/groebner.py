@@ -126,14 +126,29 @@ def _canonical_sorted(elements, context):
 
 
 def is_reduced_set(elements):
-    """Monic elements, and no lm divides any term of any other element."""
+    """Monic elements, and no lm divides any term of any other element.
+
+    Sorted by leading monomial, stably and keeping duplicates, a lead that
+    another divides comes after it or equals it, so the later of the two
+    is not its own first divisor in a table of the elements.  No tail term
+    may have a first divisor: it is below its own lead, so only another
+    lead could divide it.
+    """
     elements = list(elements)
     for g in elements:
         if g.is_zero or g.lc() != g.context.one:
             return False
     if not elements:
         return True
-    return DivisorTable(elements[0].context, elements).is_interreduced()
+    context = elements[0].context
+    key = sort_key(context.order, context.weights)
+    ordered = sorted(elements, key=lambda g: key(g.lm()))
+    table = DivisorTable(context, ordered)
+    return all(
+        table.first_divisor(g.lm()) == position
+        and all(table.first_divisor(m) is None for _, m in g.terms[1:])
+        for position, g in enumerate(ordered)
+    )
 
 
 def _generator_context(gens, context):
@@ -254,13 +269,17 @@ def verify_buchberger(basis):
 def reduce_basis(basis):
     """Inter-reduce to a reduced generating set of the same ideal.
 
-    Keeps, made monic, the elements whose leading monomial no other
-    element's leading monomial divides (one per leading monomial).  Every
-    other element must reduce to zero modulo that minimal set; the monic
-    remainder of one that does not joins the set and the selection repeats.
-    Each remainder adds a leading monomial outside the ideal of the old
-    ones, so this ends.  Finally the tail of each kept element is replaced
-    by its remainder modulo the minimal set.  For a Groebner base of the
+    Each round packs the pending elements once, sorted by increasing
+    leading monomial.  An admissible order never puts a divisor after its
+    multiple, so an element is minimal (kept, one per leading monomial)
+    exactly when its lead's first divisor in that table is its own row.
+    The first divisor of any monomial is then a minimal row, so division
+    by the whole table gives the remainders division by the minimal rows
+    would.  Every other element must reduce to zero; the monic remainder
+    of one that does not joins the set and the round repeats.  Each
+    remainder adds a leading monomial outside the ideal of the old ones,
+    so this ends.  Finally the tail of each kept element is replaced by
+    its remainder modulo the same table.  For a Groebner base of the
     window every dropped element reduces to zero, and the result is the
     unique reduced base; a completion that discarded an out-of-window
     remainder is not one, and its discarded generators come back here.
@@ -268,20 +287,18 @@ def reduce_basis(basis):
     context = basis.context
     pending = [g.monic() for g in basis.elements if not g.is_zero]
     while True:
-        minimal = []
-        leads = []
-        dropped = []
-        for g in _canonical_sorted(pending, context):
-            lm = g.lm()
-            if any(m.divides(lm) for m in leads):
-                dropped.append(g)
-            else:
-                minimal.append(g)
-                leads.append(lm)
+        ordered = _canonical_sorted(pending, context)
         degree = max((g.weighted_degree() for g in pending), default=0)
-        table = _sized_table(context, minimal, degree, dropped)
-        extra = [remainder(g, table) for g in dropped]
-        extra = [r.monic() for r in extra if not r.is_zero]
+        table = _sized_table(context, ordered, degree)
+        minimal = []
+        extra = []
+        for position, g in enumerate(ordered):
+            if table.first_divisor(g.lm()) == position:
+                minimal.append(g)
+                continue
+            r = remainder(g, table)
+            if not r.is_zero:
+                extra.append(r.monic())
         if not extra:
             break
         pending = minimal + extra
@@ -489,8 +506,8 @@ def _window_coherent(combined, window_basis, window, variables):
     divisible by a leading monomial of the cut, the union elements whose
     leading monomial lies in k[x1..xn].  Inadmissible w have no admissible
     multiple of degree <= D and are skipped.  A divisor of an admissible w
-    lies in k[x1..xn] itself, so scanning every union leading monomial is
-    the same as scanning the cut.
+    lies in k[x1..xn] itself, so asking a divisor table of the whole union
+    for a first divisor of w is the same as asking one of the cut.
 
     Only containment is checked: a union element can carry a leading
     monomial inside k[x1..xn] while the element itself leaves it, so the cut
@@ -500,14 +517,14 @@ def _window_coherent(combined, window_basis, window, variables):
     context = combined.context
     if not context.order.homogeneous:
         return True
-    leads = combined.leading_monomials()
+    table = DivisorTable(context, combined.elements)
     for w in window_basis.leading_monomials():
         admissible = (
             w.degree(context.weights) <= window.degree_bound
             and w.max_index() <= window.var_bound
             and (variables is None or all(i in variables for i in w.support()))
         )
-        if admissible and not any(c.divides(w) for c in leads):
+        if admissible and table.first_divisor(w) is None:
             return False
     return True
 

@@ -99,7 +99,7 @@ class Monomial:
     the monomial 1.
     """
 
-    __slots__ = ("exps", "_signature")
+    __slots__ = ("exps",)
 
     def __init__(self, exps=()):
         exps = tuple(exps)
@@ -141,24 +141,6 @@ class Monomial:
     def support(self):
         return tuple(i for i, _ in self.exps)
 
-    @property
-    def signature(self):
-        """Support bitmask with indices folded into 64 bits, 1 << (i & 63).
-
-        If self divides b then self.signature & ~b.signature == 0, so a
-        nonzero result rules out divisibility; the converse does not hold.
-        Computed on first use and kept, since divisor leading monomials are
-        tested again on every division by the same basis.
-        """
-        try:
-            return self._signature
-        except AttributeError:
-            bits = 0
-            for index, _ in self.exps:
-                bits |= 1 << (index & 63)
-            self._signature = bits
-            return bits
-
     def max_index(self):
         """Smallest n with self in k[x1..xn]; 0 for the monomial 1."""
         return self.exps[-1][0] if self.exps else 0
@@ -192,8 +174,6 @@ class Monomial:
         return _trusted(tuple(quotient))
 
     def divides(self, other):
-        if self.signature & ~other.signature:
-            return False
         return other.try_divide(self) is not None
 
     def lcm(self, other):

@@ -61,11 +61,11 @@ class TruncatedSeries:
 
     def __add__(self, other):
         bound, a, b = self._common(other)
-        return TruncatedSeries(tuple(a[n] + b[n] for n in range(bound + 1)))
+        return _trusted(tuple(a[n] + b[n] for n in range(bound + 1)))
 
     def __sub__(self, other):
         bound, a, b = self._common(other)
-        return TruncatedSeries(tuple(a[n] - b[n] for n in range(bound + 1)))
+        return _trusted(tuple(a[n] - b[n] for n in range(bound + 1)))
 
     def __mul__(self, other):
         bound, a, b = self._common(other)
@@ -75,7 +75,7 @@ class TruncatedSeries:
                 continue
             for j in range(bound + 1 - i):
                 out[i + j] += a[i] * b[j]
-        return TruncatedSeries(tuple(out))
+        return _trusted(tuple(out))
 
     def mul_unit_inverse(self, other):
         """self / other for a divisor with constant term +-1, which is the
@@ -89,7 +89,7 @@ class TruncatedSeries:
             for k in range(n):
                 acc -= out[k] * b[n - k]
             out[n] = acc * b[0]
-        return TruncatedSeries(tuple(out))
+        return _trusted(tuple(out))
 
     def times_one_minus_power(self, gap):
         """Multiply by 1 - T^gap in O(N): a_n -= a_{n-gap}, n descending."""
@@ -98,7 +98,7 @@ class TruncatedSeries:
         out = list(self.coefficients)
         for n in range(len(out) - 1, gap - 1, -1):
             out[n] -= out[n - gap]
-        return TruncatedSeries(out)
+        return _trusted(tuple(out))
 
     def over_one_minus_power(self, gap):
         """Divide by 1 - T^gap in O(N): a_n += a_{n-gap}, n ascending."""
@@ -107,14 +107,14 @@ class TruncatedSeries:
         out = list(self.coefficients)
         for n in range(gap, len(out)):
             out[n] += out[n - gap]
-        return TruncatedSeries(out)
+        return _trusted(tuple(out))
 
     def times_power(self, gap):
         """Multiply by T^gap, keeping the truncation."""
         if gap < 0:
             raise InputError("gap must be non-negative")
         shifted = (0,) * gap + self.coefficients
-        return TruncatedSeries(shifted[: self.truncation + 1])
+        return _trusted(shifted[: self.truncation + 1])
 
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -128,8 +128,21 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coefficients)!r})"
 
 
+def _trusted(coefficients):
+    """A series from a nonempty tuple of ints, as arithmetic on validated
+    series makes; skips the checks of `TruncatedSeries.__init__`."""
+    series = object.__new__(TruncatedSeries)
+    series.coefficients = coefficients
+    return series
+
+
 def one_minus_power(gap, truncation):
-    """The polynomial 1 - T^gap as a truncated series."""
+    """The polynomial 1 - T^gap as a truncated series, built term by term:
+    the dense factor that tests hold `times_one_minus_power` against."""
+    if gap < 0:
+        raise InputError("gap must be non-negative")
+    if truncation < 0:
+        raise InputError(f"truncation must be non-negative, got {truncation}")
     coefficients = [0] * (truncation + 1)
     coefficients[0] = 1
     if gap <= truncation:

@@ -29,6 +29,7 @@ from infinigb.groebner import (
     TruncationWindow,
     bayer_stillman_basis,
     buchberger_truncated,
+    is_reduced_set,
     reduce_basis,
     verify_buchberger,
 )
@@ -38,6 +39,7 @@ from infinigb.monomials import (
     OrderKind,
     WeightedAlphabet,
     compare,
+    parse_monomial,
 )
 from infinigb.polynomials import (
     GF,
@@ -167,8 +169,8 @@ class TestContracts:
 
 
 # Sends x1..x5 to indices that collide modulo 64 (x1, x65, x129 and x3,
-# x67), so divisor support signatures, which fold indices into 64 bits,
-# pass divisors that try_divide must still reject.
+# x67), so a divisor search that folded indices into a 64-bit word would
+# take divisors that do not divide for ones that do.
 FOLDING_INDICES = {1: 1, 2: 65, 3: 129, 4: 3, 5: 67}
 
 
@@ -234,7 +236,7 @@ class TestAgainstReference:
             assert result.remainder == poly(rest)
 
     def test_folded_signature_collision_is_rejected(self):
-        # x65 and x1 share a signature bit, yet x65 does not divide x1^3.
+        # x65 and x1 collide modulo 64, yet x65 does not divide x1^3.
         divisors = [poly("x65 - x64"), poly("x1^2 - x2")]
         result = divide(poly("x1^3"), divisors)
         assert result == helpers.reference_divide(poly("x1^3"), divisors)
@@ -425,8 +427,8 @@ class TestDivisorIndex:
         f = poly("x1^3*x2 + x2*x5*x7 - x3^2 + 2")
         with checked_search() as searches:
             assert divide(f, table) == helpers.reference_divide(f, divisors)
-            assert table.is_interreduced() is False
         assert position in {p for p, _ in searches}
+        assert not is_reduced_set([g.monic() for g in divisors])
 
     def test_family_f_searches_test_few_leads(self, monkeypatch):
         # A lead test is `with_guards - lead`: packed exponents become an
@@ -473,6 +475,58 @@ class TestDivisorIndex:
             divisors.append(poly("x1^7 - x3", PLEX))
             table.append(divisors[-1])
             assert divide(f, table) == helpers.reference_divide(f, divisors)
+
+
+class TestFirstDivisor:
+    """`DivisorTable.first_divisor` asked of a `Monomial` returns what the
+    linear scan with `Monomial.divides` over the leading monomials returns,
+    also for monomials that make the layout widen first."""
+
+    @settings(max_examples=150)
+    @given(case=index_cases(), data=st.data())
+    def test_matches_the_monomial_scan(self, case, data):
+        ctx, divisors, _, extra = case
+        divisors = [*divisors, extra]
+        table = DivisorTable(ctx, divisors)
+        leads = [g.lm() for g in divisors]
+        used = {i for m in leads for i in m.support()}
+        # Exponents up to 40 and indices up to x200 outgrow the fields and
+        # the variables the divisors were packed for.
+        factors = st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from(sorted(used | set(FOLDING_INDICES.values()))),
+                    st.integers(1, 200),
+                ),
+                st.integers(1, 40),
+            ),
+            max_size=3,
+        ).map(Monomial.from_pairs)
+        queries = [
+            *leads,
+            *(lm * data.draw(factors) for lm in leads),
+            *data.draw(st.lists(factors, max_size=4)),
+        ]
+        for m in queries:
+            expected = next(
+                (position for position, lm in enumerate(leads) if lm.divides(m)),
+                None,
+            )
+            assert table.first_divisor(m) == expected
+
+    def test_a_query_beyond_the_layout_widens_it(self):
+        divisors = [poly("x2^3 - x1"), poly("x1^3 - x2")]
+        table = DivisorTable(HARL, divisors)
+        assert [str(g.lm()) for g in divisors] == ["x2^3", "x1^3"]
+        width = table._width
+        assert table._variables == 2
+        assert table.first_divisor(parse_monomial("x1^2*x2^40*x9")) == 0
+        assert table._variables == 9 and table._width > width
+        assert table.first_divisor(parse_monomial("x1^40")) == 1
+        assert table.first_divisor(parse_monomial("x2*x9^40")) is None
+        # The widened table still divides as the reference does.
+        f = poly("x2^3*x9 + x1^5")
+        assert divide(f, table) == helpers.reference_divide(f, divisors)
 
 
 def spair_expected(divisors, i, j):

@@ -371,7 +371,24 @@ class TestReducedSetAgainstReference:
                 context, tuple(monic), TruncationWindow(200, 1600),
                 Certificate.ASSERTED,
             )
-            for elements in (gens, monic, reduce_basis(claimed).elements):
+            reduced = list(reduce_basis(claimed).elements)
+            # The reduced set out of order, and with a constant element, an
+            # equal copy of an element or another element on its lead put
+            # in somewhere.
+            terms = reduced[k % len(reduced)].terms
+            constant = Polynomial.from_monomial(context, Monomial.one())
+            cut = k % (len(reduced) + 1)
+            inserted = [
+                [*reduced[:cut], g, *reduced[cut:]]
+                for g in (
+                    constant,
+                    Polynomial(context, terms),
+                    Polynomial(context, terms[:1]),
+                )
+            ]
+            for elements in (
+                gens, monic, reduced, reduced[::-1], *inserted, [constant]
+            ):
                 expected = helpers.reference_is_reduced_set(elements)
                 assert is_reduced_set(elements) == expected
                 outcomes.append(expected)
@@ -470,6 +487,39 @@ class TestBayerStillman:
 
 
 
+class TestOneDivisibilityQuery:
+    """Completion, interreduction, verification, the window scan, the
+    filtration's coherence check and the reduced-set test ask the divisor
+    table for lead divisibility; none tests it monomial by monomial."""
+
+    def test_no_monomial_divisibility_tests(self, monkeypatch):
+        calls = []
+        for name in ("divides", "try_divide"):
+            real = getattr(Monomial, name)
+
+            def wrapped(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(Monomial, name, wrapped)
+
+        family = helpers.family_f(HARL)
+        window = TruncationWindow(20, 40)
+        completed = buchberger_truncated(
+            family.instantiate(window), window, context=HARL
+        )
+        interreduced = reduce_basis(completed)
+        assert verify_buchberger(interreduced)
+        windows = [TruncationWindow(n, 24) for n in range(1, 13)]
+        scanned = list(groebner._window_bases(family, windows))
+        union = assemble_filtration(family, windows[3::4])
+        flags = [b.reduced for b in (completed, interreduced, *scanned, union)]
+        assert calls == []
+        assert flags[1:-1] == [True] * (len(flags) - 2)
+        assert Monomial.variable(1).divides(Monomial.variable(1, 2))
+        assert calls == ["divides", "try_divide"]
+
+
 class TestReducedIsDerived:
     """`GroebnerBasis.reduced` is read off the elements when asked for:
     building a base never tests reducedness, and the flag agrees with the
@@ -488,7 +538,6 @@ class TestReducedIsDerived:
             monkeypatch.setattr(owner, name, wrapped)
 
         spy(groebner, "is_reduced_set")
-        spy(DivisorTable, "is_interreduced")
 
         hlex = RingContext(OrderKind.HOM_LEX)
         gens = [poly(t, hlex) for t in ("x1^2 - x2", "x1*x2 - x3", "2*x2^2 - x4")]

@@ -68,16 +68,6 @@ class TestArithmetic:
         m = Monomial.from_pairs([(1, 1), (4, 2)])
         assert m.try_divide(m) == Monomial.one()
 
-    @given(a=helpers.monomials(max_index=200), b=helpers.monomials(max_index=200))
-    def test_signature_is_necessary_for_divisibility(self, a, b):
-        assert not a.signature & ~(a * b).signature
-        if a.signature & ~b.signature:
-            assert b.try_divide(a) is None
-
-    def test_signature_folds_indices_modulo_64(self):
-        assert X(1).signature == X(65).signature == 2
-        assert Monomial.one().signature == 0
-
     def test_lcm_and_coprime(self):
         assert X(1, 2).lcm(Monomial.from_pairs([(1, 1), (2, 1)])) == \
             Monomial.from_pairs([(1, 2), (2, 1)])

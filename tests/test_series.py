@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import helpers
 from infinigb import cli, index_sets, monomials, partitions
 from infinigb.division import _standard_walk
-from infinigb.errors import CertificationError, HomogeneityError
+from infinigb.errors import CertificationError, HomogeneityError, InputError
 from infinigb.groebner import (
     Certificate,
     GroebnerBasis,
@@ -110,6 +110,13 @@ class TestArithmetic:
             s.times_one_minus_power(-1)
         with pytest.raises(ValueError):
             s.over_one_minus_power(0)
+        # A negative gap would index from the end of the coefficient list,
+        # and a negative truncation would fail on a bare IndexError.
+        for gap, truncation in ((-1, 5), (-6, 5), (1, -1), (0, -2)):
+            with pytest.raises(InputError):
+                one_minus_power(gap, truncation)
+        assert one_minus_power(0, 0) == TruncatedSeries.zero(0)
+        assert one_minus_power(6, 5) == TruncatedSeries.one(5)
 
     def test_integer_coefficients_enforced(self):
         from fractions import Fraction
