@@ -91,9 +91,14 @@ class DivisorTable:
     the division.  A polynomial with a larger variable index or exponent
     widens the layout before its division starts.  Every layout rebuilds
     the divisor index with the rows.
+
+    The first layout fits the divisors and exponents up to `degree`, the
+    largest weighted degree of the polynomials and S-pairs a caller will
+    divide: under a homogeneous order it is sized once so that no division
+    widens and repacks.
     """
 
-    def __init__(self, context, divisors=()):
+    def __init__(self, context, divisors=(), degree=0):
         self.context = context
         self.divisors = []
         backwards, _, exponent_sign = _KEY_SHAPES[context.order]
@@ -110,7 +115,7 @@ class DivisorTable:
         divisors = list(divisors)
         self._fit(
             max(map(_top_index, divisors), default=0),
-            max(map(_max_exponent, divisors), default=0),
+            max([degree, *map(_max_exponent, divisors)]),
         )
         for g in divisors:
             self.append(g)
@@ -527,23 +532,6 @@ def _table(f, divisors):
     if isinstance(divisors, DivisorTable):
         return divisors
     return DivisorTable(f.context, divisors)
-
-
-def _sized_table(context, divisors, degree):
-    """A table of `divisors` laid out once for the divisions a caller will
-    make: of polynomials, or S-pairs of its rows, in the variables of
-    `divisors` and of weighted degree at most `degree`.
-
-    Under a homogeneous order no monomial of such a division exceeds that
-    degree, so none widens the layout and packs every row again, as
-    growing it per divisor or per division would.
-    """
-    table = DivisorTable(context)
-    top = max(map(_top_index, divisors), default=0)
-    table._fit(top, degree)
-    for g in divisors:
-        table.append(g)
-    return table
 
 
 def divide(f, divisors):

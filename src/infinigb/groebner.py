@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from . import series
-from .division import DivisorTable, _sized_table, remainder
+from .division import DivisorTable, remainder
 from .errors import (
     CertificationError,
     HomogeneityError,
@@ -186,7 +186,7 @@ def _complete(start, gens, window, context):
     bound = window.degree_bound
     # No remainder uses a variable its inputs do not, and no S-pair kept
     # exceeds the degree bound.
-    table = _sized_table(context, [*start, *gens], bound)
+    table = DivisorTable(context, [*start, *gens], bound)
     queue = []
     discarded_pairs = 0
     discarded_elements = 0
@@ -255,7 +255,7 @@ def verify_buchberger(basis):
     """
     bound = basis.window.degree_bound
     # Laid out once for every S-pair inside the window.
-    table = _sized_table(basis.context, basis.elements, bound)
+    table = DivisorTable(basis.context, basis.elements, bound)
     for j in range(len(basis.elements)):
         for i in range(j):
             lcm_degree = table.spair_degree(i, j)[0]
@@ -289,7 +289,7 @@ def reduce_basis(basis):
     while True:
         ordered = _canonical_sorted(pending, context)
         degree = max((g.weighted_degree() for g in pending), default=0)
-        table = _sized_table(context, ordered, degree)
+        table = DivisorTable(context, ordered, degree)
         minimal = []
         extra = []
         for position, g in enumerate(ordered):

@@ -149,35 +149,29 @@ class Monomial:
         return sum(e * weights.weight(i) for i, e in self.exps)
 
     def __mul__(self, other):
-        return _trusted(tuple(_merge_exponents(self.exps, other.exps)))
+        merged = dict(self.exps)
+        for i, e in other.exps:
+            merged[i] = merged.get(i, 0) + e
+        return _trusted(tuple(sorted(merged.items())))
 
     def try_divide(self, divisor):
         """Return self / divisor when divisor divides exponentwise, else None."""
-        quotient = []
-        i, j = 0, 0
-        a, b = self.exps, divisor.exps
-        while j < len(b):
-            if i >= len(a) or a[i][0] > b[j][0]:
+        rest = dict(self.exps)
+        for i, e in divisor.exps:
+            left = rest.get(i, 0) - e
+            if left < 0:
                 return None
-            if a[i][0] < b[j][0]:
-                quotient.append(a[i])
-                i += 1
-                continue
-            rest = a[i][1] - b[j][1]
-            if rest < 0:
-                return None
-            if rest > 0:
-                quotient.append((a[i][0], rest))
-            i += 1
-            j += 1
-        quotient.extend(a[i:])
-        return _trusted(tuple(quotient))
+            if left:
+                rest[i] = left
+            else:
+                del rest[i]
+        return _trusted(tuple(sorted(rest.items())))
 
     def divides(self, other):
         return other.try_divide(self) is not None
 
     def lcm(self, other):
-        merged = {i: e for i, e in self.exps}
+        merged = dict(self.exps)
         for i, e in other.exps:
             if e > merged.get(i, 0):
                 merged[i] = e
@@ -210,23 +204,6 @@ def _trusted(exps):
     m = object.__new__(Monomial)
     m.exps = exps
     return m
-
-
-def _merge_exponents(a, b):
-    i, j = 0, 0
-    while i < len(a) and j < len(b):
-        if a[i][0] < b[j][0]:
-            yield a[i]
-            i += 1
-        elif a[i][0] > b[j][0]:
-            yield b[j]
-            j += 1
-        else:
-            yield (a[i][0], a[i][1] + b[j][1])
-            i += 1
-            j += 1
-    yield from a[i:]
-    yield from b[j:]
 
 
 # Per order: (read the exponent pairs from the last index?, sign on the

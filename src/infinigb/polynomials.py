@@ -261,16 +261,13 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_context(other)
-        return Polynomial(
-            self.context, _merge_terms(self.context, self.terms, other.terms)
-        )
+        return Polynomial.from_terms(self.context, self.terms + other.terms)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_context(other)
-        negated = tuple((-c, m) for c, m in other.terms)
-        return Polynomial(self.context, _merge_terms(self.context, self.terms, negated))
+        return Polynomial.from_terms(self.context, self.terms + (-other).terms)
 
     def __neg__(self):
         return Polynomial(self.context, tuple((-c, m) for c, m in self.terms))
@@ -330,44 +327,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)!r})"
-
-
-def _merge_terms(context, a, b):
-    """Merge two term sequences sorted strictly decreasing; O(n + m).
-
-    Each monomial's order key is computed at most once, and only when the
-    merge reaches it; equal monomials are matched before any key is needed.
-    """
-    key = sort_key(context.order, context.weights)
-    out = []
-    i, j = 0, 0
-    ka = kb = None
-    while i < len(a) and j < len(b):
-        ca, ma = a[i]
-        cb, mb = b[j]
-        if ma.exps == mb.exps:
-            c = ca + cb
-            if c:
-                out.append((c, ma))
-            i += 1
-            j += 1
-            ka = kb = None
-            continue
-        if ka is None:
-            ka = key(ma)
-        if kb is None:
-            kb = key(mb)
-        if ka > kb:
-            out.append(a[i])
-            i += 1
-            ka = None
-        else:
-            out.append(b[j])
-            j += 1
-            kb = None
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
 
 
 def s_polynomial(f, g):

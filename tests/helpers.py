@@ -208,10 +208,10 @@ def reference_is_reduced_set(elements):
     for g in elements:
         if g.is_zero or g.lc() != g.context.one:
             return False
-    for g in elements:
+    for i, g in enumerate(elements):
         lm = g.lm()
-        for h in elements:
-            if h is g:
+        for j, h in enumerate(elements):
+            if j == i:
                 continue
             if any(lm.divides(m) for m in h.monomials()):
                 return False

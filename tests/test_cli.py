@@ -293,6 +293,28 @@ class TestBijection:
         assert code == 1
         assert json.loads(out.splitlines()[-1])["ok"] is False
 
+    @pytest.mark.parametrize("route", ["both", "division", "oracle"])
+    def test_weight_above_the_cap_is_a_usage_error(
+        self, capsys, tmp_path, monkeypatch, route
+    ):
+        argv = ("bijection", "--preset", "AC", "--route", route)
+        cap = cli.BIJECTION_WEIGHT_CAP
+        for n in (cap + 1, 10**20):
+            start = time.monotonic()
+            code, out, err = run(capsys, *argv, "--n", str(n))
+            assert time.monotonic() - start < 1
+            assert code == 2 and out == ""
+            assert f"bijection weight cap {cap}" in err
+        # The cap is inclusive, on the flag and in a config file alike.
+        monkeypatch.setattr(cli, "BIJECTION_WEIGHT_CAP", 12)
+        code, out, _ = run(capsys, *argv, "--n", "12")
+        assert code == 0 and out
+        config = tmp_path / "run.toml"
+        config.write_text("n = 13\n")
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert code == 2 and out == ""
+        assert "bijection weight cap 12" in err
+
 
 class TestIdentities:
     def test_schur_json(self, capsys):

@@ -373,15 +373,17 @@ class TestReducedSetAgainstReference:
             )
             reduced = list(reduce_basis(claimed).elements)
             # The reduced set out of order, and with a constant element, an
-            # equal copy of an element or another element on its lead put
-            # in somewhere.
-            terms = reduced[k % len(reduced)].terms
+            # element itself, an equal copy of it or another element on its
+            # lead put in somewhere.
+            picked = reduced[k % len(reduced)]
+            terms = picked.terms
             constant = Polynomial.from_monomial(context, Monomial.one())
             cut = k % (len(reduced) + 1)
             inserted = [
                 [*reduced[:cut], g, *reduced[cut:]]
                 for g in (
                     constant,
+                    picked,
                     Polynomial(context, terms),
                     Polynomial(context, terms[:1]),
                 )
@@ -490,18 +492,26 @@ class TestBayerStillman:
 class TestOneDivisibilityQuery:
     """Completion, interreduction, verification, the window scan, the
     filtration's coherence check and the reduced-set test ask the divisor
-    table for lead divisibility; none tests it monomial by monomial."""
+    table for lead divisibility; none tests it monomial by monomial, and
+    none does monomial or polynomial arithmetic outside the table."""
 
     def test_no_monomial_divisibility_tests(self, monkeypatch):
         calls = []
-        for name in ("divides", "try_divide"):
-            real = getattr(Monomial, name)
+        for owner, name in (
+            (Monomial, "divides"),
+            (Monomial, "try_divide"),
+            (Monomial, "__mul__"),
+            (Polynomial, "__add__"),
+            (Polynomial, "__sub__"),
+            (Polynomial, "times_term"),
+        ):
+            real = getattr(owner, name)
 
             def wrapped(*args, real=real, name=name):
                 calls.append(name)
                 return real(*args)
 
-            monkeypatch.setattr(Monomial, name, wrapped)
+            monkeypatch.setattr(owner, name, wrapped)
 
         family = helpers.family_f(HARL)
         window = TruncationWindow(20, 40)
@@ -517,7 +527,12 @@ class TestOneDivisibilityQuery:
         assert calls == []
         assert flags[1:-1] == [True] * (len(flags) - 2)
         assert Monomial.variable(1).divides(Monomial.variable(1, 2))
-        assert calls == ["divides", "try_divide"]
+        x1 = Polynomial.variable(HARL, 1)
+        square = (x1 + x1 - x1).times_term(1, Monomial.variable(1))
+        assert square == Polynomial.variable(HARL, 1, 2)
+        assert calls == [
+            "divides", "try_divide", "__add__", "__sub__", "times_term", "__mul__"
+        ]
 
 
 class TestReducedIsDerived:

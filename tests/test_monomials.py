@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import cmp_to_key
+from operator import add, sub
 
 import pytest
 from hypothesis import given
@@ -75,6 +76,34 @@ class TestArithmetic:
         assert not Monomial.from_pairs([(1, 1), (2, 1)]).coprime(
             Monomial.from_pairs([(2, 1), (3, 1)])
         )
+
+    @given(a=helpers.monomials(), b=helpers.monomials())
+    def test_against_dense_exponent_vectors(self, a, b):
+        # Each result's pairs must equal those of the dense exponent
+        # arithmetic: sorted by index, with no zero exponent.
+        top = max(a.max_index(), b.max_index())
+
+        def dense(m):
+            exponents = dict(m.exps)
+            return [exponents.get(i, 0) for i in range(1, top + 1)]
+
+        def pairs(vector):
+            return tuple((i, e) for i, e in enumerate(vector, 1) if e)
+
+        u, v = dense(a), dense(b)
+        product = a * b
+        assert product.exps == pairs(map(add, u, v))
+        divisible = all(x >= y for x, y in zip(u, v))
+        assert b.divides(a) == divisible
+        quotient = a.try_divide(b)
+        if divisible:
+            assert quotient.exps == pairs(map(sub, u, v))
+        else:
+            assert quotient is None
+        assert product.try_divide(b).exps == pairs(u)
+        assert product.try_divide(a).exps == pairs(v)
+        assert a.lcm(b).exps == pairs(map(max, u, v))
+        assert a.coprime(b) == (not any(x and y for x, y in zip(u, v)))
 
 
 # The degree-4 comparison chains, one per homogeneous order; each chain is
