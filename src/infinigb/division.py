@@ -273,15 +273,24 @@ class DivisorTable:
         lcm = (a & fields) | (b & ~fields)
         return lcm, a + b - lcm
 
-    def spair_degree(self, i, j):
+    def spair_lcm(self, i, j):
         """The weighted degree of the lcm of the leading monomials of
-        divisors i and j, and whether they are coprime: the lcm has the
-        degree of both less that of their gcd, which is 1 exactly when the
-        two use no variable in common."""
+        divisors i and j, and that lcm packed, or None in its place when
+        the two are coprime: the lcm has the degree of both less that of
+        their gcd, which is 1 exactly when the two use no variable in
+        common.  The packed lcm holds in the current layout only, which a
+        division may widen."""
         degree = self._degrees[i] + self._degrees[j]
         if not self._supports[i] & self._supports[j]:
-            return degree, True
-        return degree - self._packed_degree(self._lcm_and_gcd(i, j)[1]), False
+            return degree, None
+        lcm, gcd = self._lcm_and_gcd(i, j)
+        return degree - self._packed_degree(gcd), lcm
+
+    def packed_divides(self, d, x):
+        """Whether the packed exponents d divide the packed exponents x:
+        subtracting d from x with every guard bit set clears none."""
+        guard = self._guard
+        return ((x | guard) - d) & guard == guard
 
     def _monomial(self, key):
         """The monomial of a negated order key.  A guard bit set in it means
@@ -330,7 +339,7 @@ class DivisorTable:
     def spair_remainder(self, i, j, degree):
         """The remainder modulo the table of the S-polynomial of divisors
         i and j, whose leads' lcm has weighted degree `degree`, as
-        `spair_degree(i, j)` gives it.
+        `spair_lcm(i, j)` gives it.
 
         Equals `remainder(s_polynomial(g_i, g_j), table)`, but the two
         packed tails go straight into the work dict, so no S-polynomial

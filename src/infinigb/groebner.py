@@ -18,9 +18,15 @@ base is the one a completion from scratch gives.  Every other window is
 completed from scratch.
 
 Pairs are scheduled and window-tested by their lcm degree, read off the
-divisor table's packed leading monomials (`DivisorTable.spair_degree`),
+divisor table's packed leading monomials (`DivisorTable.spair_lcm`),
 and reduced from the table's rows (`DivisorTable.spair_remainder`), so
-no S-polynomial, lcm or `Monomial` is built per pair.
+no S-polynomial, lcm or `Monomial` is built per pair.  Under the
+homogeneous orders the new pairs of each element are pruned by the
+criteria M and F of Gebauer & Moeller (1988), one packed divisibility
+test on their lcms each.  The criterion B sweep over queued pairs and
+the removal of elements from pair formation are left out: they cost
+more than they saved on binomial input, whose reductions are cheap.
+`verify_buchberger` uses no criterion.
 """
 
 from __future__ import annotations
@@ -181,6 +187,27 @@ def _complete(start, gens, window, context):
     of its S-pairs then has a standard representation over `start`, which
     stays one over any larger set (Becker & Weispfenning 1993, ch. 5), so
     its pairs count as resolved.  An empty `start` is the plain completion.
+
+    Element j pairs with each earlier element i whose lead shares a
+    variable with its own; a coprime pair reduces to zero without
+    computation.  Taken by (lcm degree, i), a pair beyond the window is
+    discarded and counted, and an in-window pair is dropped when the lcm
+    of an earlier kept pair (k, j) divides its own: the criterion M of
+    Gebauer & Moeller (1988) when it does so strictly, F when the two are
+    equal, the first of those being kept.  Under `plex` an in-window pair
+    can reduce to a remainder beyond the window, which is discarded; that
+    pair then has no standard representation and justifies nothing, so
+    there every pair is reduced.
+
+    This is sound.  Order the pairs by their lcm under divisibility, then
+    by creation index max(i, j), then by rank in that sort.  A pair (i, j)
+    dropped by (k, j) is justified by two pairs below it: (k, j), whose
+    lcm is smaller or equal with a lower rank, and (i, k), whose lcm
+    divides that of (i, j) and which was formed earlier or lies inside
+    `start`.  With the chain criterion, S(i, j) then has a standard
+    representation whenever those two have one, and by well-founded
+    induction every in-window pair has one (Becker & Weispfenning,
+    ch. 5).  `verify_buchberger` uses no criterion and checks this.
     """
     _validate_generators(gens, window, context)
     bound = window.degree_bound
@@ -190,17 +217,29 @@ def _complete(start, gens, window, context):
     queue = []
     discarded_pairs = 0
     discarded_elements = 0
+    # Only `plex` can discard a remainder, which leaves its pair unjustified.
+    prune = context.order.homogeneous
 
     def pair_up(j):
         nonlocal discarded_pairs
+        pairs = []
         for i in range(j):
-            lcm_degree, coprime = table.spair_degree(i, j)
+            lcm_degree, lcm = table.spair_lcm(i, j)
             # A coprime pair reduces to zero without computation.
-            if coprime:
-                continue
+            if lcm is not None:
+                pairs.append((lcm_degree, i, lcm))
+        pairs.sort()
+        # The packed lcms of the kept pairs, in this layout: no division
+        # runs until the pairs are formed.
+        kept = []
+        for lcm_degree, i, lcm in pairs:
             if lcm_degree > bound:
                 discarded_pairs += 1
                 continue
+            if prune:
+                if any(table.packed_divides(d, lcm) for d in kept):
+                    continue
+                kept.append(lcm)
             heapq.heappush(queue, (lcm_degree, i, j))
 
     for j in range(len(start), len(table.divisors)):
@@ -237,10 +276,14 @@ def buchberger_truncated(gens, window, *, context=None):
     S-pairs are scheduled smallest lcm degree first; pairs with coprime
     leading monomials reduce to zero without computation and are skipped.
     Pairs whose lcm degree exceeds the window (and remainders whose degree
-    does) are discarded and counted.  Every surviving S-pair reduces to
-    zero against the output, which is what the certificate records.  A
-    discarded remainder (only `plex` makes one) leaves an output that is
-    not a Groebner base of the window, so it is certified only as asserted.
+    does) are discarded and counted.  Under a homogeneous order a new pair
+    whose lcm a kept new pair's lcm divides is redundant by the chain
+    criterion and is dropped (`_complete` gives the argument).  Every
+    pair the window admits then has a standard representation over the
+    output, which is what the certificate records.  A discarded remainder
+    (only `plex` makes one, and `plex` drops no pair) leaves an output
+    that is not a Groebner base of the window, so it is certified only as
+    asserted.
     """
     gens = list(gens)
     return _complete((), gens, window, _generator_context(gens, context))
@@ -258,7 +301,7 @@ def verify_buchberger(basis):
     table = DivisorTable(basis.context, basis.elements, bound)
     for j in range(len(basis.elements)):
         for i in range(j):
-            lcm_degree = table.spair_degree(i, j)[0]
+            lcm_degree = table.spair_lcm(i, j)[0]
             if lcm_degree > bound:
                 continue
             if not table.spair_remainder(i, j, lcm_degree).is_zero:

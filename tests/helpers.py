@@ -6,8 +6,10 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+import heapq
+
 from infinigb import index_sets
-from infinigb.division import DivisionResult, standard_monomials
+from infinigb.division import DivisionResult, DivisorTable, standard_monomials
 from infinigb.errors import (
     HomogeneityError,
     RingContextMismatch,
@@ -19,7 +21,8 @@ from infinigb.groebner import (
     IdealPresentation,
     TruncationWindow,
     _canonical_sorted,
-    buchberger_truncated,
+    _generator_context,
+    _validate_generators,
     reduce_basis,
 )
 from infinigb.monomials import (
@@ -253,6 +256,58 @@ def reference_reduce_basis(basis):
     )
 
 
+def reference_buchberger(gens, window, *, context=None):
+    """The oracle for `infinigb.groebner.buchberger_truncated`: the
+    completion loop before the pair criteria.  It skips coprime pairs,
+    discards and counts pairs and remainders beyond the window, and reduces
+    every other pair, smallest lcm degree first.  Its reduced base, its
+    certificate and its `discarded_pairs` must equal the pruned
+    completion's."""
+    gens = list(gens)
+    context = _generator_context(gens, context)
+    _validate_generators(gens, window, context)
+    bound = window.degree_bound
+    table = DivisorTable(context, gens, bound)
+    queue = []
+    discarded_pairs = 0
+    discarded_elements = 0
+
+    def pair_up(j):
+        nonlocal discarded_pairs
+        for i in range(j):
+            lcm_degree, lcm = table.spair_lcm(i, j)
+            if lcm is None:
+                continue
+            if lcm_degree > bound:
+                discarded_pairs += 1
+                continue
+            heapq.heappush(queue, (lcm_degree, i, j))
+
+    for j in range(len(gens)):
+        pair_up(j)
+    while queue:
+        lcm_degree, i, j = heapq.heappop(queue)
+        r = table.spair_remainder(i, j, lcm_degree)
+        if r.is_zero:
+            continue
+        if not window.admits(r):
+            discarded_elements += 1
+            continue
+        table.append(r.monic())
+        pair_up(len(table.divisors) - 1)
+
+    return GroebnerBasis(
+        context,
+        tuple(_canonical_sorted(table.divisors, context)),
+        window,
+        Certificate.ASSERTED
+        if discarded_elements
+        else Certificate.BUCHBERGER_VERIFIED,
+        discarded_pairs=discarded_pairs,
+        discarded_elements=discarded_elements,
+    )
+
+
 def family_f(context):
     """Family F: i -> x_i*x_{i+1} - x_{2i+1}, homogeneous under d_i = i."""
 
@@ -270,12 +325,12 @@ def family_f(context):
 
 def reference_window_bases(presentation, windows):
     """The oracle for windows that carry a reduced base into the next: each
-    window's reduced base completed from scratch from the generators it
-    instantiates."""
+    window's reduced base completed from scratch, by `reference_buchberger`,
+    from the generators it instantiates."""
     context = presentation.context
     return [
         reduce_basis(
-            buchberger_truncated(presentation.instantiate(w), w, context=context)
+            reference_buchberger(presentation.instantiate(w), w, context=context)
         )
         for w in windows
     ]

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.resources
+import io
 import json
 import time
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infinigb import cli
 
@@ -549,3 +553,102 @@ def test_gb_gens_stdout_matches_pinned_digest(capsys, tmp_path, case):
     path.write_text(text)
     code, out, _ = run(capsys, "gb", "--gens", str(path), *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GB_GENS_STDOUT[case]
+
+
+# A small grammar for polynomial text, with the mistakes a user makes:
+# the variable x0, exponents far above every cap, a zero denominator and
+# stray tokens.
+HUGE_EXPONENTS = [1001, 10**20]
+STRAY_TOKENS = ["", " ", "x", "^", "*", "+", "-", "/", "(", ")", "#", "1/", "x1^",
+                "^2", "xx1", "--", "é", "\t", "\x00", "x1.5", "1e3", "+-"]
+
+
+def fuzz_monomials():
+    factor = st.builds(
+        lambda index, exponent: f"x{index}" if exponent is None
+        else f"x{index}^{exponent}",
+        st.integers(0, 5),
+        st.sampled_from([None, None, 0, 1, 2, 3, *HUGE_EXPONENTS]),
+    )
+    return st.lists(factor, min_size=1, max_size=3).map("*".join)
+
+
+def fuzz_terms():
+    coefficient = st.sampled_from(["1", "-1", "2", "3/4", "-5/3", "0", "1/0"])
+    return st.one_of(
+        coefficient,
+        fuzz_monomials(),
+        st.builds(lambda c, m: f"{c}*{m}", coefficient, fuzz_monomials()),
+    )
+
+
+@st.composite
+def fuzz_polynomials(draw):
+    tokens = []
+    for position, term in enumerate(draw(st.lists(fuzz_terms(), max_size=4))):
+        if position:
+            tokens.append(draw(st.sampled_from([" + ", " - ", "+", "-"])))
+        tokens.append(term)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(tokens)))
+        tokens.insert(at, draw(st.sampled_from(STRAY_TOKENS)))
+    return "".join(tokens)
+
+
+def fuzz_generator_files():
+    line = st.one_of(
+        fuzz_polynomials(),
+        fuzz_polynomials().map(lambda text: f"{text}  # comment"),
+        st.sampled_from(["", "# comment"]),
+    )
+    return st.lists(line, max_size=4).map(lambda lines: "\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def run_in_process(argv):
+    """`cli.main` on argv with stdout and stderr captured: the exit code,
+    argparse's usage errors included, and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, err.getvalue()
+
+
+class TestFuzzedInput:
+    """Every input drawn from the grammar above exits 0, 1 or 2 with no
+    traceback, in process and quickly: `divide`'s exponent cap and `gb`'s
+    window turn away the huge exponents before any division or completion
+    starts."""
+
+    @settings(max_examples=60, deadline=2000)
+    @given(
+        text=fuzz_polynomials(),
+        divisors=fuzz_generator_files(),
+        order=st.sampled_from(cli.ORDER_NAMES),
+    )
+    def test_divide(self, fuzz_dir, text, divisors, order):
+        path = fuzz_dir / "divisors.gens"
+        path.write_text(divisors, encoding="utf-8")
+        code, err = run_in_process(
+            ["divide", "--order", order, "--divisors", str(path), "--input", text]
+        )
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+    @settings(max_examples=60, deadline=2000)
+    @given(gens=fuzz_generator_files(), order=st.sampled_from(cli.ORDER_NAMES))
+    def test_gb_gens(self, fuzz_dir, gens, order):
+        path = fuzz_dir / "input.gens"
+        path.write_text(gens, encoding="utf-8")
+        code, err = run_in_process(
+            ["gb", "--order", order, "--gens", str(path), "--n", "3", "--deg", "6"]
+        )
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err

@@ -541,7 +541,7 @@ def spair_expected(divisors, i, j):
 def spair_remainder(table, i, j):
     """`DivisorTable.spair_remainder` given the lcm degree from the table,
     as its callers in `groebner` give it."""
-    return table.spair_remainder(i, j, table.spair_degree(i, j)[0])
+    return table.spair_remainder(i, j, table.spair_lcm(i, j)[0])
 
 
 class TestSpairRemainder:
@@ -618,8 +618,9 @@ class TestSpairRemainder:
 
 
 class TestPackedPairs:
-    """The packed lcm and gcd of two leading monomials, and the lcm degree
-    read from them, against `Monomial` arithmetic."""
+    """The packed lcm and gcd of two leading monomials, the lcm degree
+    read from them and the packed divisibility test, against `Monomial`
+    arithmetic."""
 
     @given(
         a=helpers.monomials(max_index=200, max_exponent=9),
@@ -644,8 +645,16 @@ class TestPackedPairs:
             packed_lcm, packed_gcd = table._lcm_and_gcd(i, j)
             assert packed_lcm == table._packed(lcm)
             assert packed_gcd == table._packed(gcd)
-            assert table.spair_degree(i, j) == (degree, a.coprime(b))
+            assert table.spair_lcm(i, j) == (
+                degree, None if a.coprime(b) else packed_lcm
+            )
             assert table._order_key(packed_lcm, degree) == table._key(lcm)
+            lead_i, lead_j = table._leads[i], table._leads[j]
+            assert table.packed_divides(lead_i, lead_j) == (a, b)[i].divides(
+                (a, b)[j]
+            )
+            assert table.packed_divides(packed_gcd, lead_i)
+            assert table.packed_divides(lead_i, packed_lcm)
 
 
 class TestRationalCoefficients:

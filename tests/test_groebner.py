@@ -175,6 +175,23 @@ def random_homogeneous_generators(rng, context, count):
     return gens
 
 
+def random_plex_binomials(rng, context):
+    """Two or three binomials over x1..x3 of degree at most 4, whose plex
+    completions in the window (3, 4) often discard a remainder."""
+    gens = []
+    while len(gens) < rng.randint(2, 3):
+        g = Polynomial.from_terms(
+            context,
+            [
+                (1, helpers.random_monomial(rng, 3, 4)),
+                (-1, helpers.random_monomial(rng, 3, 4)),
+            ],
+        )
+        if not g.is_zero:
+            gens.append(g)
+    return gens
+
+
 class TestReduceBasisAgainstReference:
     """Minimalize-then-tail-reduce equals the repeated interreduction kept
     in tests/helpers.py, on certified input and on completions that
@@ -241,17 +258,7 @@ class TestReduceBasisAgainstReference:
         wide = TruncationWindow(3, 40)
         checked = 0
         for _ in range(200):
-            gens = []
-            while len(gens) < rng.randint(2, 3):
-                g = Polynomial.from_terms(
-                    context,
-                    [
-                        (1, helpers.random_monomial(rng, 3, 4)),
-                        (-1, helpers.random_monomial(rng, 3, 4)),
-                    ],
-                )
-                if not g.is_zero:
-                    gens.append(g)
+            gens = random_plex_binomials(rng, context)
             basis = buchberger_truncated(gens, TruncationWindow(3, 4))
             if not basis.discarded_elements:
                 assert basis.certificate is Certificate.BUCHBERGER_VERIFIED
@@ -266,6 +273,139 @@ class TestReduceBasisAgainstReference:
             assert reduce_basis(full_in) == reduce_basis(full_out)
             checked += 1
         assert checked >= 8
+
+
+def assert_matches_reference(basis, gens):
+    """The pruned completion `basis` of `gens` against
+    `helpers.reference_buchberger`: equal reduced bases, certificates and
+    window discards."""
+    reference = helpers.reference_buchberger(
+        gens, basis.window, context=basis.context
+    )
+    reduced, expected = reduce_basis(basis), reduce_basis(reference)
+    assert reduced.elements == expected.elements
+    assert reduced.certificate is expected.certificate
+    assert basis.discarded_pairs == reference.discarded_pairs
+    assert basis.discarded_elements == reference.discarded_elements
+
+
+def assert_completion_matches_reference(gens, window, context):
+    basis = buchberger_truncated(gens, window, context=context)
+    assert_matches_reference(basis, gens)
+    return basis
+
+
+def count_spair_reductions(monkeypatch):
+    """Count the S-pairs reduced through `DivisorTable.spair_remainder`."""
+    calls = []
+    real = DivisorTable.spair_remainder
+
+    def spy(self, i, j, degree):
+        calls.append((i, j))
+        return real(self, i, j, degree)
+
+    monkeypatch.setattr(DivisorTable, "spair_remainder", spy)
+    return calls
+
+
+def cyclic5h_6_12(order):
+    context, gens = helpers.cyclic5_homogenized(order)
+    return context, gens, TruncationWindow(6, 12)
+
+
+def family_f_window(n, degree):
+    window = TruncationWindow(n, degree)
+    return HARL, helpers.family_f(HARL).instantiate(window), window
+
+
+class TestPairCriteriaAgainstReference:
+    """Completion drops the new pairs that the Gebauer-Moeller criteria M
+    and F make redundant, and still gives the reduced base, certificate
+    and window discards of the criterion-free loop kept in
+    tests/helpers.py."""
+
+    @pytest.mark.parametrize("n, degree", [(10, 20), (20, 40), (30, 60)])
+    def test_family_f_windows(self, n, degree):
+        context, gens, window = family_f_window(n, degree)
+        assert_completion_matches_reference(gens, window, context)
+
+    @pytest.mark.parametrize("field", [None, GF(7)], ids=str)
+    @pytest.mark.parametrize(
+        "order", [OrderKind.HOM_REV_LEX, OrderKind.HOM_LEX], ids=str
+    )
+    def test_homogenized_cyclic5(self, order, field):
+        context, gens = helpers.cyclic5_homogenized(order, field)
+        assert_completion_matches_reference(
+            gens, TruncationWindow(6, 12), context
+        )
+
+    @pytest.mark.parametrize("field", [None, GF(2), GF(7)], ids=str)
+    def test_random_generators(self, field, monkeypatch):
+        # The inputs of TestReduceBasisAgainstReference.test_random_generators.
+        rng = random.Random(6007)
+        calls = count_spair_reductions(monkeypatch)
+        pruned = discarding = 0
+        for k in range(40):
+            order = helpers.HOMOGENEOUS_ORDERS[k % 4]
+            context = RingContext(order, field=field)
+            gens = random_homogeneous_generators(rng, context, rng.randint(1, 4))
+            calls.clear()
+            basis = buchberger_truncated(
+                gens, TruncationWindow(4, 10), context=context
+            )
+            reductions = len(calls)
+            calls.clear()
+            assert_matches_reference(basis, gens)
+            pruned += reductions < len(calls)
+            discarding += basis.discarded_pairs > 0
+        assert pruned >= 5 and discarding >= 5, (pruned, discarding)
+
+    @pytest.mark.parametrize("field", [None, GF(2), GF(7)], ids=str)
+    def test_random_plex_binomials(self, field, monkeypatch):
+        # The inputs of TestReduceBasisAgainstReference's plex binomials.
+        # A plex remainder may leave the window, so no pair is pruned.
+        context = RingContext(OrderKind.PURE_LEX, field=field)
+        rng = random.Random(6011)
+        calls = count_spair_reductions(monkeypatch)
+        asserted = 0
+        for _ in range(200):
+            gens = random_plex_binomials(rng, context)
+            calls.clear()
+            basis = buchberger_truncated(gens, TruncationWindow(3, 4))
+            reductions = len(calls)
+            calls.clear()
+            assert_matches_reference(basis, gens)
+            assert reductions == len(calls)
+            asserted += basis.certificate is Certificate.ASSERTED
+        assert asserted >= 8
+
+    def test_pairs_beyond_the_window_are_counted_before_pruning(self):
+        # The pair of x1*x3^3 and x1*x2 has lcm degree 12, beyond the
+        # window, and the kept pair of x1 and x1*x2 has an lcm dividing its
+        # own: it is discarded and counted, not pruned.
+        gens = [poly("x1*x3^3"), poly("x1"), poly("x1*x2")]
+        window = TruncationWindow(3, 11)
+        basis = assert_completion_matches_reference(gens, window, HARL)
+        assert basis.discarded_pairs == 1
+
+    @pytest.mark.parametrize(
+        "build, pruned, unpruned",
+        [
+            (lambda: cyclic5h_6_12(OrderKind.HOM_LEX), 61, 233),
+            (lambda: cyclic5h_6_12(OrderKind.HOM_REV_LEX), 24, 67),
+            (lambda: family_f_window(40, 80), 1306, 1650),
+        ],
+        ids=["cyclic5h-hlex", "cyclic5h-hrevlex", "family-f-40-80"],
+    )
+    def test_spair_reductions_are_pinned(self, build, pruned, unpruned, monkeypatch):
+        context, gens, window = build()
+        calls = count_spair_reductions(monkeypatch)
+        buchberger_truncated(gens, window, context=context)
+        assert len(calls) == pruned
+        calls.clear()
+        helpers.reference_buchberger(gens, window, context=context)
+        assert len(calls) == unpruned
+        assert pruned < unpruned
 
 
 class TestVerifyBuchberger:
