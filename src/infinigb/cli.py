@@ -359,29 +359,20 @@ def cmd_bijection(args):
 def cmd_identities(args):
     if not args.schur and not args.rr:
         raise InputError("identities needs --schur and/or --rr")
-    payload = {"seed": args.seed}
-    ok = True
-    if args.schur:
-        report = partitions.schur_identity_check(args.N)
-        payload["schur"] = {
-            "N": report["N"],
-            "columns": report["columns"],
-            "verdict": "PASS" if report["equal"] else "FAIL",
-        }
-        ok &= report["equal"]
-    if args.rr:
-        report = partitions.rr_identity_check(args.N)
-        payload["rogers_ramanujan"] = {
-            "N": report["N"],
-            "columns": report["columns"],
-            "verdict": "PASS" if report["equal"] else "FAIL",
-        }
-        ok &= report["equal"]
+    blocks = {}
+    for name, flag, check in (
+        ("schur", args.schur, partitions.schur_identity_check),
+        ("rogers_ramanujan", args.rr, partitions.rr_identity_check),
+    ):
+        if flag:
+            report = check(args.N)
+            blocks[name] = {
+                "N": report["N"],
+                "columns": report["columns"],
+                "verdict": "PASS" if report["equal"] else "FAIL",
+            }
     if args.format == "tsv":
-        for name in ("schur", "rogers_ramanujan"):
-            if name not in payload:
-                continue
-            block = payload[name]
+        for name, block in blocks.items():
             columns = block["columns"]
             headers = list(columns)
             _emit("n\t" + "\t".join(headers))
@@ -391,8 +382,8 @@ def cmd_identities(args):
                 )
             _emit(f"{name}\t{block['verdict']}")
     else:
-        _emit_json(payload)
-    return 0 if ok else 1
+        _emit_json({"seed": args.seed, **blocks})
+    return 0 if all(b["verdict"] == "PASS" for b in blocks.values()) else 1
 
 
 def _build_parser():

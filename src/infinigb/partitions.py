@@ -246,53 +246,41 @@ def psi(parts, family, p, *, route="division"):
 def verify_bijection(family, p, n):
     """Check that phi and psi are mutually inverse bijections at weight n,
     with the division and rewrite routes agreeing pointwise.  Both
-    substitution bases are certified and packed once, for weight n; an
-    image outside the other side clears the matching flag instead of
-    raising."""
+    substitution bases are certified and packed once, for weight n, and
+    each partition of either side is divided once; every flag is read off
+    the two image tables, so an image outside the other side clears the
+    matching flag instead of raising."""
     pairs = phi_pairs(family, p, n)
     phi_of = dict(pairs)
-    y_side = enumerate_family(FamilySpec("Y", family, p), n)
     up = _substitution_table(family, p, OrderKind.HOM_LEX, n)
-    routes_agree = True
-    lands_in_y = True
-    psi_section = True
-    phi_section = True
-    images = set()
-    for parts, by_division in pairs:
-        routes_agree &= by_division == _rewrite_down(parts, family, p)
-        in_y = by_division in y_side
-        lands_in_y &= in_y
-        psi_section &= in_y and _division_image(by_division, up) == parts
-        images.add(by_division)
-    for parts in sorted(y_side):
-        up_division = _division_image(parts, up)
-        routes_agree &= up_division == _rewrite_up(parts, family, p)
-        phi_section &= phi_of.get(up_division) == parts
-    injective = len(images) == len(pairs)
-    surjective = images == y_side
+    psi_of = {
+        parts: _division_image(parts, up)
+        for parts in sorted(enumerate_family(FamilySpec("Y", family, p), n))
+    }
+    images = set(phi_of.values())
+    flags = {
+        "routes_agree": all(
+            b == _rewrite_down(a, family, p) for a, b in phi_of.items()
+        )
+        and all(a == _rewrite_up(b, family, p) for b, a in psi_of.items()),
+        "maps_into_target": images <= psi_of.keys(),
+        "injective": len(images) == len(phi_of),
+        "surjective": images == psi_of.keys(),
+        "psi_after_phi_is_identity": all(
+            psi_of.get(b) == a for a, b in phi_of.items()
+        ),
+        "phi_after_psi_is_identity": all(
+            phi_of.get(a) == b for b, a in psi_of.items()
+        ),
+    }
     report = {
         "n": n,
         "family": family.name,
         "p": p,
-        "x_size": len(pairs),
-        "y_size": len(y_side),
-        "routes_agree": routes_agree,
-        "maps_into_target": lands_in_y,
-        "injective": injective,
-        "surjective": surjective,
-        "psi_after_phi_is_identity": psi_section,
-        "phi_after_psi_is_identity": phi_section,
-        "ok": all(
-            (
-                routes_agree,
-                lands_in_y,
-                injective,
-                surjective,
-                psi_section,
-                phi_section,
-                len(pairs) == len(y_side),
-            )
-        ),
+        "x_size": len(phi_of),
+        "y_size": len(psi_of),
+        **flags,
+        "ok": all(flags.values()) and len(phi_of) == len(psi_of),
     }
     return pairs, report
 
@@ -304,6 +292,17 @@ def _bounded_multiplicity_product(values, max_mult, truncation):
     for m in values:
         out = out.times_one_minus_power((max_mult + 1) * m).over_one_minus_power(m)
     return out
+
+
+def _identity_report(N, columns):
+    """An identity check's report: the identity holds to order N when
+    every column equals every other coefficientwise."""
+    first, *rest = columns.values()
+    return {
+        "N": N,
+        "columns": columns,
+        "equal": all(column == first for column in rest),
+    }
 
 
 def schur_identity_check(truncation):
@@ -326,12 +325,7 @@ def schur_identity_check(truncation):
         "count_B": _counts_up_to(*FamilySpec.preset("B")._standard_walk(N)),
         "count_C": _counts_up_to(*FamilySpec.preset("C")._standard_walk(N)),
     }
-    reference = columns["count_A"]
-    return {
-        "N": N,
-        "columns": columns,
-        "equal": all(column == reference for column in columns.values()),
-    }
+    return _identity_report(N, columns)
 
 
 def rr_identity_check(truncation):
@@ -353,9 +347,4 @@ def rr_identity_check(truncation):
         "count_P": _counts_up_to(*FamilySpec.preset("P")._standard_walk(N)),
         "count_Q": _counts_up_to(*FamilySpec.preset("Q")._standard_walk(N)),
     }
-    reference = columns["count_P"]
-    return {
-        "N": N,
-        "columns": columns,
-        "equal": all(column == reference for column in columns.values()),
-    }
+    return _identity_report(N, columns)

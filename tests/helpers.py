@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import heapq
 
-from infinigb import index_sets
+from infinigb import index_sets, partitions
 from infinigb.division import DivisionResult, DivisorTable, standard_monomials
 from infinigb.errors import (
     HomogeneityError,
@@ -551,3 +551,58 @@ def _reference_enumerate_gap2(n):
 def all_partitions(n):
     """Every partition of n."""
     return enumerate_family(FamilySpec("parts", index_sets.ALL), n)
+
+
+def reference_verify_bijection(family, p, n):
+    """The oracle for `infinigb.partitions.verify_bijection`, the loop it
+    replaced: it divides each phi image again by the lexicographic base
+    to test psi after phi, then divides every Y partition, and accumulates
+    each flag across both loops."""
+    pairs = partitions.phi_pairs(family, p, n)
+    phi_of = dict(pairs)
+    y_side = enumerate_family(FamilySpec("Y", family, p), n)
+    up = partitions._substitution_table(family, p, OrderKind.HOM_LEX, n)
+    routes_agree = True
+    lands_in_y = True
+    psi_section = True
+    phi_section = True
+    images = set()
+    for parts, by_division in pairs:
+        routes_agree &= by_division == partitions._rewrite_down(parts, family, p)
+        in_y = by_division in y_side
+        lands_in_y &= in_y
+        psi_section &= (
+            in_y and partitions._division_image(by_division, up) == parts
+        )
+        images.add(by_division)
+    for parts in sorted(y_side):
+        up_division = partitions._division_image(parts, up)
+        routes_agree &= up_division == partitions._rewrite_up(parts, family, p)
+        phi_section &= phi_of.get(up_division) == parts
+    injective = len(images) == len(pairs)
+    surjective = images == y_side
+    report = {
+        "n": n,
+        "family": family.name,
+        "p": p,
+        "x_size": len(pairs),
+        "y_size": len(y_side),
+        "routes_agree": routes_agree,
+        "maps_into_target": lands_in_y,
+        "injective": injective,
+        "surjective": surjective,
+        "psi_after_phi_is_identity": psi_section,
+        "phi_after_psi_is_identity": phi_section,
+        "ok": all(
+            (
+                routes_agree,
+                lands_in_y,
+                injective,
+                surjective,
+                psi_section,
+                phi_section,
+                len(pairs) == len(y_side),
+            )
+        ),
+    }
+    return pairs, report

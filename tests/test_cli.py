@@ -228,6 +228,32 @@ class TestBijection:
         validate(payload, "bijection")
         assert payload["report"]["ok"] is True
 
+    @pytest.mark.parametrize("route", ["division", "oracle"])
+    def test_single_route_json_schema(self, capsys, route):
+        code, out, _ = run(
+            capsys,
+            "bijection", "--preset", "AC", "--n", "9",
+            "--route", route, "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload, "bijection")
+        assert payload["report"]["route"] == route
+
+    def test_schema_tells_the_two_report_shapes_apart(self, capsys):
+        _, out, _ = run(
+            capsys, "bijection", "--preset", "AB", "--n", "5", "--format", "json"
+        )
+        payload = json.loads(out)
+        report = payload["report"]
+        for bad in (
+            {**report, "route": "division"},
+            {k: v for k, v in report.items() if k != "injective"},
+            {**report, "surjective": "yes"},
+        ):
+            with pytest.raises(jsonschema.ValidationError):
+                validate({**payload, "report": bad}, "bijection")
+
     def test_single_route(self, capsys):
         code, out, _ = run(
             capsys,
@@ -503,6 +529,14 @@ GOLDEN_STDOUT = {
         "e8db964a86a8ba3f7957a09be1df1fb6c51b69c186c4925fabcaec249043063e",
     ("identities", "--schur", "--rr", "--N", "20"):
         "1dd2985168889b5d73cc054c146d6f950929bd635e9a38a07ac1e1d86a34878a",
+    ("bijection", "--preset", "AB", "--n", "40"):
+        "6f26ffc60378e935306bcc33ad3daee655ee26ed23aaf741f3e6c05cfc4a3a52",
+    ("bijection", "--preset", "AC", "--n", "40", "--format", "json"):
+        "7c34176b71629f8480a96483520a746ecbff6885fa0a3b60074027d6a758c70d",
+    ("identities", "--schur", "--rr", "--N", "60"):
+        "d390d6146e5b09e782ad3dce833cbc8872f806052abd9af6b7be236ff09ac910",
+    ("identities", "--rr", "--N", "30", "--format", "json"):
+        "efe17dad1fe1618d02dc3803802358d9ca3f655f8448f53c2f20b92bbaa7954e",
     ("hilbert", "--preset", "schur-p3", "--N", "20"):
         "0f25bc737c55cf7ef8847b5a9fb80a93961224bf8dcba3cda0fb007f8d7f5a23",
     ("gb", "--order", "harevlex", "--family", "power-substitution",

@@ -226,6 +226,88 @@ class TestVerifyBijection:
         assert report["phi_after_psi_is_identity"] is False
 
 
+def _swapping_remainder(n, family, p):
+    """The true remainder, except that the two smallest X partitions of
+    weight n trade images."""
+    a, b = map(
+        partition_to_monomial,
+        sorted(enumerate_family(FamilySpec("X", family, p), n))[:2],
+    )
+    swap = {a: b, b: a}
+    real = partitions.remainder
+
+    def swapped(f, divisors):
+        lm = f.lm()
+        return real(f.from_monomial(f.context, swap.get(lm, lm)), divisors)
+
+    return swapped
+
+
+BIJECTION_PRESETS = {"AB": (W3, 2), "AC": (W_ODD, 3)}
+
+
+class TestVerifyBijectionAgainstReference:
+    """`verify_bijection` divides each side once; its pairs and every report
+    flag, failure values included, equal those of the loop it replaced."""
+
+    @pytest.mark.parametrize("n", [0, 1, 13, 25])
+    @pytest.mark.parametrize("preset", list(BIJECTION_PRESETS))
+    def test_presets(self, preset, n):
+        family, p = BIJECTION_PRESETS[preset]
+        assert verify_bijection(family, p, n) == helpers.reference_verify_bijection(
+            family, p, n
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(0, 18),
+        q=st.sampled_from([3, 5, 7]),
+        p=st.sampled_from([2, 3, 4]),
+    )
+    def test_random_specs(self, n, q, p):
+        if p % q == 0:
+            return
+        family = index_sets.avoiding_multiples_of(q)
+        assert verify_bijection(family, p, n) == helpers.reference_verify_bijection(
+            family, p, n
+        )
+
+    @pytest.mark.parametrize("n", [6, 9, 13])
+    @pytest.mark.parametrize("preset", list(BIJECTION_PRESETS))
+    @pytest.mark.parametrize(
+        "sabotage", ["identity", "fixed_monomial", "swap"]
+    )
+    def test_sabotaged_remainder(self, monkeypatch, sabotage, preset, n):
+        family, p = BIJECTION_PRESETS[preset]
+        fake = {
+            "identity": lambda f, divisors: f,
+            # Every monomial goes to x_n, the partition (n,).
+            "fixed_monomial": lambda f, divisors: f.from_monomial(
+                f.context, Monomial.variable(n)
+            ),
+            "swap": _swapping_remainder(n, family, p),
+        }[sabotage]
+        monkeypatch.setattr(partitions, "remainder", fake)
+        pairs, report = verify_bijection(family, p, n)
+        assert report["ok"] is False
+        assert (pairs, report) == helpers.reference_verify_bijection(family, p, n)
+
+    @pytest.mark.parametrize("preset", list(BIJECTION_PRESETS))
+    def test_each_partition_is_divided_once(self, monkeypatch, preset):
+        family, p = BIJECTION_PRESETS[preset]
+        calls = []
+        real = partitions.remainder
+
+        def counted(f, divisors):
+            calls.append(f)
+            return real(f, divisors)
+
+        monkeypatch.setattr(partitions, "remainder", counted)
+        _, report = verify_bijection(family, p, 12)
+        assert report["ok"]
+        assert len(calls) == report["x_size"] + report["y_size"]
+
+
 class TestRandomizedSpecs:
     def test_cardinalities_agree_for_random_closed_sets(self):
         rng = random.Random(20260811)
