@@ -62,27 +62,20 @@ def _apply_config(args, config, options):
     checked against the option's own type and choices (flags take a TOML
     boolean)."""
     for key, value in config.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            action = options[attr]
-            kind = bool if action.nargs == 0 else action.type or str
-            if type(value) is not kind:
+        option = options.get(key.replace("-", "_"))
+        if option is not None and getattr(args, option.name) is None:
+            if type(value) is not option.kind:
                 raise InputError(
-                    f"config key {key!r} must be {_CONFIG_KINDS[kind]}, got {value!r}"
+                    f"config key {key!r} must be {_CONFIG_KINDS[option.kind]}, "
+                    f"got {value!r}"
                 )
-            if action.choices is not None and value not in action.choices:
+            choices = option.keywords.get("choices")
+            if choices is not None and value not in choices:
                 raise InputError(
                     f"config key {key!r} must be one of "
-                    f"{', '.join(action.choices)}, got {value!r}"
+                    f"{', '.join(choices)}, got {value!r}"
                 )
-            setattr(args, attr, value)
-
-
-def _options(parser, command):
-    """The actions of one subcommand's options, by destination."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return {a.dest: a for a in action.choices[command]._actions}
+            setattr(args, option.name, value)
 
 
 def _emit(text):
@@ -313,30 +306,19 @@ def cmd_bijection(args):
     if args.route == "both":
         pairs, report = partitions.verify_bijection(family, p, args.n)
     else:
-        if args.route == "division":
-            pairs = partitions.phi_pairs(family, p, args.n)
-        else:
-            x_side = sorted(
-                partitions.enumerate_family(
-                    partitions.FamilySpec("X", family, p), args.n
-                )
-            )
-            pairs = [
-                (parts, partitions.phi(parts, family, p, route="oracle"))
-                for parts in x_side
-            ]
-        # One route: `ok` means distinct images, all in the target family.
+        pairs = partitions.phi_pairs(family, p, args.n, route=args.route)
+        # One route: `ok` means distinct images, each a partition of n in
+        # the target family.
+        target = partitions.FamilySpec("Y", family, p)
         images = {b for _, b in pairs}
-        y_side = partitions.enumerate_family(
-            partitions.FamilySpec("Y", family, p), args.n
-        )
         report = {
             "n": args.n,
             "family": family.name,
             "p": p,
             "x_size": len(pairs),
             "route": args.route,
-            "ok": len(images) == len(pairs) and images <= y_side,
+            "ok": len(images) == len(pairs)
+            and all(sum(b) == args.n and target.contains(b) for b in images),
         }
     report["seed"] = args.seed
     if args.format == "json":
@@ -386,126 +368,133 @@ def cmd_identities(args):
     return 0 if all(b["verdict"] == "PASS" for b in blocks.values()) else 1
 
 
-def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="TOML config file")
-    common.add_argument(
-        "--format", choices=["json", "tsv"], default=None, help="output format"
-    )
-    common.add_argument("--seed", type=int, default=None, help="echoed seed")
+class _Option:
+    """One option of a command: its argparse keywords and its facts.  An
+    option that neither a flag nor the config file set (argparse default
+    None) takes `default` unless it is `required`; `least` is the least
+    value with what it bounds; `cap` names the module constant that holds
+    the largest value, read when the option is checked."""
 
+    def __init__(self, name, *, required=False, default=None, least=None,
+                 cap=None, **keywords):
+        self.name, self.required, self.default = name, required, default
+        self.least, self.cap, self.keywords = least, cap, keywords
+        flag = keywords.get("action") == "store_true"
+        self.kind = bool if flag else keywords.get("type", str)
+
+
+class _Command:
+    """One subcommand: its handler, its help text and its options, the
+    common --config, --format and --seed first."""
+
+    def __init__(self, handler, default_format, help, *options):
+        self.handler = handler
+        self.help = help
+        common = (
+            _Option("config", help="TOML config file"),
+            _Option("format", default=default_format, choices=["json", "tsv"],
+                    help="output format"),
+            _Option("seed", type=int, help="echoed seed"),
+        )
+        self.options = {option.name: option for option in common + options}
+
+
+_ORDER = _Option("order", required=True, choices=ORDER_NAMES)
+_P = _Option("p", least=(2, "the substitution exponent"), type=int)
+_N = _Option("N", required=True, least=(0, "truncation"),
+             cap="SERIES_TRUNCATION_CAP", type=int, help="series truncation")
+
+_COMMANDS = {
+    "orders-demo": _Command(
+        cmd_orders_demo, "tsv", "print the degree-4 comparison chains"
+    ),
+    "divide": _Command(
+        cmd_divide, "json", "division with remainder",
+        _ORDER,
+        _Option("divisors", required=True, help="generator file"),
+        _Option("input", required=True, help="polynomial text"),
+    ),
+    "gb": _Command(
+        cmd_gb, "json", "Groebner base of a window",
+        _ORDER,
+        _Option("family", help='e.g. "x^p{i}-x{p*i}"'),
+        _Option("W", help="variable set name, e.g. pm1mod3"),
+        _P,
+        _Option("n", required=True, least=(1, "the variable bound"),
+                type=int, help="variable bound"),
+        _Option("deg", required=True, least=(1, "the degree bound"),
+                type=int, help="degree bound"),
+        _Option("gens", help="explicit generator file"),
+        _Option("reduced", default=False, action="store_true"),
+    ),
+    "hilbert": _Command(
+        cmd_hilbert, "json", "two-route Hilbert series",
+        _Option("preset", help="schur-p2 or schur-p3"),
+        _Option("W"),
+        _P,
+        _N,
+    ),
+    "bijection": _Command(
+        cmd_bijection, "tsv", "partition bijection table",
+        _Option("preset", required=True, help="AB or AC"),
+        _Option("n", required=True, least=(0, "the partition weight"),
+                cap="BIJECTION_WEIGHT_CAP", type=int, help="partition weight"),
+        _Option("route", default="both", choices=["both", "division", "oracle"]),
+    ),
+    "identities": _Command(
+        cmd_identities, "tsv", "series identity checks",
+        _Option("schur", default=False, action="store_true"),
+        _Option("rr", default=False, action="store_true"),
+        _N,
+    ),
+}
+
+
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="infinigb",
         description="Groebner bases over infinitely many variables, "
         "partition bijections and series identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("orders-demo", parents=[common],
-                       help="print the degree-4 comparison chains")
-    p.set_defaults(handler=cmd_orders_demo, default_format="tsv")
-
-    p = sub.add_parser("divide", parents=[common], help="division with remainder")
-    p.add_argument("--order", choices=ORDER_NAMES, default=None)
-    p.add_argument("--divisors", default=None, help="generator file")
-    p.add_argument("--input", default=None, help="polynomial text")
-    p.set_defaults(handler=cmd_divide, default_format="json")
-
-    p = sub.add_parser("gb", parents=[common], help="Groebner base of a window")
-    p.add_argument("--order", choices=ORDER_NAMES, default=None)
-    p.add_argument("--family", default=None, help='e.g. "x^p{i}-x{p*i}"')
-    p.add_argument("--W", default=None, help="variable set name, e.g. pm1mod3")
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--n", type=int, default=None, help="variable bound")
-    p.add_argument("--deg", type=int, default=None, help="degree bound")
-    p.add_argument("--gens", default=None, help="explicit generator file")
-    p.add_argument("--reduced", action="store_true", default=None)
-    p.set_defaults(handler=cmd_gb, default_format="json")
-
-    p = sub.add_parser("hilbert", parents=[common], help="two-route Hilbert series")
-    p.add_argument("--preset", default=None, help="schur-p2 or schur-p3")
-    p.add_argument("--W", default=None)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--N", type=int, default=None, help="series truncation")
-    p.set_defaults(handler=cmd_hilbert, default_format="json")
-
-    p = sub.add_parser("bijection", parents=[common], help="partition bijection table")
-    p.add_argument("--preset", default=None, help="AB or AC")
-    p.add_argument("--n", type=int, default=None, help="partition weight")
-    p.add_argument(
-        "--route", choices=["both", "division", "oracle"], default=None
-    )
-    p.set_defaults(handler=cmd_bijection, default_format="tsv")
-
-    p = sub.add_parser("identities", parents=[common], help="series identity checks")
-    p.add_argument("--schur", action="store_true", default=None)
-    p.add_argument("--rr", action="store_true", default=None)
-    p.add_argument("--N", type=int, default=None, help="series truncation")
-    p.set_defaults(handler=cmd_identities, default_format="tsv")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for option in command.options.values():
+            p.add_argument(f"--{option.name}", default=None, **option.keywords)
     return parser
 
 
-_REQUIRED = {
-    cmd_divide: ("order", "divisors", "input"),
-    cmd_gb: ("order", "n", "deg"),
-    cmd_hilbert: ("N",),
-    cmd_bijection: ("preset", "n"),
-    cmd_identities: ("N",),
-}
-
-
-# Per command, the least value of each numeric option and what it bounds.
-_LEAST = {
-    cmd_gb: (
-        ("n", 1, "the variable bound"),
-        ("deg", 1, "the degree bound"),
-        ("p", 2, "the substitution exponent"),
-    ),
-    cmd_hilbert: (("N", 0, "truncation"), ("p", 2, "the substitution exponent")),
-    cmd_bijection: (("n", 0, "the partition weight"),),
-    cmd_identities: (("N", 0, "truncation"),),
-}
-
-
-def _check_numbers(args):
-    for name, least, what in _LEAST.get(args.handler, ()):
-        value = getattr(args, name)
-        if value is not None and value < least:
+def _check_options(args, options):
+    """Give each unset option its default or report it missing, then check
+    the least values, required options first, then the caps."""
+    for option in options:
+        if getattr(args, option.name) is None:
+            if option.required:
+                raise InputError(f"missing required option --{option.name}")
+            setattr(args, option.name, option.default)
+    for option in sorted(options, key=lambda option: not option.required):
+        value = getattr(args, option.name)
+        if option.least and value is not None and value < option.least[0]:
+            least, what = option.least
             bound = "non-negative" if least == 0 else f"at least {least}"
-            raise InputError(f"--{name}: {what} must be {bound}, got {value}")
-    capped = args.handler in (cmd_hilbert, cmd_identities)
-    if capped and args.N > SERIES_TRUNCATION_CAP:
-        raise InputError(
-            f"--N: {args.N} is above the series truncation cap "
-            f"{SERIES_TRUNCATION_CAP}"
-        )
-    if args.handler is cmd_bijection and args.n > BIJECTION_WEIGHT_CAP:
-        raise InputError(
-            f"--n: {args.n} is above the bijection weight cap "
-            f"{BIJECTION_WEIGHT_CAP}"
-        )
-
-
-# The value of each option that neither a flag nor the config set, on the
-# commands that have it.
-_DEFAULTS = {"route": "both", "reduced": False, "schur": False, "rr": False}
+            raise InputError(f"--{option.name}: {what} must be {bound}, got {value}")
+    for option in options:
+        value, cap = getattr(args, option.name), globals().get(option.cap)
+        if cap is not None and value is not None and value > cap:
+            # SERIES_TRUNCATION_CAP is "the series truncation cap".
+            what = option.cap.removesuffix("_CAP").replace("_", " ").lower()
+            raise InputError(
+                f"--{option.name}: {value} is above the {what} cap {cap}"
+            )
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        _apply_config(args, _load_config(args.config), _options(parser, args.command))
-        if args.format is None:
-            args.format = args.default_format
-        for name, value in _DEFAULTS.items():
-            if getattr(args, name, value) is None:
-                setattr(args, name, value)
-        for required in _REQUIRED.get(args.handler, ()):
-            if getattr(args, required) is None:
-                raise InputError(f"missing required option --{required}")
-        _check_numbers(args)
-        return args.handler(args)
+        _apply_config(args, _load_config(args.config), command.options)
+        _check_options(args, command.options.values())
+        return command.handler(args)
     except (InfinigbError, OSError) as error:
         print(f"infinigb: {error}", file=sys.stderr)
         return 2

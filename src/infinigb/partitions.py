@@ -220,13 +220,17 @@ def phi(parts, family, p, *, route="division"):
     raise InputError(f"unknown route {route!r}")
 
 
-def phi_pairs(family, p, n):
-    """(lambda, phi(lambda)) by the division route for every lambda of
-    weight n with parts in W minus pW, in increasing order; one base is
-    certified and packed for weight n."""
+def phi_pairs(family, p, n, *, route="division"):
+    """(lambda, phi(lambda)) for every lambda of weight n with parts in W
+    minus pW, in increasing order.  The division route certifies and packs
+    one base for weight n; the oracle route rewrites each partition."""
     x_side = sorted(enumerate_family(FamilySpec("X", family, p), n))
-    down = _substitution_table(family, p, OrderKind.HOM_ANTI_REV_LEX, n)
-    return [(parts, _division_image(parts, down)) for parts in x_side]
+    if route == "division":
+        down = _substitution_table(family, p, OrderKind.HOM_ANTI_REV_LEX, n)
+        return [(parts, _division_image(parts, down)) for parts in x_side]
+    if route == "oracle":
+        return [(parts, _rewrite_down(parts, family, p)) for parts in x_side]
+    raise InputError(f"unknown route {route!r}")
 
 
 def psi(parts, family, p, *, route="division"):

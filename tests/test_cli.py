@@ -300,8 +300,8 @@ class TestBijection:
 
         real = partitions.phi_pairs
 
-        def collapsed(family, p, n):
-            pairs = real(family, p, n)
+        def collapsed(family, p, n, *, route):
+            pairs = real(family, p, n, route=route)
             return [(parts, pairs[0][1]) for parts, _ in pairs]
 
         monkeypatch.setattr(partitions, "phi_pairs", collapsed)
@@ -316,7 +316,7 @@ class TestBijection:
     ):
         from infinigb import partitions
 
-        monkeypatch.setattr(partitions, "phi", lambda parts, *a, **k: parts)
+        monkeypatch.setattr(partitions, "_rewrite_down", lambda parts, *a: parts)
         code, out, _ = run(
             capsys, "bijection", "--preset", "AB", "--n", "4", "--route", "oracle"
         )
@@ -518,6 +518,93 @@ def test_numeric_option_below_its_bound_is_a_usage_error(capsys, argv, option):
     assert err.startswith(f"infinigb: {option}: ")
 
 
+# The whole stderr of usage errors, pinned so that the option table keeps
+# each message and, where an invocation has several faults, the one that is
+# reported: defaults and required options first, then least values
+# (required options first), then caps.  The config text, if any, is passed
+# with --config.
+USAGE_ERRORS = [
+    (("divide",), None, "missing required option --order"),
+    (("divide", "--order", "hlex"), None, "missing required option --divisors"),
+    (("gb", "--order", "hlex", "--n", "3"), None, "missing required option --deg"),
+    (("gb", "--n", "-3", "--deg", "-6"), None, "missing required option --order"),
+    (("hilbert", "--preset", "schur-p2"), None, "missing required option --N"),
+    (("bijection", "--n", "81"), None, "missing required option --preset"),
+    (("bijection", "--preset", "AB"), None, "missing required option --n"),
+    (("identities", "--schur"), None, "missing required option --N"),
+    (("gb", "--order", "hlex", "--n", "3", "--deg", "0"), None,
+     "--deg: the degree bound must be at least 1, got 0"),
+    (("gb", "--order", "hlex", "--n", "3", "--deg", "6", "--p", "1"), None,
+     "--p: the substitution exponent must be at least 2, got 1"),
+    (("hilbert", "--N", "5", "--p", "1"), None,
+     "--p: the substitution exponent must be at least 2, got 1"),
+    (("bijection", "--preset", "AB", "--n", "-1"), None,
+     "--n: the partition weight must be non-negative, got -1"),
+    (("identities", "--rr", "--N", "-1"), None,
+     "--N: truncation must be non-negative, got -1"),
+    (("hilbert", "--preset", "schur-p2", "--N", "2001"), None,
+     "--N: 2001 is above the series truncation cap 2000"),
+    (("identities", "--rr", "--N", "2001"), None,
+     "--N: 2001 is above the series truncation cap 2000"),
+    (("bijection", "--preset", "AC", "--n", "81"), None,
+     "--n: 81 is above the bijection weight cap 80"),
+    (("gb", "--order", "hlex", "--n", "0", "--deg", "6", "--p", "1"), None,
+     "--n: the variable bound must be at least 1, got 0"),
+    (("gb", "--order", "hlex", "--n", "-3", "--deg", "-6", "--p", "-1"), None,
+     "--n: the variable bound must be at least 1, got -3"),
+    (("hilbert", "--N", "-1", "--p", "1"), None,
+     "--N: truncation must be non-negative, got -1"),
+    (("hilbert", "--N", "2001", "--p", "1"), None,
+     "--p: the substitution exponent must be at least 2, got 1"),
+    (("bijection",), 'preset = "AB"\nn = -1\n',
+     "--n: the partition weight must be non-negative, got -1"),
+    (("hilbert", "--preset", "schur-p2"), "N = 2001\n",
+     "--N: 2001 is above the series truncation cap 2000"),
+    (("gb", "--p", "1"), 'order = "hlex"\nn = 3\ndeg = 6\n',
+     "--p: the substitution exponent must be at least 2, got 1"),
+    (("identities", "--rr"), 'N = "60"\n',
+     "config key 'N' must be an integer, got '60'"),
+    (("identities", "--rr"), "N = true\n",
+     "config key 'N' must be an integer, got True"),
+    (("identities", "--rr"), "N = 6.0\n",
+     "config key 'N' must be an integer, got 6.0"),
+    (("identities", "--rr"), "N = [1, 2]\n",
+     "config key 'N' must be an integer, got [1, 2]"),
+    (("identities", "--rr"), 'format = "xml"\nN = 5\n',
+     "config key 'format' must be one of json, tsv, got 'xml'"),
+    (("identities", "--rr"), "schur = 1\nN = 5\n",
+     "config key 'schur' must be true or false, got 1"),
+    (("orders-demo",), 'seed = "x"\n',
+     "config key 'seed' must be an integer, got 'x'"),
+    (("bijection",), 'route = "fast"\npreset = "AB"\nn = 3\n',
+     "config key 'route' must be one of both, division, oracle, got 'fast'"),
+    (("bijection",), 'route = 3\npreset = "AB"\nn = 3\n',
+     "config key 'route' must be a string, got 3"),
+    (("gb",), 'order = "grevlex"\n',
+     "config key 'order' must be one of plex, hlex, halex, hrevlex, harevlex, "
+     "got 'grevlex'"),
+    (("gb",), 'reduced = "yes"\n',
+     "config key 'reduced' must be true or false, got 'yes'"),
+    (("hilbert",), "W = 3\np = 2\nN = 4\n",
+     "config key 'W' must be a string, got 3"),
+    (("identities", "--rr"), "bogus = 1\ndefault-format = 2\n",
+     "missing required option --N"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config, message", USAGE_ERRORS,
+    ids=[" ".join(argv) + (f" [{config!r}]" if config else "")
+         for argv, config, _ in USAGE_ERRORS],
+)
+def test_usage_error_stderr_is_pinned(capsys, tmp_path, argv, config, message):
+    if config is not None:
+        path = tmp_path / "run.toml"
+        path.write_text(config)
+        argv = (*argv, "--config", str(path))
+    assert run(capsys, *argv) == (2, "", f"infinigb: {message}\n")
+
+
 # SHA-256 of the whole stdout, pinned so that refactors keep the output
 # byte for byte; no --seed, so the echoed seed is null on every run.
 GOLDEN_STDOUT = {
@@ -545,6 +632,11 @@ GOLDEN_STDOUT = {
     ("gb", "--order", "hlex", "--family", "power-substitution",
      "--W", "pm1mod3", "--p", "2", "--n", "12", "--deg", "24"):
         "667cf474377922ad820432038ca78228fde32416db76d4db017adb37a5d72e4f",
+    ("bijection", "--preset", "AB", "--n", "40", "--route", "oracle"):
+        "8252fef2cfdbf2646c46112b23de1f19b901688b858b2cba77a01c6da3ef54aa",
+    ("bijection", "--preset", "AC", "--n", "40", "--route", "division",
+     "--format", "json"):
+        "c1b6b84f229d17e8dd7524301b7e8a81723aafbda31498583e2431719681ceb2",
 }
 
 
@@ -655,11 +747,18 @@ def run_in_process(argv):
     return code, err.getvalue()
 
 
+def toml_value(value):
+    """A TOML literal: JSON spells booleans, numbers, plain strings and
+    arrays the same way."""
+    return json.dumps(value)
+
+
 class TestFuzzedInput:
-    """Every input drawn from the grammar above exits 0, 1 or 2 with no
-    traceback, in process and quickly: `divide`'s exponent cap and `gb`'s
-    window turn away the huge exponents before any division or completion
-    starts."""
+    """Every input drawn from the grammar above, and every config file
+    drawn below, exits 0, 1 or 2 with no traceback, in process and
+    quickly: `divide`'s exponent cap and `gb`'s window turn away the huge
+    exponents before any division or completion starts, and the caps on
+    --N and --n the sizes above them."""
 
     @settings(max_examples=60, deadline=2000)
     @given(
@@ -684,5 +783,66 @@ class TestFuzzedInput:
         code, err = run_in_process(
             ["gb", "--order", order, "--gens", str(path), "--n", "3", "--deg", "6"]
         )
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+    # Option values of every TOML kind: booleans, small integers and one
+    # above each cap, option strings and mistakes, floats and arrays.
+    TYPED_VALUES = {
+        bool: st.booleans(),
+        int: st.one_of(
+            st.integers(-3, 12),
+            st.sampled_from(
+                [cli.SERIES_TRUNCATION_CAP + 1, cli.BIJECTION_WEIGHT_CAP + 1]
+            ),
+        ),
+        str: st.sampled_from(
+            ["json", "tsv", "xml", "both", "division", "oracle", "fast", "AB",
+             "AC", "ZZ", "schur-p2", "schur-p3", "odd", "pm1mod3", "all", "",
+             "mystery"]
+        ),
+    }
+    CONFIG_VALUES = st.one_of(
+        *TYPED_VALUES.values(),
+        st.floats(-3, 12, allow_nan=False),
+        st.lists(st.integers(-3, 12), max_size=3),
+    )
+    CONFIG_FLAGS = {
+        "identities": [["--schur"], ["--rr"], ["--N", "5"], ["--format", "json"]],
+        "bijection": [["--preset", "AC"], ["--n", "6"], ["--route", "oracle"]],
+        "hilbert": [["--preset", "schur-p2"], ["--W", "odd"], ["--p", "3"],
+                    ["--N", "8"]],
+    }
+
+    @settings(max_examples=60, deadline=2000)
+    @given(data=st.data(), command=st.sampled_from(sorted(CONFIG_FLAGS)))
+    def test_config(self, fuzz_dir, data, command):
+        """A config file of keys drawn from the command's options, one
+        unknown key and one dashed key (read as `default_format`), with some
+        flags also on the command line.  `gb` is left out: its --n and --deg have no cap, so
+        a drawn window could run for minutes."""
+        options = cli._COMMANDS[command].options
+        keys = data.draw(
+            st.lists(
+                st.sampled_from([*options, "bogus", "default-format"]),
+                unique=True, max_size=6,
+            )
+        )
+        # At least half the values, on average, have the option's kind.
+        config = {
+            key: data.draw(
+                st.one_of(self.TYPED_VALUES[options[key].kind], self.CONFIG_VALUES)
+                if key in options else self.CONFIG_VALUES
+            )
+            for key in keys
+        }
+        flags = data.draw(st.lists(st.sampled_from(self.CONFIG_FLAGS[command])))
+        path = fuzz_dir / "run.toml"
+        path.write_text(
+            "".join(f"{key} = {toml_value(value)}\n" for key, value in config.items()),
+            encoding="utf-8",
+        )
+        argv = [command, *(arg for flag in flags for arg in flag)]
+        code, err = run_in_process([*argv, "--config", str(path)])
         assert code in (0, 1, 2)
         assert "Traceback" not in err
