@@ -9,6 +9,7 @@ defaults; output is deterministic byte for byte for a fixed invocation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -19,8 +20,8 @@ from .groebner import (
     STABILITY_WINDOW,
     IdealPresentation,
     TruncationWindow,
-    bayer_stillman_basis,
     buchberger_truncated,
+    coprime_basis,
     reduce_basis,
     stabilized_reduced_basis,
     verify_buchberger,
@@ -207,6 +208,8 @@ def cmd_gb(args):
         gens = _read_generators(args.gens, context)
         basis = buchberger_truncated(gens, window, context=context)
     else:
+        if args.family is None:
+            raise InputError("gb needs --gens or --family")
         if args.family not in _FAMILY_SPELLINGS:
             raise InputError(
                 f"unknown family {args.family!r}; expected one of "
@@ -215,14 +218,7 @@ def cmd_gb(args):
         if args.W is None or args.p is None:
             raise InputError("a parametric family needs --W and --p")
         presentation = _family_presentation(args.order, args.W, args.p)
-        gens = presentation.instantiate(window)
-        basis = bayer_stillman_basis(
-            gens, window=window, context=presentation.context
-        )
-        if basis is None:
-            basis = buchberger_truncated(
-                gens, window, context=presentation.context
-            )
+        basis = coprime_basis(presentation, window)
         if args.n >= STABILITY_WINDOW:
             scan = stabilized_reduced_basis(
                 presentation, max_n=args.n, degree_bound=args.deg
@@ -264,9 +260,7 @@ def cmd_hilbert(args):
         raise InputError("hilbert needs --preset or both --W and --p")
     N = args.N
     presentation = _family_presentation("harevlex", set_name, p)
-    window = TruncationWindow(max(1, N), max(1, N))
-    gens = presentation.instantiate(window)
-    basis = bayer_stillman_basis(gens, window=window, context=presentation.context)
+    basis = coprime_basis(presentation, TruncationWindow(max(1, N), max(1, N)))
     counted = series.quotient_series_from_standard_monomials(
         basis, N, variables=presentation.variables
     )
@@ -450,6 +444,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="infinigb",

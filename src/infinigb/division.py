@@ -114,7 +114,7 @@ class DivisorTable:
         # earlier one again.
         divisors = list(divisors)
         self._fit(
-            max(map(_top_index, divisors), default=0),
+            max((g.max_variable_index() for g in divisors), default=0),
             max([degree, *map(_max_exponent, divisors)]),
         )
         for g in divisors:
@@ -128,7 +128,7 @@ class DivisorTable:
             raise ZeroPolynomialError("zero divisor")
         self.divisors.append(g)
         self._degrees.append(self._degree(g.terms[0][1]))
-        if not self._fit(_top_index(g), _max_exponent(g)):
+        if not self._fit(g.max_variable_index(), _max_exponent(g)):
             self._pack_row(g)
 
     def _fit(self, top, need):
@@ -324,7 +324,7 @@ class DivisorTable:
             need = self._degree(f.terms[0][1])
         else:
             need = _max_exponent(f)
-        self._fit(_top_index(f), need)
+        self._fit(f.max_variable_index(), need)
         key = self._key
         terms = f.terms
         if self._modulus is None:
@@ -531,10 +531,6 @@ def _cleared(terms):
 
 def _max_exponent(f):
     return max((e for _, m in f.terms for _, e in m.exps), default=0)
-
-
-def _top_index(f):
-    return max((m.max_index() for _, m in f.terms), default=0)
 
 
 def _table(f, divisors):

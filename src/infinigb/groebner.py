@@ -388,6 +388,20 @@ def bayer_stillman_basis(gens, *, window=None, context=None):
     return GroebnerBasis(context, elements, window, Certificate.BAYER_STILLMAN)
 
 
+def coprime_basis(presentation, window):
+    """The Groebner base of the generators that `presentation` instantiates
+    in `window`, certified by their pairwise coprime leading monomials;
+    raises CertificationError when the leads are not coprime.  A
+    power-substitution window always certifies: under every order its
+    leads are all x_i^p or all x_{p i}."""
+    basis = bayer_stillman_basis(
+        presentation.instantiate(window), window=window, context=presentation.context
+    )
+    if basis is None:
+        raise CertificationError("substitution family failed to certify")
+    return basis
+
+
 @dataclass(frozen=True)
 class IdealPresentation:
     """Generators of an ideal: an explicit list, a parametric family rule,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import index_sets, series
 from .division import DivisorTable, remainder
 from .errors import CertificationError, InputError
-from .groebner import IdealPresentation, TruncationWindow, bayer_stillman_basis
+from .groebner import IdealPresentation, TruncationWindow, coprime_basis
 from .index_sets import probe_closure
 from .monomials import DEFAULT_WEIGHTS, Monomial, OrderKind
 from .monomials import _counts_up_to, _pairs_of_degree
@@ -141,15 +141,11 @@ def monomial_to_partition(monomial):
 def _substitution_table(family, p, order, weight):
     """The Groebner base of the binomials x_i^p - x_{p i} visible at the
     given weight, packed for division: the window (weight, weight) of
-    `IdealPresentation.power_substitution`, certified by its pairwise
-    coprime leading monomials."""
-    presentation = IdealPresentation.power_substitution(family, p, order)
-    window = TruncationWindow(max(1, weight), max(1, weight))
-    basis = bayer_stillman_basis(
-        presentation.instantiate(window), window=window, context=presentation.context
+    `IdealPresentation.power_substitution`, certified by `coprime_basis`."""
+    basis = coprime_basis(
+        IdealPresentation.power_substitution(family, p, order),
+        TruncationWindow(max(1, weight), max(1, weight)),
     )
-    if basis is None:
-        raise CertificationError("substitution family failed to certify")
     return DivisorTable(basis.context, basis.elements)
 
 
@@ -202,6 +198,22 @@ def _rewrite_up(parts, family, p):
     return tuple(sorted(counts.elements(), reverse=True))
 
 
+def _images(sources, family, p, n, route, *, down):
+    """(lambda, image) for each partition lambda of weight n in `sources`:
+    phi's image when `down`, psi's otherwise.  The division route
+    certifies and packs one base for weight n, under the anti-reverse
+    lexicographic order when `down` and the lexicographic one otherwise;
+    the oracle route rewrites each partition."""
+    if route == "division":
+        order = OrderKind.HOM_ANTI_REV_LEX if down else OrderKind.HOM_LEX
+        table = _substitution_table(family, p, order, n)
+        return [(parts, _division_image(parts, table)) for parts in sources]
+    if route == "oracle":
+        rewrite = _rewrite_down if down else _rewrite_up
+        return [(parts, rewrite(parts, family, p)) for parts in sources]
+    raise InputError(f"unknown route {route!r}")
+
+
 def phi(parts, family, p, *, route="division"):
     """Map a partition with parts in W minus pW to one with parts in W and
     multiplicities below p: the remainder of x^lambda by the substitution
@@ -210,14 +222,7 @@ def phi(parts, family, p, *, route="division"):
     parts = check_partition(parts)
     if not FamilySpec("X", family, p).contains(parts):
         raise InputError(f"{parts} has parts outside W minus {p}W")
-    if route == "division":
-        table = _substitution_table(
-            family, p, OrderKind.HOM_ANTI_REV_LEX, sum(parts)
-        )
-        return _division_image(parts, table)
-    if route == "oracle":
-        return _rewrite_down(parts, family, p)
-    raise InputError(f"unknown route {route!r}")
+    return _images([parts], family, p, sum(parts), route, down=True)[0][1]
 
 
 def phi_pairs(family, p, n, *, route="division"):
@@ -225,12 +230,7 @@ def phi_pairs(family, p, n, *, route="division"):
     minus pW, in increasing order.  The division route certifies and packs
     one base for weight n; the oracle route rewrites each partition."""
     x_side = sorted(enumerate_family(FamilySpec("X", family, p), n))
-    if route == "division":
-        down = _substitution_table(family, p, OrderKind.HOM_ANTI_REV_LEX, n)
-        return [(parts, _division_image(parts, down)) for parts in x_side]
-    if route == "oracle":
-        return [(parts, _rewrite_down(parts, family, p)) for parts in x_side]
-    raise InputError(f"unknown route {route!r}")
+    return _images(x_side, family, p, n, route, down=True)
 
 
 def psi(parts, family, p, *, route="division"):
@@ -239,12 +239,7 @@ def psi(parts, family, p, *, route="division"):
     parts = check_partition(parts)
     if not FamilySpec("Y", family, p).contains(parts):
         raise InputError(f"{parts} is not a multiplicity-bounded W-partition")
-    if route == "division":
-        table = _substitution_table(family, p, OrderKind.HOM_LEX, sum(parts))
-        return _division_image(parts, table)
-    if route == "oracle":
-        return _rewrite_up(parts, family, p)
-    raise InputError(f"unknown route {route!r}")
+    return _images([parts], family, p, sum(parts), route, down=False)[0][1]
 
 
 def verify_bijection(family, p, n):
@@ -256,11 +251,8 @@ def verify_bijection(family, p, n):
     matching flag instead of raising."""
     pairs = phi_pairs(family, p, n)
     phi_of = dict(pairs)
-    up = _substitution_table(family, p, OrderKind.HOM_LEX, n)
-    psi_of = {
-        parts: _division_image(parts, up)
-        for parts in sorted(enumerate_family(FamilySpec("Y", family, p), n))
-    }
+    y_side = sorted(enumerate_family(FamilySpec("Y", family, p), n))
+    psi_of = dict(_images(y_side, family, p, n, "division", down=False))
     images = set(phi_of.values())
     flags = {
         "routes_agree": all(

@@ -349,10 +349,6 @@ def s_polynomial(f, g):
     )
 
 
-def _coefficient_text(c):
-    return str(c)
-
-
 def format_polynomial(f):
     """Render like '3/2*x1^2*x3 - x7'; GF coefficients print as 0..p-1."""
     if f.is_zero:
@@ -363,11 +359,7 @@ def format_polynomial(f):
         magnitude = -c if negative else c
         body = format_monomial(m)
         if magnitude != f.context.one:
-            body = (
-                _coefficient_text(magnitude)
-                if m.is_one
-                else f"{_coefficient_text(magnitude)}*{body}"
-            )
+            body = str(magnitude) if m.is_one else f"{magnitude}*{body}"
         if position == 0:
             pieces.append(f"-{body}" if negative else body)
         else:

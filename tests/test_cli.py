@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import importlib.resources
@@ -278,16 +279,16 @@ class TestBijection:
 
     @pytest.mark.parametrize("route", ["division", "oracle"])
     def test_single_route_certifies_at_most_once(self, capsys, monkeypatch, route):
-        from infinigb import partitions
+        from infinigb import groebner
 
         calls = []
-        certify = partitions.bayer_stillman_basis
+        certify = groebner.bayer_stillman_basis
 
         def counted(*args, **kwargs):
             calls.append(1)
             return certify(*args, **kwargs)
 
-        monkeypatch.setattr(partitions, "bayer_stillman_basis", counted)
+        monkeypatch.setattr(groebner, "bayer_stillman_basis", counted)
         code, out, _ = run(
             capsys, "bijection", "--preset", "AB", "--n", "12", "--route", route
         )
@@ -481,6 +482,20 @@ class TestConfigAndDeterminism:
             cli.main(["orders-demo", "--bogus"])
         assert info.value.code == 2
 
+    def test_main_calls_share_one_parser(self, capsys, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        first = run(capsys, "orders-demo")
+        second = run(capsys, "orders-demo")
+        assert first == second and first[0] == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
     def test_verification_failure_exits_one(self, capsys, monkeypatch):
         from infinigb import series
 
@@ -527,6 +542,8 @@ USAGE_ERRORS = [
     (("divide",), None, "missing required option --order"),
     (("divide", "--order", "hlex"), None, "missing required option --divisors"),
     (("gb", "--order", "hlex", "--n", "3"), None, "missing required option --deg"),
+    (("gb", "--order", "hlex", "--n", "3", "--deg", "6"), None,
+     "gb needs --gens or --family"),
     (("gb", "--n", "-3", "--deg", "-6"), None, "missing required option --order"),
     (("hilbert", "--preset", "schur-p2"), None, "missing required option --N"),
     (("bijection", "--n", "81"), None, "missing required option --preset"),

@@ -628,6 +628,46 @@ class TestBayerStillman:
         assert set(fast.leading_monomials()) == set(slow.leading_monomials())
 
 
+def closure_probe_accepts(parts, p):
+    try:
+        index_sets.probe_closure(parts, p)
+    except InputError:
+        return False
+    return True
+
+
+# The named index sets and a few `nondivQ`, with every exponent 2..5 the
+# closure probe accepts for them.
+SUBSTITUTION_FAMILIES = [
+    (parts, p)
+    for name in ["all", "odd", "pm1mod3", "pm1mod5", "pm1mod6",
+                 *(f"nondiv{q}" for q in range(2, 8))]
+    for parts in [index_sets.from_name(name)]
+    for p in range(2, 6)
+    if closure_probe_accepts(parts, p)
+]
+
+
+class TestCoprimeBasis:
+    @pytest.mark.parametrize("order", list(OrderKind), ids=lambda o: o.value)
+    def test_certifies_every_power_substitution_window(self, order):
+        for parts, p in SUBSTITUTION_FAMILIES:
+            pres = substitution_presentation(parts, p, order)
+            for n in range(1, 13):
+                for degree in range(1, 25):
+                    window = TruncationWindow(n, degree)
+                    basis = groebner.coprime_basis(pres, window)
+                    assert basis.certificate is Certificate.BAYER_STILLMAN
+                    assert basis.window == window
+
+    def test_shared_lead_variable_raises(self):
+        pres = IdealPresentation(
+            HARL, generators=(poly("x1*x2 - x3"), poly("x2*x3 - x5"))
+        )
+        with pytest.raises(CertificationError, match="failed to certify"):
+            groebner.coprime_basis(pres, TruncationWindow(5, 10))
+
+
 
 class TestOneDivisibilityQuery:
     """Completion, interreduction, verification, the window scan, the

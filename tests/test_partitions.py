@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import helpers
 from infinigb import index_sets, partitions
-from infinigb.errors import CertificationError
+from infinigb.errors import CertificationError, InputError
 from infinigb.monomials import Monomial
 from infinigb.partitions import (
     FamilySpec,
@@ -136,6 +136,20 @@ class TestDictionary:
     def test_rejects_non_monotone(self):
         with pytest.raises(ValueError):
             partition_to_monomial((1, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda route: phi((1, 1), W3, 2, route=route),
+        lambda route: psi((2,), W3, 2, route=route),
+        lambda route: partitions.phi_pairs(W3, 2, 4, route=route),
+    ],
+    ids=["phi", "psi", "phi_pairs"],
+)
+def test_unknown_route_is_named(call):
+    with pytest.raises(InputError, match="^unknown route 'fast'$"):
+        call("fast")
 
 
 class TestPhiPsi:
