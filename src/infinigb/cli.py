@@ -154,6 +154,15 @@ SERIES_TRUNCATION_CAP = 2000
 # n = 100 and 34 s at n = 120 on the same host.
 BIJECTION_WEIGHT_CAP = 80
 
+# The largest variable bound --n and degree bound --deg that `gb` accepts.
+# With --family and n >= 3 it scans every window n' = 1..n, and under `plex`
+# each is completed from scratch, so its work grows about like n^3; no
+# window admits more generators once --deg reaches 2 n.  The largest
+# allowed run, `gb --order plex --family ... --W all --p 2 --n 250 --deg
+# 500`, takes about 2.2 s in process on the same host.
+GB_VARIABLE_BOUND_CAP = 250
+GB_DEGREE_BOUND_CAP = 500
+
 
 def _check_exponents(polynomials, source):
     for f in polynomials:
@@ -415,9 +424,9 @@ _COMMANDS = {
         _Option("W", help="variable set name, e.g. pm1mod3"),
         _P,
         _Option("n", required=True, least=(1, "the variable bound"),
-                type=int, help="variable bound"),
+                cap="GB_VARIABLE_BOUND_CAP", type=int, help="variable bound"),
         _Option("deg", required=True, least=(1, "the degree bound"),
-                type=int, help="degree bound"),
+                cap="GB_DEGREE_BOUND_CAP", type=int, help="degree bound"),
         _Option("gens", help="explicit generator file"),
         _Option("reduced", default=False, action="store_true"),
     ),

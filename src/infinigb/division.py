@@ -21,9 +21,10 @@ quotients.  The divisor search scans only the leads whose top variable
 the term uses, bucketed by that variable, and returns the smallest
 dividing position, as a scan over every lead would.  It is the library's
 only test of lead divisibility: `DivisorTable.first_divisor` asks it of a
-`Monomial`, and so interreduction finds its minimal elements, the
-reduced-set test its divisible terms and the filtration its coherence.
-Completion and verification reduce S-pairs from two table rows
+`Monomial` for the filtration's coherence check, and interreduction and
+the reduced-set test ask it of the packed leads and tails of the rows
+(`is_minimal`, `tail_is_reduced`).  Completion and
+verification reduce S-pairs from two table rows
 (`DivisorTable.spair_remainder`): the two packed tails, shifted by their
 factor keys, make the work dict, so no S-polynomial is built, and the
 pair's lcm, gcd and lcm degree come from the two packed leads.
@@ -92,13 +93,18 @@ class DivisorTable:
     widens the layout before its division starts.  Every layout rebuilds
     the divisor index with the rows.
 
-    The first layout fits the divisors and exponents up to `degree`, the
+    The first layout fits the divisors, exponents up to `degree`, the
     largest weighted degree of the polynomials and S-pairs a caller will
-    divide: under a homogeneous order it is sized once so that no division
-    widens and repacks.
+    divide, and the variables x1..x{variables}: under a homogeneous order
+    it is sized once so that no division or later append widens and
+    repacks.
+
+    Interreduction works on the rows in place: `select` reorders and drops
+    rows without packing any again, and `replace` packs again only the row
+    whose tail it changes.
     """
 
-    def __init__(self, context, divisors=(), degree=0):
+    def __init__(self, context, divisors=(), degree=0, variables=0):
         self.context = context
         self.divisors = []
         backwards, _, exponent_sign = _KEY_SHAPES[context.order]
@@ -114,7 +120,7 @@ class DivisorTable:
         # earlier one again.
         divisors = list(divisors)
         self._fit(
-            max((g.max_variable_index() for g in divisors), default=0),
+            max([variables, *(g.max_variable_index() for g in divisors)]),
             max([degree, *map(_max_exponent, divisors)]),
         )
         for g in divisors:
@@ -129,7 +135,27 @@ class DivisorTable:
         self.divisors.append(g)
         self._degrees.append(self._degree(g.terms[0][1]))
         if not self._fit(g.max_variable_index(), _max_exponent(g)):
-            self._pack_row(g)
+            self._add_row(g)
+
+    def replace(self, position, g):
+        """Put g in place of divisor `position`, whose leading monomial it
+        keeps, and pack its row again."""
+        self.divisors[position] = g
+        if not self._fit(g.max_variable_index(), _max_exponent(g)):
+            self._rows[position] = self._pack_row(
+                g, self._leads[position], self._degrees[position]
+            )
+
+    def select(self, positions):
+        """Keep only the rows at `positions`, in that order, packing none
+        of them again."""
+        for column in (
+            self.divisors, self._degrees, self._leads, self._supports, self._rows
+        ):
+            column[:] = [column[position] for position in positions]
+        self._clear_index()
+        for position, (x, support) in enumerate(zip(self._leads, self._supports)):
+            self._index(position, x, support)
 
     def _fit(self, top, need):
         """Widen the layout to x1..x{top} and exponents up to `need`,
@@ -166,6 +192,11 @@ class DivisorTable:
         # The guard bits of the variables each lead uses.
         self._supports = []
         self._rows = []
+        self._clear_index()
+        for g in self.divisors:
+            self._add_row(g)
+
+    def _clear_index(self):
         # The divisor index: a bucket of (position, packed lead) pairs in
         # increasing position for each top variable of a lead, under that
         # variable's guard bit; the guard bits of the variables with a
@@ -173,18 +204,20 @@ class DivisorTable:
         self._buckets = {}
         self._bucketed = 0
         self._constant = _NO_POSITION
-        for g in self.divisors:
-            self._pack_row(g)
 
-    def _pack_row(self, g):
-        key = self._key
-        terms = g.terms
-        lm = terms[0][1]
+    def _add_row(self, g):
+        """Pack g's lead into the index and its row after the others."""
         position = len(self._leads)
-        x = self._packed(lm)
+        x = self._packed(g.terms[0][1])
         self._leads.append(x)
         support = ((x | self._guard) - self._ones) & self._guard
         self._supports.append(support)
+        self._index(position, x, support)
+        self._rows.append(self._pack_row(g, x, self._degrees[position]))
+
+    def _index(self, position, x, support):
+        """Enter the packed lead x of row `position`, using the variables
+        of the guard bits `support`, into the divisor index."""
         if support:
             # The guard bit of the top variable: the highest field holds
             # it when x1 is in the lowest, else the lowest does.
@@ -197,6 +230,13 @@ class DivisorTable:
             self._bucketed |= top
         elif self._constant == _NO_POSITION:
             self._constant = position
+
+    def _pack_row(self, g, x, degree):
+        """The row of divisor g, whose leading monomial packs to x and has
+        weighted degree `degree`: (negated order key of the lead, leading
+        coefficient or None for 1, negated tail as (coefficient, key))."""
+        key = self._key
+        terms = g.terms
         p = self._modulus
         if p is None:
             # The primitive integer multiple, its leading coefficient > 0.
@@ -211,15 +251,13 @@ class DivisorTable:
         lc = integers[0]
         # None for a leading coefficient 1, whose quotient coefficient is
         # the current one; the tail is negated once here, not per product.
-        self._rows.append(
-            (
-                self._order_key(x, self._degrees[position]),
-                None if lc == 1 else lc,
-                tuple(
-                    (-c if p is None else p - c, key(m))
-                    for c, (_, m) in zip(integers[1:], terms[1:])
-                ),
-            )
+        return (
+            self._order_key(x, degree),
+            None if lc == 1 else lc,
+            tuple(
+                (-c if p is None else p - c, key(m))
+                for c, (_, m) in zip(integers[1:], terms[1:])
+            ),
         )
 
     def _packed(self, m):
@@ -475,6 +513,25 @@ class DivisorTable:
         library.  Widens the layout first when m does not fit it."""
         self._fit(m.max_index(), max((e for _, e in m.exps), default=0))
         return self._first_divisor(self._packed(m))
+
+    def lead_keys(self):
+        """The order key of each row's leading monomial: sorting by it
+        sorts the rows by increasing leading monomial."""
+        return [-row[0] for row in self._rows]
+
+    def is_minimal(self, position):
+        """Whether row `position` is the first divisor of its own leading
+        monomial."""
+        return self._first_divisor(self._leads[position]) == position
+
+    def tail_is_reduced(self, position):
+        """Whether no leading monomial divides a tail term of row
+        `position`, its tail then being its own remainder."""
+        flip, mask = self._sign > 0, self._mask
+        return all(
+            self._first_divisor((-k if flip else k) & mask) is None
+            for _, k in self._rows[position][2]
+        )
 
     def _first_divisor(self, x):
         """The smallest position whose leading monomial divides the packed

@@ -8,14 +8,18 @@ windowed result is a true Groebner base of the truncated ideal in degrees
 up to D, and its reduced base is unique; per-window bases assemble into
 bases for the full ideal.
 
-One completion loop (`_complete`) serves every caller.  The stabilization
-scan and the filtration go through the windows in order of n, and window
-n+1 instantiates every generator of window n.  When the input is
-homogeneous under a homogeneous order and D stays the same, window n+1
-therefore starts from window n's reduced base and forms S-pairs only with
-the generators it adds (Gebauer & Moeller 1988): by uniqueness its reduced
-base is the one a completion from scratch gives.  Every other window is
-completed from scratch.
+One completion loop (`_complete`) and one interreduction (`_interreduce`)
+serve every caller; both work on the rows of a `DivisorTable` in place.
+The stabilization scan and the filtration go through the windows in order
+of n, and window n+1 instantiates every generator of window n.  One pass
+over the presentation makes and checks each generator once for all the
+windows.  When the input is homogeneous under a homogeneous order and D
+stays the same, window n+1 therefore continues on window n's table, which
+holds its reduced base: it appends the generators it adds, forms S-pairs
+only with them and the new remainders (Gebauer & Moeller 1988), and
+packs again only the rows interreduction rewrites.  By uniqueness its
+reduced base is the one a completion from scratch gives.  Every other
+window is completed from scratch on a fresh table.
 
 Pairs are scheduled and window-tested by their lcm degree, read off the
 divisor table's packed leading monomials (`DivisorTable.spair_lcm`),
@@ -73,10 +77,12 @@ class TruncationWindow:
             raise InputError("window bounds must be positive")
 
     def admits(self, f):
-        return (
-            f.max_variable_index() <= self.var_bound
-            and f.weighted_degree() <= self.degree_bound
-        )
+        return self.admits_bounds(f.max_variable_index(), f.weighted_degree())
+
+    def admits_bounds(self, top, degree):
+        """Whether a polynomial in x1..x{top} of weighted degree `degree`
+        lies inside the window."""
+        return top <= self.var_bound and degree <= self.degree_bound
 
 
 @dataclass(frozen=True)
@@ -113,22 +119,36 @@ class GroebnerBasis:
         return tuple(g.lm() for g in self.elements)
 
 
-def _canonical_sorted(elements, context):
-    """Sort by (leading monomial, textual form) and drop duplicates.
+def _canonical_order(elements, keys):
+    """The positions of `elements` sorted by `keys`, their leading
+    monomials' order keys, equal keys by textual form, each position whose
+    element equals the one before it left out.
 
     The text is rendered only for elements sharing a leading monomial.
     """
-    key = sort_key(context.order, context.weights)
-    ordered = sorted(elements, key=lambda g: key(g.lm()))
+    ordered = sorted(range(len(elements)), key=keys.__getitem__)
     out = []
-    for _, run in groupby(ordered, key=Polynomial.lm):
+    for _, run in groupby(ordered, key=keys.__getitem__):
         run = list(run)
         if len(run) > 1:
-            run.sort(key=format_polynomial)
-        for g in run:
-            if not out or g != out[-1]:
-                out.append(g)
+            run.sort(key=lambda position: format_polynomial(elements[position]))
+        # Equal elements share a leading monomial and a text, so a repeat
+        # follows its first in the run.
+        out.append(run[0])
+        out.extend(
+            position
+            for before, position in zip(run, run[1:])
+            if elements[position] != elements[before]
+        )
     return out
+
+
+def _canonical_sorted(elements, context):
+    """Sort by (leading monomial, textual form) and drop duplicates."""
+    key = sort_key(context.order, context.weights)
+    elements = list(elements)
+    keys = [key(g.lm()) for g in elements]
+    return [elements[position] for position in _canonical_order(elements, keys)]
 
 
 def is_reduced_set(elements):
@@ -148,12 +168,10 @@ def is_reduced_set(elements):
         return True
     context = elements[0].context
     key = sort_key(context.order, context.weights)
-    ordered = sorted(elements, key=lambda g: key(g.lm()))
-    table = DivisorTable(context, ordered)
+    table = DivisorTable(context, sorted(elements, key=lambda g: key(g.lm())))
     return all(
-        table.first_divisor(g.lm()) == position
-        and all(table.first_divisor(m) is None for _, m in g.terms[1:])
-        for position, g in enumerate(ordered)
+        table.is_minimal(position) and table.tail_is_reduced(position)
+        for position in range(len(elements))
     )
 
 
@@ -178,15 +196,18 @@ def _validate_generators(gens, window, context):
             raise WindowError(f"generator {g} outside window {window}")
 
 
-def _complete(start, gens, window, context):
-    """Complete `start + gens` to a Groebner base within the window, forming
-    S-pairs only where at least one member comes from `gens` or is a new
-    remainder.
+def _complete(table, start, window):
+    """Complete the rows of `table` to a Groebner base within the window,
+    forming S-pairs only where at least one member is a row from `start`
+    on or a new remainder, which is appended; returns the numbers of pairs
+    and of remainders the window discarded.
 
-    `start` must already be a Groebner base of the window's degrees: each
-    of its S-pairs then has a standard representation over `start`, which
-    stays one over any larger set (Becker & Weispfenning 1993, ch. 5), so
-    its pairs count as resolved.  An empty `start` is the plain completion.
+    The rows before `start` must already be a Groebner base of the
+    window's degrees: each of their S-pairs then has a standard
+    representation over them, which stays one over any larger set (Becker
+    & Weispfenning 1993, ch. 5), so its pairs count as resolved.  `start`
+    0 is the plain completion.  The table must be laid out for the degree
+    bound, so that no S-pair widens it.
 
     Element j pairs with each earlier element i whose lead shares a
     variable with its own; a coprime pair reduces to zero without
@@ -203,22 +224,19 @@ def _complete(start, gens, window, context):
     by creation index max(i, j), then by rank in that sort.  A pair (i, j)
     dropped by (k, j) is justified by two pairs below it: (k, j), whose
     lcm is smaller or equal with a lower rank, and (i, k), whose lcm
-    divides that of (i, j) and which was formed earlier or lies inside
-    `start`.  With the chain criterion, S(i, j) then has a standard
-    representation whenever those two have one, and by well-founded
-    induction every in-window pair has one (Becker & Weispfenning,
-    ch. 5).  `verify_buchberger` uses no criterion and checks this.
+    divides that of (i, j) and which was formed earlier or lies among the
+    rows before `start`.  With the chain criterion, S(i, j) then has a
+    standard representation whenever those two have one, and by
+    well-founded induction every in-window pair has one (Becker &
+    Weispfenning, ch. 5).  `verify_buchberger` uses no criterion and
+    checks this.
     """
-    _validate_generators(gens, window, context)
     bound = window.degree_bound
-    # No remainder uses a variable its inputs do not, and no S-pair kept
-    # exceeds the degree bound.
-    table = DivisorTable(context, [*start, *gens], bound)
     queue = []
     discarded_pairs = 0
     discarded_elements = 0
     # Only `plex` can discard a remainder, which leaves its pair unjustified.
-    prune = context.order.homogeneous
+    prune = table.context.order.homogeneous
 
     def pair_up(j):
         nonlocal discarded_pairs
@@ -242,7 +260,7 @@ def _complete(start, gens, window, context):
                 kept.append(lcm)
             heapq.heappush(queue, (lcm_degree, i, j))
 
-    for j in range(len(start), len(table.divisors)):
+    for j in range(start, len(table.divisors)):
         pair_up(j)
 
     while queue:
@@ -256,11 +274,16 @@ def _complete(start, gens, window, context):
         r = r.monic()
         table.append(r)
         pair_up(len(table.divisors) - 1)
+    return discarded_pairs, discarded_elements
 
-    elements = tuple(_canonical_sorted(table.divisors, context))
+
+def _completed_basis(context, elements, window, discarded):
+    """The base of a completion that discarded (pairs, remainders); it is
+    only asserted when the window discarded a remainder."""
+    discarded_pairs, discarded_elements = discarded
     return GroebnerBasis(
         context,
-        elements,
+        tuple(elements),
         window,
         Certificate.ASSERTED
         if discarded_elements
@@ -268,6 +291,54 @@ def _complete(start, gens, window, context):
         discarded_pairs=discarded_pairs,
         discarded_elements=discarded_elements,
     )
+
+
+def _interreduce(table):
+    """Interreduce the rows of `table`, whose divisors are monic, in place
+    to a reduced set sorted by increasing leading monomial.
+
+    Each round puts the rows in the order `_canonical_sorted` gives their
+    divisors, dropping a repeat.  An admissible order never puts a divisor
+    after its multiple, so a row is minimal (kept, one per leading
+    monomial) exactly when it is its own lead's first divisor, and the
+    first divisor of any monomial is a minimal row: division by the whole
+    table gives the remainders division by the minimal rows would.  Every
+    other row must reduce to zero and is dropped; the monic remainder of
+    one that does not is appended and the round repeats.  Each remainder
+    adds a leading monomial outside the ideal of the old ones, so this
+    ends.  Finally each kept row whose tail some lead divides gets its
+    tail's remainder modulo the same rows, all remainders being taken
+    before any row changes; a row with no such tail term keeps its
+    polynomial and its packed row.
+    """
+    while True:
+        table.select(_canonical_order(table.divisors, table.lead_keys()))
+        minimal = []
+        extra = []
+        for position in range(len(table.divisors)):
+            if table.is_minimal(position):
+                minimal.append(position)
+                continue
+            r = remainder(table.divisors[position], table)
+            if not r.is_zero:
+                extra.append(r.monic())
+        if len(minimal) < len(table.divisors):
+            table.select(minimal)
+        if not extra:
+            break
+        for r in extra:
+            table.append(r)
+    context = table.context
+    tails = [
+        None
+        if table.tail_is_reduced(position)
+        else remainder(Polynomial(context, g.terms[1:]), table)
+        for position, g in enumerate(table.divisors)
+    ]
+    for position, tail in enumerate(tails):
+        if tail is not None:
+            lead = table.divisors[position].terms[:1]
+            table.replace(position, Polynomial(context, lead + tail.terms))
 
 
 def buchberger_truncated(gens, window, *, context=None):
@@ -286,7 +357,14 @@ def buchberger_truncated(gens, window, *, context=None):
     asserted.
     """
     gens = list(gens)
-    return _complete((), gens, window, _generator_context(gens, context))
+    context = _generator_context(gens, context)
+    _validate_generators(gens, window, context)
+    # No remainder uses a variable its inputs do not, and no S-pair kept
+    # exceeds the degree bound.
+    table = DivisorTable(context, gens, window.degree_bound)
+    discarded = _complete(table, 0, window)
+    elements = _canonical_sorted(table.divisors, context)
+    return _completed_basis(context, elements, window, discarded)
 
 
 def verify_buchberger(basis):
@@ -310,52 +388,22 @@ def verify_buchberger(basis):
 
 
 def reduce_basis(basis):
-    """Inter-reduce to a reduced generating set of the same ideal.
+    """Inter-reduce to a reduced generating set of the same ideal:
+    `_interreduce` on a fresh table of the monic elements.
 
-    Each round packs the pending elements once, sorted by increasing
-    leading monomial.  An admissible order never puts a divisor after its
-    multiple, so an element is minimal (kept, one per leading monomial)
-    exactly when its lead's first divisor in that table is its own row.
-    The first divisor of any monomial is then a minimal row, so division
-    by the whole table gives the remainders division by the minimal rows
-    would.  Every other element must reduce to zero; the monic remainder
-    of one that does not joins the set and the round repeats.  Each
-    remainder adds a leading monomial outside the ideal of the old ones,
-    so this ends.  Finally the tail of each kept element is replaced by
-    its remainder modulo the same table.  For a Groebner base of the
-    window every dropped element reduces to zero, and the result is the
-    unique reduced base; a completion that discarded an out-of-window
-    remainder is not one, and its discarded generators come back here.
+    For a Groebner base of the window every element that is not minimal
+    reduces to zero, and the result is the unique reduced base; a
+    completion that discarded an out-of-window remainder is not one, and
+    its discarded generators come back here.
     """
     context = basis.context
     pending = [g.monic() for g in basis.elements if not g.is_zero]
-    while True:
-        ordered = _canonical_sorted(pending, context)
-        degree = max((g.weighted_degree() for g in pending), default=0)
-        table = DivisorTable(context, ordered, degree)
-        minimal = []
-        extra = []
-        for position, g in enumerate(ordered):
-            if table.first_divisor(g.lm()) == position:
-                minimal.append(g)
-                continue
-            r = remainder(g, table)
-            if not r.is_zero:
-                extra.append(r.monic())
-        if not extra:
-            break
-        pending = minimal + extra
-    # Sorted by distinct leading monomials, which tail reduction keeps.
-    elements = tuple(
-        Polynomial(
-            context,
-            g.terms[:1] + remainder(Polynomial(context, g.terms[1:]), table).terms,
-        )
-        for g in minimal
-    )
+    degree = max((g.weighted_degree() for g in pending), default=0)
+    table = DivisorTable(context, pending, degree)
+    _interreduce(table)
     return GroebnerBasis(
         context,
-        elements,
+        tuple(table.divisors),
         basis.window,
         basis.certificate,
         discarded_pairs=basis.discarded_pairs,
@@ -456,68 +504,136 @@ class IdealPresentation:
     def instantiate(self, window):
         """The generators visible inside the window, validated nonzero and
         within the configured subring."""
+        return [g for _, g in next(self._instantiations([window]))]
+
+    def _instantiations(self, windows):
+        """For each window in turn, the (position, generator) pairs of the
+        generators it instantiates, positions counting the candidates.
+
+        One pass makes the candidates for every window: the explicit
+        generators, then the family member of each index up to the largest
+        var_bound so far, each made once, validated nonzero and within the
+        configured subring once, and kept unless an earlier candidate
+        equals it.  A window instantiates the kept candidates of index at
+        most its var_bound that it admits, in candidate order: the list a
+        pass for that window alone gives, since equal candidates are
+        admitted alike and the first has the smaller index.  Each kept
+        candidate's admission is read off its index, top variable and
+        weighted degree, taken once.
+        """
+        candidates = []
         seen = set()
-        out = []
-
-        def admit(g):
-            if g.is_zero:
-                raise CertificationError("a family rule produced zero")
-            if self.variables is not None:
-                for _, m in g.terms:
-                    for index in m.support():
-                        if index not in self.variables:
-                            raise CertificationError(
-                                f"generator {g} leaves the configured subring"
-                            )
-            if window.admits(g) and g not in seen:
+        # The explicit generators come first, at index 0.
+        fresh = [(0, g) for g in self.generators]
+        top = 0
+        for window in windows:
+            if self.family is not None:
+                fresh.extend(
+                    (i, self.family(i))
+                    for i in range(top + 1, window.var_bound + 1)
+                    if self.family_indices is None or i in self.family_indices
+                )
+            top = max(top, window.var_bound)
+            for index, g in fresh:
+                self._check_candidate(g)
+                # One hash per candidate: the set grows only for a new one.
+                size = len(seen)
                 seen.add(g)
-                out.append(g)
+                if len(seen) > size:
+                    top_variable = max(index, g.max_variable_index())
+                    candidates.append((top_variable, g.weighted_degree(), g))
+            fresh = []
+            yield [
+                (position, g)
+                for position, (top_variable, degree, g) in enumerate(candidates)
+                if window.admits_bounds(top_variable, degree)
+            ]
 
-        for g in self.generators:
-            admit(g)
-        if self.family is not None:
-            for i in range(1, window.var_bound + 1):
-                if self.family_indices is None or i in self.family_indices:
-                    admit(self.family(i))
-        return out
+    def _check_candidate(self, g):
+        """Raise CertificationError unless g is nonzero and lies in the
+        configured subring."""
+        if g.is_zero:
+            raise CertificationError("a family rule produced zero")
+        if self.variables is not None:
+            for _, m in g.terms:
+                for index in m.support():
+                    if index not in self.variables:
+                        raise CertificationError(
+                            f"generator {g} leaves the configured subring"
+                        )
 
 
 def _window_bases(presentation, windows):
     """The reduced base of each window in turn, for windows increasing in
     var_bound.
 
-    A window instantiates every generator of the one before it, so when
-    carrying is exact its completion starts from the previous window's
-    reduced base and adds only the generators instantiated for the first
-    time.  It is exact when the order is homogeneous, every instantiated
-    generator is homogeneous and the degree bound is the previous one's:
-    then no remainder leaves the window and the previous base is a
-    Groebner base of the new window's degrees for its own ideal, so the
-    completion is one of the new ideal and its reduced base is the unique
-    one.  A carried window that instantiates no new generator keeps the
-    previous base as it is.  Any other window is completed from scratch.
+    The generators come from one pass over the presentation's candidates
+    (`IdealPresentation._instantiations`), and a run of windows carries one
+    divisor table, laid out once for the last window's var_bound and the
+    degree bound.  A window instantiates every generator of the one before
+    it, so when carrying is exact its completion starts from the table of
+    the previous window's reduced base, appends only the candidates
+    admitted for the first time, and interreduces in place
+    (`_interreduce`): a row whose lead a new lead divides is dropped, and
+    only the new rows and the rows whose tails a new lead touches are
+    reduced and packed again.  It is exact when the order is homogeneous,
+    every instantiated generator is homogeneous and the degree bound is the
+    previous one's: then no remainder leaves the window and the previous
+    base is a Groebner base of the new window's degrees for its own ideal,
+    so the completion is one of the new ideal and its reduced base is the
+    unique one.  A carried window that instantiates no new generator keeps
+    the previous base as it is.  Any other window is completed from
+    scratch on a fresh table.
     """
     context = presentation.context
-    previous = seen = None
-    for window in windows:
-        gens = presentation.instantiate(window)
+    windows = list(windows)
+    variables = max((window.var_bound for window in windows), default=0)
+    previous = table = None
+    # Whether every generator of the previous window is homogeneous, and
+    # the candidate positions it admitted.
+    homogeneous = False
+    taken = set()
+    for window, admitted in zip(windows, presentation._instantiations(windows)):
+        new = [g for position, g in admitted if position not in taken]
+        taken = {position for position, _ in admitted}
         carried = (
             previous is not None
             and previous.window.degree_bound == window.degree_bound
+            and previous.window.var_bound <= window.var_bound
             and context.order.homogeneous
-            and all(g.is_homogeneous() for g in gens)
-            and seen.issubset(gens)
+            and homogeneous
+            and all(g.is_homogeneous() for g in new)
         )
-        new = [g for g in gens if g not in seen] if carried else gens
         if carried and not new:
             # The completion would form no pair and keep the base as it is.
             previous = GroebnerBasis(
                 context, previous.elements, window, Certificate.BUCHBERGER_VERIFIED
             )
+            yield previous
+            continue
+        gens = new if carried else [g for _, g in admitted]
+        _validate_generators(gens, window, context)
+        # Interreduction needs monic rows; a row is the same for g and g.monic().
+        gens = [g.monic() for g in gens]
+        if carried:
+            start = len(table.divisors)
+            for g in gens:
+                table.append(g)
         else:
-            start = previous.elements if carried else ()
-            previous = reduce_basis(_complete(start, new, window, context))
-        seen = set(gens)
+            homogeneous = all(g.is_homogeneous() for g in gens)
+            start = 0
+            # Lay the table out for the last window only when later windows
+            # can carry it; otherwise the fields stay as narrow as the
+            # window's generators need.
+            table = DivisorTable(
+                context,
+                gens,
+                window.degree_bound,
+                variables if context.order.homogeneous and homogeneous else 0,
+            )
+        discarded = _complete(table, start, window)
+        _interreduce(table)
+        previous = _completed_basis(context, table.divisors, window, discarded)
         yield previous
 
 
@@ -622,13 +738,14 @@ def stabilized_reduced_basis(presentation, max_n, degree_bound):
         raise InputError(f"max_n must be at least {STABILITY_WINDOW}")
     context = presentation.context
     history = []
-    element_sets = []
+    window_ns = tuple(range(max_n - STABILITY_WINDOW + 1, max_n + 1))
+    # Only the trailing windows' elements are compared.
+    tail = []
     windows = [TruncationWindow(n, degree_bound) for n in range(1, max_n + 1)]
     for n, basis in enumerate(_window_bases(presentation, windows), start=1):
         history.append((n, len(basis.elements)))
-        element_sets.append(set(basis.elements))
-    window_ns = tuple(range(max_n - STABILITY_WINDOW + 1, max_n + 1))
-    tail = [element_sets[n - 1] for n in window_ns]
+        if n >= window_ns[0]:
+            tail.append(set(basis.elements))
     stable = set.intersection(*tail)
     union = set.union(*tail)
     unstable = union - stable

@@ -11,6 +11,7 @@ import heapq
 from infinigb import index_sets, partitions
 from infinigb.division import DivisionResult, DivisorTable, standard_monomials
 from infinigb.errors import (
+    CertificationError,
     HomogeneityError,
     RingContextMismatch,
     ZeroPolynomialError,
@@ -321,6 +322,35 @@ def family_f(context):
         )
 
     return IdealPresentation(context, family=rule)
+
+
+def reference_instantiate(presentation, window):
+    """The oracle for `IdealPresentation.instantiate`: every generator made
+    and checked for this window alone, the first of equal ones kept."""
+    seen = set()
+    out = []
+
+    def admit(g):
+        if g.is_zero:
+            raise CertificationError("a family rule produced zero")
+        if presentation.variables is not None:
+            for _, m in g.terms:
+                for index in m.support():
+                    if index not in presentation.variables:
+                        raise CertificationError(
+                            f"generator {g} leaves the configured subring"
+                        )
+        if window.admits(g) and g not in seen:
+            seen.add(g)
+            out.append(g)
+
+    for g in presentation.generators:
+        admit(g)
+    if presentation.family is not None:
+        for i in range(1, window.var_bound + 1):
+            if presentation.family_indices is None or i in presentation.family_indices:
+                admit(presentation.family(i))
+    return out
 
 
 def reference_window_bases(presentation, windows):

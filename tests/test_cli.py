@@ -188,6 +188,42 @@ class TestGb:
         assert code == 2
         assert "family" in err
 
+    @pytest.mark.parametrize(
+        "option, cap, what",
+        [("n", "GB_VARIABLE_BOUND_CAP", "gb variable bound"),
+         ("deg", "GB_DEGREE_BOUND_CAP", "gb degree bound")],
+    )
+    def test_window_above_a_cap_is_a_usage_error(
+        self, capsys, tmp_path, monkeypatch, option, cap, what
+    ):
+        argv = ("gb", "--order", "plex", "--family", "x^p{i}-x{p*i}",
+                "--W", "all", "--p", "2")
+        window = {"n": "6", "deg": "12"}
+        limit = getattr(cli, cap)
+        for value in (limit + 1, 10**20):
+            flags = {**window, option: str(value)}
+            start = time.monotonic()
+            code, out, err = run(
+                capsys, *argv, *(a for k, v in flags.items() for a in (f"--{k}", v))
+            )
+            assert time.monotonic() - start < 1
+            assert code == 2 and out == ""
+            assert err == f"infinigb: --{option}: {value} is above the {what} cap {limit}\n"
+        # The cap is inclusive, on the flag and in a config file alike.
+        monkeypatch.setattr(cli, cap, 12)
+        flags = {**window, option: "12"}
+        code, out, _ = run(
+            capsys, *argv, *(a for k, v in flags.items() for a in (f"--{k}", v))
+        )
+        assert code == 0 and out
+        config = tmp_path / "run.toml"
+        config.write_text(
+            "".join(f"{k} = {v}\n" for k, v in {**window, option: 13}.items())
+        )
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert code == 2 and out == ""
+        assert f"{what} cap 12" in err
+
 
 class TestHilbert:
     def test_preset_run(self, capsys):
@@ -565,6 +601,12 @@ USAGE_ERRORS = [
      "--N: 2001 is above the series truncation cap 2000"),
     (("bijection", "--preset", "AC", "--n", "81"), None,
      "--n: 81 is above the bijection weight cap 80"),
+    (("gb", "--order", "hlex", "--n", "251", "--deg", "501"), None,
+     "--n: 251 is above the gb variable bound cap 250"),
+    (("gb", "--order", "hlex", "--n", "250", "--deg", "501", "--p", "1"), None,
+     "--p: the substitution exponent must be at least 2, got 1"),
+    (("gb", "--order", "plex"), "n = 3\ndeg = 501\n",
+     "--deg: 501 is above the gb degree bound cap 500"),
     (("gb", "--order", "hlex", "--n", "0", "--deg", "6", "--p", "1"), None,
      "--n: the variable bound must be at least 1, got 0"),
     (("gb", "--order", "hlex", "--n", "-3", "--deg", "-6", "--p", "-1"), None,
@@ -775,7 +817,7 @@ class TestFuzzedInput:
     drawn below, exits 0, 1 or 2 with no traceback, in process and
     quickly: `divide`'s exponent cap and `gb`'s window turn away the huge
     exponents before any division or completion starts, and the caps on
-    --N and --n the sizes above them."""
+    --N, --n and --deg the sizes above them."""
 
     @settings(max_examples=60, deadline=2000)
     @given(
@@ -810,7 +852,8 @@ class TestFuzzedInput:
         int: st.one_of(
             st.integers(-3, 12),
             st.sampled_from(
-                [cli.SERIES_TRUNCATION_CAP + 1, cli.BIJECTION_WEIGHT_CAP + 1]
+                [cli.SERIES_TRUNCATION_CAP + 1, cli.BIJECTION_WEIGHT_CAP + 1,
+                 cli.GB_VARIABLE_BOUND_CAP + 1, cli.GB_DEGREE_BOUND_CAP + 1]
             ),
         ),
         str: st.sampled_from(
@@ -829,6 +872,9 @@ class TestFuzzedInput:
         "bijection": [["--preset", "AC"], ["--n", "6"], ["--route", "oracle"]],
         "hilbert": [["--preset", "schur-p2"], ["--W", "odd"], ["--p", "3"],
                     ["--N", "8"]],
+        "gb": [["--order", "harevlex"], ["--family", "x^p{i}-x{p*i}"],
+               ["--W", "pm1mod3"], ["--p", "2"], ["--n", "6"], ["--deg", "12"],
+               ["--reduced"]],
     }
 
     @settings(max_examples=60, deadline=2000)
@@ -836,8 +882,7 @@ class TestFuzzedInput:
     def test_config(self, fuzz_dir, data, command):
         """A config file of keys drawn from the command's options, one
         unknown key and one dashed key (read as `default_format`), with some
-        flags also on the command line.  `gb` is left out: its --n and --deg have no cap, so
-        a drawn window could run for minutes."""
+        flags also on the command line."""
         options = cli._COMMANDS[command].options
         keys = data.draw(
             st.lists(

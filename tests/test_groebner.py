@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from infinigb import groebner, index_sets
@@ -715,6 +716,133 @@ class TestOneDivisibilityQuery:
         ]
 
 
+class TestScanWork:
+    """One Family F scan (30, 60) calls the family rule once per index,
+    packs a row only for each new generator or remainder and each carried
+    row whose tail a new lead touches (76 and 8; the parent commit packed
+    782 rows), and hashes a polynomial once per candidate and once per
+    element of the three trailing windows (29 distinct candidates and
+    3 x 61 elements; 1802 hashes and 465 rule calls at the parent)."""
+
+    def test_family_f_scan_counts_are_pinned(self, monkeypatch):
+        calls = {"rule": 0, "_pack_row": 0, "__hash__": 0}
+        family = helpers.family_f(HARL).family
+
+        def rule(i):
+            calls["rule"] += 1
+            return family(i)
+
+        for owner, name in ((DivisorTable, "_pack_row"), (Polynomial, "__hash__")):
+            real = getattr(owner, name)
+
+            def wrapped(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        scan = stabilized_reduced_basis(IdealPresentation(HARL, family=rule), 30, 60)
+        assert scan.history == FAMILY_F_HISTORY_30_60
+        assert calls == {"rule": 30, "_pack_row": 84, "__hash__": 212}
+
+
+def paired_rule(i, ctx=HARL):
+    """Equal members at the indices 2k - 1 and 2k: x_k*x_{k+1} - x_{2k+1}."""
+    k = (i + 1) // 2
+    return Polynomial.from_terms(
+        ctx,
+        ((1, Monomial.from_pairs(((k, 1), (k + 1, 1)))),
+         (-1, Monomial.variable(2 * k + 1))),
+    )
+
+
+def tripling_rule(i, ctx=HARL):
+    """x_i^2 - x_{3i}: inside the odd subring at every odd index, outside
+    it at every even one."""
+    return Polynomial.from_terms(
+        ctx, ((1, Monomial.variable(i, 2)), (-1, Monomial.variable(3 * i)))
+    )
+
+
+def zero_at_five(i, ctx=HARL):
+    """x_i*x_{i+1} - x_{2i+1}, but zero at index 5."""
+    if i == 5:
+        return Polynomial.zero(ctx)
+    return helpers.family_f(ctx).family(i)
+
+
+GENERATOR_PASS_RULES = {
+    "family-f": helpers.family_f(HARL).family,
+    "paired": paired_rule,
+    "tripling": tripling_rule,
+    "zero-at-five": zero_at_five,
+    "none": None,
+}
+# Explicit generators: one equal to Family F's first member, one to the
+# paired rule's, one only in a large window and one outside the odd subring.
+EXPLICIT_GENERATORS = (
+    "x1*x2 - x3", "x1^2 - x3", "x3*x7 - x2*x8", "x2*x4 - x3^2", "x1*x5 - x3^2",
+)
+
+
+@st.composite
+def presentations(draw):
+    rule = draw(st.sampled_from(sorted(GENERATOR_PASS_RULES)))
+    texts = draw(st.lists(st.sampled_from(EXPLICIT_GENERATORS), unique=True, max_size=3))
+    sets = [None, index_sets.ALL, index_sets.ODD, index_sets.PM1_MOD3]
+    return IdealPresentation(
+        HARL,
+        generators=tuple(poly(text) for text in texts),
+        family=GENERATOR_PASS_RULES[rule],
+        family_indices=draw(st.sampled_from(sets)),
+        variables=draw(st.sampled_from(sets)),
+    )
+
+
+@st.composite
+def increasing_windows(draw):
+    bounds = sorted(draw(st.lists(st.integers(1, 14), min_size=1, max_size=6, unique=True)))
+    degrees = st.sampled_from([4, 8, 15, 30])
+    return [TruncationWindow(n, draw(degrees)) for n in bounds]
+
+
+class TestGeneratorPass:
+    """The scan's one pass over a presentation's candidates gives every
+    window the list that instantiating that window alone gives, and fails
+    where it fails, with the same message."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(presentation=presentations(), windows=increasing_windows())
+    def test_per_window_lists_equal_instantiate(self, presentation, windows):
+        expected = []
+        failure = None
+        for window in windows:
+            try:
+                listed = presentation.instantiate(window)
+            except CertificationError as error:
+                failure = str(error)
+                with pytest.raises(CertificationError) as caught:
+                    helpers.reference_instantiate(presentation, window)
+                assert str(caught.value) == failure
+                break
+            assert listed == helpers.reference_instantiate(presentation, window)
+            expected.append(listed)
+        passed = []
+        positions = {}
+        try:
+            for admitted in presentation._instantiations(windows):
+                passed.append([g for _, g in admitted])
+                # A candidate keeps its position in every window.
+                for position, g in admitted:
+                    assert positions.setdefault(position, g) is g
+                assert [p for p, _ in admitted] == sorted(p for p, _ in admitted)
+        except CertificationError as error:
+            assert str(error) == failure
+        else:
+            assert failure is None
+        assert passed == expected
+
+
 class TestReducedIsDerived:
     """`GroebnerBasis.reduced` is read off the elements when asked for:
     building a base never tests reducedness, and the flag agrees with the
@@ -992,13 +1120,14 @@ SCRATCH_SCANS = {
 
 
 def spy_starts(monkeypatch):
-    """Record the size of the carried base each completion starts from."""
+    """Record the size of the carried base each completion starts from:
+    the rows before the first new one."""
     starts = []
     complete = groebner._complete
 
-    def spy(start, gens, window, context):
-        starts.append(len(start))
-        return complete(start, gens, window, context)
+    def spy(table, start, window):
+        starts.append(start)
+        return complete(table, start, window)
 
     monkeypatch.setattr(groebner, "_complete", spy)
     return starts
