@@ -387,15 +387,16 @@ class _Option:
 
 
 class _Command:
-    """One subcommand: its handler, its help text and its options, the
-    common --config, --format and --seed first."""
+    """One subcommand: its handler, the output formats the handler
+    renders (the default first), its help text and its options, the common
+    --config, --format and --seed first."""
 
-    def __init__(self, handler, default_format, help, *options):
+    def __init__(self, handler, formats, help, *options):
         self.handler = handler
         self.help = help
         common = (
             _Option("config", help="TOML config file"),
-            _Option("format", default=default_format, choices=["json", "tsv"],
+            _Option("format", default=formats[0], choices=sorted(formats),
                     help="output format"),
             _Option("seed", type=int, help="echoed seed"),
         )
@@ -409,16 +410,16 @@ _N = _Option("N", required=True, least=(0, "truncation"),
 
 _COMMANDS = {
     "orders-demo": _Command(
-        cmd_orders_demo, "tsv", "print the degree-4 comparison chains"
+        cmd_orders_demo, ("tsv", "json"), "print the degree-4 comparison chains"
     ),
     "divide": _Command(
-        cmd_divide, "json", "division with remainder",
+        cmd_divide, ("json", "tsv"), "division with remainder",
         _ORDER,
         _Option("divisors", required=True, help="generator file"),
         _Option("input", required=True, help="polynomial text"),
     ),
     "gb": _Command(
-        cmd_gb, "json", "Groebner base of a window",
+        cmd_gb, ("json",), "Groebner base of a window",
         _ORDER,
         _Option("family", help='e.g. "x^p{i}-x{p*i}"'),
         _Option("W", help="variable set name, e.g. pm1mod3"),
@@ -431,21 +432,21 @@ _COMMANDS = {
         _Option("reduced", default=False, action="store_true"),
     ),
     "hilbert": _Command(
-        cmd_hilbert, "json", "two-route Hilbert series",
+        cmd_hilbert, ("json", "tsv"), "two-route Hilbert series",
         _Option("preset", help="schur-p2 or schur-p3"),
         _Option("W"),
         _P,
         _N,
     ),
     "bijection": _Command(
-        cmd_bijection, "tsv", "partition bijection table",
+        cmd_bijection, ("tsv", "json"), "partition bijection table",
         _Option("preset", required=True, help="AB or AC"),
         _Option("n", required=True, least=(0, "the partition weight"),
                 cap="BIJECTION_WEIGHT_CAP", type=int, help="partition weight"),
         _Option("route", default="both", choices=["both", "division", "oracle"]),
     ),
     "identities": _Command(
-        cmd_identities, "tsv", "series identity checks",
+        cmd_identities, ("tsv", "json"), "series identity checks",
         _Option("schur", default=False, action="store_true"),
         _Option("rr", default=False, action="store_true"),
         _N,

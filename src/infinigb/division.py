@@ -20,14 +20,13 @@ accumulator of sympy's `PolyElement.rem`) with a heap of its keys.
 quotients.  The divisor search scans only the leads whose top variable
 the term uses, bucketed by that variable, and returns the smallest
 dividing position, as a scan over every lead would.  It is the library's
-only test of lead divisibility: `DivisorTable.first_divisor` asks it of a
-`Monomial` for the filtration's coherence check, and interreduction and
-the reduced-set test ask it of the packed leads and tails of the rows
-(`is_minimal`, `tail_is_reduced`).  Completion and
-verification reduce S-pairs from two table rows
-(`DivisorTable.spair_remainder`): the two packed tails, shifted by their
-factor keys, make the work dict, so no S-polynomial is built, and the
-pair's lcm, gcd and lcm degree come from the two packed leads.
+only test of lead divisibility: besides division, interreduction and the
+reduced-set test ask it of the packed leads and tails of the rows
+(`is_minimal`, `tail_is_reduced`).  Completion and verification reduce
+S-pairs from two table rows (`DivisorTable.spair_remainder`): the two
+packed tails, shifted by their factor keys, make the work dict, so no
+S-polynomial is built, and the pair's lcm, gcd and lcm degree come from
+the two packed leads.
 
 The loop does integer arithmetic only.  Over Q each row holds the
 primitive integer multiple of its divisor, with a positive leading
@@ -506,13 +505,6 @@ class DivisorTable:
             if record:
                 quotients.setdefault(position, []).append((c, factor, scale))
         return remainder_terms, quotients, steps
-
-    def first_divisor(self, m):
-        """The smallest position whose leading monomial divides the
-        monomial m, or None; the one lead-divisibility query of the
-        library.  Widens the layout first when m does not fit it."""
-        self._fit(m.max_index(), max((e for _, e in m.exps), default=0))
-        return self._first_divisor(self._packed(m))
 
     def lead_keys(self):
         """The order key of each row's leading monomial: sorting by it

@@ -641,9 +641,18 @@ def assemble_filtration(presentation, windows, *, check_coherence=True):
     """Union of per-window reduced bases; a base of the whole ideal in the
     limit, certified here only as asserted.
 
-    With check_coherence, verifies by leading-monomial divisibility that the
-    union's leading monomials inside each window generate (at least) that
-    window's own leading-term ideal up to the window's degree bound.
+    With check_coherence, under a homogeneous order, certifies that the
+    window ideals increase: each element of a window's base must be an
+    element of the next window's base or have remainder zero modulo it,
+    else CertificationError names both windows.  This is membership by
+    remainder (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms,
+    sec. 2.6), and it holds whenever the next window's degree bound is not
+    lower: that window instantiates every generator of this one, and a
+    homogeneous-order completion keeps every pair up to its degree bound
+    and discards no remainder, so every element of degree at most that
+    bound built from its generators reduces to zero modulo its base.  A
+    pair whose degree bound falls, and every pair under `plex`, is not
+    checked.
     """
     windows = list(windows)
     if any(
@@ -652,54 +661,27 @@ def assemble_filtration(presentation, windows, *, check_coherence=True):
         raise WindowError("windows must be strictly increasing in var_bound")
     context = presentation.context
     per_window = list(_window_bases(presentation, windows))
+    if check_coherence and context.order.homogeneous:
+        for earlier, later in zip(per_window, per_window[1:]):
+            if later.window.degree_bound < earlier.window.degree_bound:
+                continue
+            own = set(later.elements)
+            rest = [g for g in earlier.elements if g not in own]
+            if not rest:
+                continue
+            table = DivisorTable(context, later.elements, later.window.degree_bound)
+            if any(not remainder(g, table).is_zero for g in rest):
+                raise CertificationError(
+                    f"the base of the window {earlier.window} does not lie "
+                    f"in the ideal of the window {later.window}"
+                )
     union = [g for basis in per_window for g in basis.elements]
-    elements = tuple(_canonical_sorted(union, context))
-    combined = GroebnerBasis(
+    return GroebnerBasis(
         context,
-        elements,
+        tuple(_canonical_sorted(union, context)),
         windows[-1] if windows else TruncationWindow(1, 1),
         Certificate.ASSERTED,
     )
-    if check_coherence:
-        for window, basis in zip(windows, per_window):
-            if not _window_coherent(combined, basis, window, presentation.variables):
-                raise CertificationError(
-                    f"leading terms of the union disagree with the window {window}"
-                )
-    return combined
-
-
-def _window_coherent(combined, window_basis, window, variables):
-    """Check that the union's leading monomials inside the window generate
-    (at least) the window's own leading-term ideal, up to the degree bound.
-
-    A monomial lies in a monomial ideal exactly when some generator divides
-    it, so each leading monomial w of the window's base that is admissible
-    (weighted degree <= D, support in x1..xn and in `variables`) must be
-    divisible by a leading monomial of the cut, the union elements whose
-    leading monomial lies in k[x1..xn].  Inadmissible w have no admissible
-    multiple of degree <= D and are skipped.  A divisor of an admissible w
-    lies in k[x1..xn] itself, so asking a divisor table of the whole union
-    for a first divisor of w is the same as asking one of the cut.
-
-    Only containment is checked: a union element can carry a leading
-    monomial inside k[x1..xn] while the element itself leaves it, so the cut
-    leading-term set may be strictly larger than the window's; that strict
-    inclusion is expected, not incoherent.
-    """
-    context = combined.context
-    if not context.order.homogeneous:
-        return True
-    table = DivisorTable(context, combined.elements)
-    for w in window_basis.leading_monomials():
-        admissible = (
-            w.degree(context.weights) <= window.degree_bound
-            and w.max_index() <= window.var_bound
-            and (variables is None or all(i in variables for i in w.support()))
-        )
-        if admissible and table.first_divisor(w) is None:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -763,18 +745,17 @@ def purelex_restriction_check(basis, n):
     k[x1..xn] form a base of the restricted ideal; check this within the
     window.
 
-    Verifies that every leading monomial inside k[x1..xn] comes from an
-    element of k[x1..xn], then re-runs Buchberger verification on the
-    restricted subset.
+    Re-runs Buchberger verification on the elements in k[x1..xn].  Under
+    `plex` a monomial that uses a variable beyond x_n is above every
+    monomial of k[x1..xn], so an element's leading monomial uses its
+    largest variable: the leading monomials inside k[x1..xn] are exactly
+    those of the restricted elements.
     """
     if basis.context.order is not OrderKind.PURE_LEX:
         raise OrderKindError("restriction check applies to the pure lex order")
     restricted = [
         g for g in basis.elements if g.max_variable_index() <= n
     ]
-    for g in basis.elements:
-        if g.lm().max_index() <= n and g.max_variable_index() > n:
-            return False
     sub = GroebnerBasis(
         basis.context, tuple(restricted), basis.window, Certificate.ASSERTED
     )

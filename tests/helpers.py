@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import heapq
 
 from infinigb import index_sets, partitions
-from infinigb.division import DivisionResult, DivisorTable, standard_monomials
+from infinigb.division import DivisionResult, DivisorTable
 from infinigb.errors import (
     CertificationError,
     HomogeneityError,
@@ -390,38 +390,6 @@ def cyclic5_homogenized(order, field=None):
         )
     )
     return context, gens
-
-
-def reference_window_coherent(combined, window_basis, window, variables):
-    """The oracle for `infinigb.groebner._window_coherent`: in every degree
-    up to the window's bound, every admissible standard monomial of the cut
-    (the union leading monomials inside k[x1..xn]) must be standard for the
-    window's own base, counted by enumeration."""
-    context = combined.context
-    if not context.order.homogeneous:
-        return True
-    cut = [
-        g.lm()
-        for g in combined.elements
-        if g.lm().max_index() <= window.var_bound
-    ]
-    admissible = set(
-        i
-        for i in context.weights.indices_with_weight_at_most(window.degree_bound)
-        if i <= window.var_bound and (variables is None or i in variables)
-    )
-    by_cut = _monomial_ideal_basis(context, cut, window)
-    by_window = _monomial_ideal_basis(
-        context, [g.lm() for g in window_basis.elements], window
-    )
-    for degree in range(window.degree_bound + 1):
-        outside_cut = set(standard_monomials(by_cut, degree, variables=admissible))
-        outside_window = set(
-            standard_monomials(by_window, degree, variables=admissible)
-        )
-        if not outside_cut <= outside_window:
-            return False
-    return True
 
 
 def _monomial_ideal_basis(context, lms, window):

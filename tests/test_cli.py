@@ -75,6 +75,18 @@ class TestDivide:
         assert payload["remainder"] == "x4"
         assert payload["steps"] == 4
 
+    def test_tsv_stdout_matches_pinned_digest(self, capsys, gens_file):
+        # One line per divisor with a quotient, then the remainder and steps.
+        code, out, _ = run(
+            capsys,
+            "divide", "--order", "harevlex", "--divisors", gens_file,
+            "--input", "x1^4 + 3*x1^2*x2^3 - x5", "--format", "tsv",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "85d8adb22939c1f08e25efafdbcdcc045efa7c0cde9a36af3c1d3ca2909f95e7"
+        )
+
     def test_missing_divisors_is_usage_error(self, capsys):
         code, _, err = run(capsys, "divide", "--order", "harevlex",
                            "--input", "x1^4")
@@ -187,6 +199,15 @@ class TestGb:
         )
         assert code == 2
         assert "family" in err
+
+    def test_tsv_format_is_refused(self, capsys):
+        # gb renders only JSON, so argparse turns away --format tsv.
+        with pytest.raises(SystemExit) as info:
+            cli.main(["gb", "--order", "hlex", "--gens", "none.gens",
+                      "--n", "3", "--deg", "6", "--format", "tsv"])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert "--format: invalid choice: 'tsv'" in captured.err
 
     @pytest.mark.parametrize(
         "option, cap, what",
@@ -648,6 +669,16 @@ USAGE_ERRORS = [
      "config key 'W' must be a string, got 3"),
     (("identities", "--rr"), "bogus = 1\ndefault-format = 2\n",
      "missing required option --N"),
+    (("gb", "--order", "hlex", "--n", "3", "--deg", "6"), 'format = "tsv"\n',
+     "config key 'format' must be one of json, got 'tsv'"),
+    (("bijection", "--preset", "ZZ", "--n", "3"), None, "unknown preset 'ZZ'"),
+    (("hilbert", "--N", "5"), None, "hilbert needs --preset or both --W and --p"),
+    (("hilbert", "--W", "odd", "--N", "5"), None,
+     "hilbert needs --preset or both --W and --p"),
+    (("gb", "--order", "hlex", "--family", "x^p{i}-x{p*i}", "--n", "3",
+      "--deg", "6"), None, "a parametric family needs --W and --p"),
+    (("gb", "--order", "hlex", "--family", "x^p{i}-x{p*i}", "--W", "odd",
+      "--n", "3", "--deg", "6"), None, "a parametric family needs --W and --p"),
 ]
 
 
@@ -685,6 +716,8 @@ GOLDEN_STDOUT = {
         "efe17dad1fe1618d02dc3803802358d9ca3f655f8448f53c2f20b92bbaa7954e",
     ("hilbert", "--preset", "schur-p3", "--N", "20"):
         "0f25bc737c55cf7ef8847b5a9fb80a93961224bf8dcba3cda0fb007f8d7f5a23",
+    ("hilbert", "--preset", "schur-p2", "--N", "20", "--format", "tsv"):
+        "03e40e8f85c15724c277104950ada495440492be83d2764632f7a6163e969f2f",
     ("gb", "--order", "harevlex", "--family", "power-substitution",
      "--W", "pm1mod3", "--p", "2", "--n", "12", "--deg", "24"):
         "eb76210100c02b7908bfff73111c4a7eb517c1c33c57bee9f805d535bcf7e94f",

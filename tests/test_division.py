@@ -39,7 +39,6 @@ from infinigb.monomials import (
     OrderKind,
     WeightedAlphabet,
     compare,
-    parse_monomial,
 )
 from infinigb.polynomials import (
     GF,
@@ -419,6 +418,51 @@ class TestDivisorIndex:
                             helpers.reference_first_divisor(table, x)
                         )
 
+    @settings(max_examples=150)
+    @given(case=index_cases(), data=st.data())
+    def test_dividends_beyond_the_layout(self, case, data):
+        # The leads, multiples of them and other monomials, with exponents
+        # up to 40 and indices up to x200 that outgrow the fields and the
+        # variables the divisors were packed for: each division widens the
+        # layout first and still divides as the reference does.
+        ctx, divisors, _, extra = case
+        divisors = [*divisors, extra]
+        table = DivisorTable(ctx, divisors)
+        leads = [g.lm() for g in divisors]
+        used = {i for m in leads for i in m.support()}
+        factors = st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from(sorted(used | set(FOLDING_INDICES.values()))),
+                    st.integers(1, 200),
+                ),
+                st.integers(1, 40),
+            ),
+            max_size=3,
+        ).map(Monomial.from_pairs)
+        queries = [
+            *leads,
+            *(lm * data.draw(factors) for lm in leads),
+            *data.draw(st.lists(factors, max_size=4)),
+        ]
+        with checked_search():
+            for m in queries:
+                f = Polynomial.from_monomial(ctx, m)
+                assert divide(f, table) == helpers.reference_divide(f, divisors)
+
+    def test_a_dividend_beyond_the_layout_widens_it(self):
+        divisors = [poly("x2^3 - x1"), poly("x1^3 - x2")]
+        table = DivisorTable(HARL, divisors)
+        assert [str(g.lm()) for g in divisors] == ["x2^3", "x1^3"]
+        width = table._width
+        assert table._variables == 2
+        with checked_search() as searches:
+            for text in ("x1^2*x2^40*x9", "x1^40", "x2*x9^40", "x2^3*x9 + x1^5"):
+                f = poly(text)
+                assert divide(f, table) == helpers.reference_divide(f, divisors)
+        assert table._variables == 9 and table._width > width
+        assert {position for position, _ in searches} == {0, 1, None}
+
     @pytest.mark.parametrize("position", range(4))
     def test_constant_lead_at_any_position(self, position):
         divisors = [poly("x1^2 - x2"), poly("x3 - x1"), poly("x2*x5 + x4")]
@@ -475,58 +519,6 @@ class TestDivisorIndex:
             divisors.append(poly("x1^7 - x3", PLEX))
             table.append(divisors[-1])
             assert divide(f, table) == helpers.reference_divide(f, divisors)
-
-
-class TestFirstDivisor:
-    """`DivisorTable.first_divisor` asked of a `Monomial` returns what the
-    linear scan with `Monomial.divides` over the leading monomials returns,
-    also for monomials that make the layout widen first."""
-
-    @settings(max_examples=150)
-    @given(case=index_cases(), data=st.data())
-    def test_matches_the_monomial_scan(self, case, data):
-        ctx, divisors, _, extra = case
-        divisors = [*divisors, extra]
-        table = DivisorTable(ctx, divisors)
-        leads = [g.lm() for g in divisors]
-        used = {i for m in leads for i in m.support()}
-        # Exponents up to 40 and indices up to x200 outgrow the fields and
-        # the variables the divisors were packed for.
-        factors = st.lists(
-            st.tuples(
-                st.one_of(
-                    st.sampled_from(sorted(used | set(FOLDING_INDICES.values()))),
-                    st.integers(1, 200),
-                ),
-                st.integers(1, 40),
-            ),
-            max_size=3,
-        ).map(Monomial.from_pairs)
-        queries = [
-            *leads,
-            *(lm * data.draw(factors) for lm in leads),
-            *data.draw(st.lists(factors, max_size=4)),
-        ]
-        for m in queries:
-            expected = next(
-                (position for position, lm in enumerate(leads) if lm.divides(m)),
-                None,
-            )
-            assert table.first_divisor(m) == expected
-
-    def test_a_query_beyond_the_layout_widens_it(self):
-        divisors = [poly("x2^3 - x1"), poly("x1^3 - x2")]
-        table = DivisorTable(HARL, divisors)
-        assert [str(g.lm()) for g in divisors] == ["x2^3", "x1^3"]
-        width = table._width
-        assert table._variables == 2
-        assert table.first_divisor(parse_monomial("x1^2*x2^40*x9")) == 0
-        assert table._variables == 9 and table._width > width
-        assert table.first_divisor(parse_monomial("x1^40")) == 1
-        assert table.first_divisor(parse_monomial("x2*x9^40")) is None
-        # The widened table still divides as the reference does.
-        f = poly("x2^3*x9 + x1^5")
-        assert divide(f, table) == helpers.reference_divide(f, divisors)
 
 
 def spair_expected(divisors, i, j):

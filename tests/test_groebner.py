@@ -16,6 +16,7 @@ from infinigb.errors import (
     InfinigbError,
     InputError,
     OrderKindError,
+    RingContextMismatch,
     WindowError,
 )
 from infinigb.groebner import (
@@ -32,7 +33,6 @@ from infinigb.groebner import (
     reduce_basis,
     stabilized_reduced_basis,
     _canonical_sorted,
-    _window_coherent,
     verify_buchberger,
 )
 from infinigb.monomials import DEFAULT_WEIGHTS, Monomial, OrderKind, WeightedAlphabet
@@ -69,6 +69,12 @@ class TestBuchberger:
         fast = bayer_stillman_basis(gens, window=TruncationWindow(4, 8))
         assert fast is not None
         assert set(fast.elements) == set(basis.elements)
+
+    def test_generators_from_two_contexts_are_rejected(self):
+        with pytest.raises(RingContextMismatch):
+            buchberger_truncated(
+                [poly("x1^2 - x2"), poly("x2^2 - x1", PLEX)], TruncationWindow(2, 8)
+            )
 
     def test_elimination_pair_traced_by_hand(self):
         f = poly("x2 - x1^2", PLEX)
@@ -925,73 +931,95 @@ class TestFiltration:
             )
 
 
-def monomial_basis(context, lms, window):
-    elements = tuple(Polynomial.from_monomial(context, m) for m in set(lms))
-    return GroebnerBasis(context, elements, window, Certificate.ASSERTED)
+UNIT_WEIGHTS = WeightedAlphabet.with_weights({i: 1 for i in range(1, 6)})
 
 
-COHERENCE_WEIGHTS = [
-    DEFAULT_WEIGHTS,
-    WeightedAlphabet.with_weights({i: 1 for i in range(1, 10)}),
-    WeightedAlphabet.with_weights({3: 1, 7: 2}),
-]
-COHERENCE_VARIABLES = [None, index_sets.ODD, {1, 2, 4, 5, 7}]
-
-
-class TestWindowCoherence:
-    @pytest.mark.parametrize("variables", COHERENCE_VARIABLES, ids=["none", "odd", "set"])
-    @pytest.mark.parametrize("weights", COHERENCE_WEIGHTS, ids=["default", "ones", "overrides"])
-    @pytest.mark.parametrize("order", helpers.HOMOGENEOUS_ORDERS, ids=lambda o: o.value)
-    def test_agrees_with_enumeration(self, order, weights, variables):
-        # Window leading monomials are mostly multiples of cut monomials, so
-        # both verdicts occur; the rest are random, some beyond the degree
-        # bound, beyond x_n or outside `variables`, and 1 turns up on both
-        # sides.
-        context = RingContext(order, weights)
-        rng = random.Random(f"{order.value}/{weights}/{variables}")
-        seen = set()
-        for _ in range(40):
-            window = TruncationWindow(rng.randint(2, 6), rng.randint(2, 8))
-
-            def monomial():
-                return Monomial.from_pairs(
-                    (rng.randint(1, 8), rng.randint(1, 2))
-                    for _ in range(rng.choice([0, 1, 1, 2, 2, 3]))
-                )
-
-            cut = [monomial() for _ in range(rng.randint(0, 4))]
-            own = []
-            for _ in range(rng.randint(1, 4)):
-                m = monomial()
-                if cut and rng.random() < 0.7:
-                    m = m * rng.choice(cut) if rng.random() < 0.5 else rng.choice(cut)
-                own.append(m)
-            combined = monomial_basis(context, cut, window)
-            window_basis = monomial_basis(context, own, window)
-            verdict = _window_coherent(combined, window_basis, window, variables)
-            assert verdict == helpers.reference_window_coherent(
-                combined, window_basis, window, variables
-            ), (window, cut, own)
-            seen.add(verdict)
-        assert seen == {True, False}
-
-    def test_missing_window_lead_is_incoherent(self):
-        # The window's base leads with x2, which no cut monomial divides.
-        window = TruncationWindow(3, 6)
-        combined = monomial_basis(HARL, [Monomial.variable(1, 2)], window)
-        window_basis = monomial_basis(
-            HARL, [Monomial.variable(1, 2), Monomial.variable(2)], window
+@st.composite
+def filtration_cases(draw):
+    """Explicit generators over x1..x5, homogeneous or not, under a
+    homogeneous order with default or unit weights, and windows strictly
+    increasing in var_bound whose degree bounds rise and fall."""
+    context = RingContext(
+        draw(st.sampled_from(helpers.HOMOGENEOUS_ORDERS)),
+        draw(st.sampled_from([DEFAULT_WEIGHTS, UNIT_WEIGHTS])),
+    )
+    homogeneous = draw(st.booleans())
+    monomials = helpers.monomials(max_index=5, max_exponent=2, max_factors=2)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(
+            st.lists(
+                st.tuples(helpers.coefficients(), monomials), min_size=1, max_size=3
+            )
         )
-        assert not _window_coherent(combined, window_basis, window, None)
-        assert not helpers.reference_window_coherent(
-            combined, window_basis, window, None
+        if homogeneous:
+            degree = terms[0][1].degree(context.weights)
+            terms = [t for t in terms if t[1].degree(context.weights) == degree]
+        g = Polynomial.from_terms(context, terms)
+        if not g.is_zero:
+            gens.append(g)
+    var_bounds = draw(
+        st.lists(st.integers(1, 6), min_size=2, max_size=4, unique=True).map(sorted)
+    )
+    windows = [TruncationWindow(n, draw(st.integers(1, 7))) for n in var_bounds]
+    return IdealPresentation(context, generators=tuple(gens)), windows
+
+
+def drop_shared_element(monkeypatch):
+    """Make `_window_bases` leave out of the last window's base one element
+    that the window before it also has."""
+    window_bases = groebner._window_bases
+
+    def dropped(presentation, windows):
+        bases = list(window_bases(presentation, windows))
+        earlier, later = bases[-2:]
+        shared = next(g for g in later.elements if g in earlier.elements)
+        bases[-1] = GroebnerBasis(
+            later.context,
+            tuple(g for g in later.elements if g != shared),
+            later.window,
+            later.certificate,
+        )
+        return iter(bases)
+
+    monkeypatch.setattr(groebner, "_window_bases", dropped)
+
+
+class TestFiltrationCoherence:
+    """`assemble_filtration` checks that each window's base lies in the
+    ideal of the next window's base when that window's degree bound is not
+    lower, under the homogeneous orders."""
+
+    @settings(max_examples=120)
+    @given(case=filtration_cases())
+    def test_correct_bases_pass(self, case):
+        pres, windows = case
+        union = assemble_filtration(pres, windows)
+        reference = helpers.reference_window_bases(pres, windows)
+        assert list(union.elements) == _canonical_sorted(
+            [g for b in reference for g in b.elements], pres.context
         )
 
-    def test_non_homogeneous_order_is_not_checked(self):
-        window = TruncationWindow(3, 6)
-        combined = monomial_basis(PLEX, [], window)
-        window_basis = monomial_basis(PLEX, [Monomial.variable(2)], window)
-        assert _window_coherent(combined, window_basis, window, None)
+    @pytest.mark.parametrize("bounds", [(24, 24), (24, 30)])
+    def test_a_base_missing_an_element_is_rejected(self, monkeypatch, bounds):
+        drop_shared_element(monkeypatch)
+        windows = [TruncationWindow(n, d) for n, d in zip((8, 12), bounds)]
+        with pytest.raises(CertificationError) as info:
+            assemble_filtration(helpers.family_f(HARL), windows)
+        assert str(info.value) == (
+            f"the base of the window {windows[0]} does not lie in the ideal "
+            f"of the window {windows[1]}"
+        )
+
+    @pytest.mark.parametrize(
+        "context, bounds, check",
+        [(HARL, (30, 24), True), (HARL, (24, 24), False), (PLEX, (24, 24), True)],
+        ids=["falling-degree-bound", "unchecked", "plex"],
+    )
+    def test_what_is_not_checked(self, monkeypatch, context, bounds, check):
+        drop_shared_element(monkeypatch)
+        windows = [TruncationWindow(n, d) for n, d in zip((8, 12), bounds)]
+        assemble_filtration(helpers.family_f(context), windows, check_coherence=check)
 
 
 class TestStabilization:
@@ -1271,6 +1299,12 @@ class TestRegularity:
         seq = [poly("x1"), poly("x2"), poly("x3")]
         assert check_fr_condition(seq, probe_degree=8)
 
+    def test_elements_above_the_probe_degree_are_invisible(self):
+        # x1^3 twice is no regular sequence, which only degree 3 shows.
+        seq = [poly("x1^3"), poly("x1^3")]
+        assert check_fr_condition(seq, probe_degree=2)
+        assert not check_fr_condition(seq, probe_degree=3)
+
     def test_nilpotent_pattern_is_not(self):
         seq = [poly("x1"), poly("x1^2")]
         assert not check_fr_condition(seq, probe_degree=8)
@@ -1352,6 +1386,10 @@ class TestPresentation:
         assert {str(g) for g in small} == {"x1^2 - x2", "x2^2 - x4"}
         tiny = pres.instantiate(TruncationWindow(12, 3))
         assert {str(g) for g in tiny} == {"x1^2 - x2"}
+
+    def test_generator_from_another_context_rejected(self):
+        with pytest.raises(RingContextMismatch):
+            IdealPresentation(HARL, generators=(poly("x1^2 - x2", PLEX),))
 
     def test_generator_leaving_subring_rejected(self):
         pres = IdealPresentation(

@@ -61,6 +61,14 @@ class TestFamilies:
             (6,), (5, 1), (4, 2),
         }
 
+    def test_gap_two_membership_matches_the_search(self):
+        # The search builds each partition with gaps of at least two.
+        spec = FamilySpec("gap2")
+        for n in range(13):
+            family = helpers.reference_enumerate_family(spec, n)
+            for parts in helpers.all_partitions(n):
+                assert spec.contains(parts) == (parts in family), parts
+
     def test_distinct_parts_in_b(self):
         for parts in enumerate_family(FamilySpec.preset("B"), 12):
             assert len(set(parts)) == len(parts)
