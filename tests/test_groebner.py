@@ -933,6 +933,13 @@ class TestFiltration:
 
 UNIT_WEIGHTS = WeightedAlphabet.with_weights({i: 1 for i in range(1, 6)})
 
+COHERENCE_WEIGHTS = {
+    "default": DEFAULT_WEIGHTS,
+    "ones": WeightedAlphabet.with_weights({i: 1 for i in range(1, 10)}),
+    "overrides": WeightedAlphabet.with_weights({3: 1, 7: 2}),
+}
+COHERENCE_VARIABLES = {"none": None, "odd": index_sets.ODD, "set": {1, 2, 4, 5, 7}}
+
 
 @st.composite
 def filtration_cases(draw):
@@ -1020,6 +1027,65 @@ class TestFiltrationCoherence:
         drop_shared_element(monkeypatch)
         windows = [TruncationWindow(n, d) for n, d in zip((8, 12), bounds)]
         assemble_filtration(helpers.family_f(context), windows, check_coherence=check)
+
+    @pytest.mark.parametrize(
+        "variables", COHERENCE_VARIABLES, ids=list(COHERENCE_VARIABLES)
+    )
+    @pytest.mark.parametrize("weights", COHERENCE_WEIGHTS, ids=list(COHERENCE_WEIGHTS))
+    @pytest.mark.parametrize("order", helpers.HOMOGENEOUS_ORDERS, ids=lambda o: o.value)
+    def test_verdicts_in_a_subring(self, monkeypatch, order, weights, variables):
+        # Binomials on the subring's variables up to x7, homogeneous or not,
+        # under weights that are the indices, all ones or the indices with
+        # two overridden: every filtration passes with the reference union,
+        # and once an element shared by both windows is dropped from the
+        # later base it is rejected exactly when the degree bound does not
+        # fall.
+        context = RingContext(order, COHERENCE_WEIGHTS[weights])
+        subring = COHERENCE_VARIABLES[variables]
+        indices = [i for i in range(1, 8) if subring is None or i in subring]
+        rng = random.Random(f"{order.value}/{weights}/{variables}")
+
+        def monomial():
+            return Monomial.from_pairs(
+                (rng.choice(indices), rng.randint(1, 2))
+                for _ in range(rng.randint(1, 2))
+            )
+
+        verdicts = []
+        for trial in range(24):
+            gens = [
+                Polynomial.from_terms(context, [(1, monomial()), (-1, monomial())])
+                for _ in range(rng.randint(2, 3))
+            ]
+            pres = IdealPresentation(
+                context,
+                generators=tuple(g for g in gens if not g.is_zero),
+                variables=subring,
+            )
+            first = rng.randint(6, 12)
+            step = rng.randint(0, 2) if trial % 2 else -rng.randint(1, 2)
+            var_bounds = sorted(rng.sample(range(2, 8), 2))
+            windows = [
+                TruncationWindow(n, d)
+                for n, d in zip(var_bounds, (first, first + step))
+            ]
+            union = assemble_filtration(pres, windows)
+            earlier, later = helpers.reference_window_bases(pres, windows)
+            assert list(union.elements) == _canonical_sorted(
+                [*earlier.elements, *later.elements], context
+            )
+            if not set(earlier.elements) & set(later.elements):
+                continue
+            rising = windows[1].degree_bound >= windows[0].degree_bound
+            with monkeypatch.context() as patch:
+                drop_shared_element(patch)
+                try:
+                    assemble_filtration(pres, windows)
+                    verdicts.append(False)
+                except CertificationError:
+                    verdicts.append(True)
+            assert verdicts[-1] == rising, (gens, windows)
+        assert set(verdicts) == {True, False}
 
 
 class TestStabilization:
