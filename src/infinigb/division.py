@@ -22,7 +22,11 @@ the term uses, bucketed by that variable, and returns the smallest
 dividing position, as a scan over every lead would.  It is the library's
 only test of lead divisibility: besides division, interreduction and the
 reduced-set test ask it of the packed leads and tails of the rows
-(`is_minimal`, `tail_is_reduced`).  Completion and verification reduce
+(`is_minimal`, `tail_is_reduced`).  The loop asks it once per monomial of
+a degree slice, as F4's symbolic preprocessing does (Faugere, JPAA 139,
+1999): a table's reducer cache maps the keys of one weighted degree to
+their first divisor (`DivisorTable` gives its scope, invalidation and
+off-rule).  Completion and verification reduce
 S-pairs from two table rows (`DivisorTable.spair_remainder`): the two
 packed tails, shifted by their factor keys, make the work dict, so no
 S-polynomial is built, and the pair's lcm, gcd and lcm degree come from
@@ -101,6 +105,21 @@ class DivisorTable:
     Interreduction works on the rows in place: `select` reorders and drops
     rows without packing any again, and `replace` packs again only the row
     whose tail it changes.
+
+    The reducer cache maps the order key of a term to the position of its
+    first divisor, or to the stamp ~count of a search that found none
+    among `count` rows.  It holds the keys of one weighted degree, the
+    slice of the last division's leading term: a division of another
+    degree starts a fresh one, and a lower-degree term is searched without
+    it.  Under a homogeneous order an S-pair's reduction stays in its
+    lcm's degree, so the scope loses no repeat; `plex` never caches.  A
+    new layout and `select` drop the cache.  `append` keeps it, since a
+    new row comes after every cached position and a stale stamp is
+    searched again, and `replace` keeps it, since it keeps the lead.
+    A division's bookkeeping costs about one search and each key found in
+    the cache saves one, so a table whose divisions have together fallen
+    as many searches behind as it has rows stops caching: one whose keys
+    seldom repeat, as in the verification of a power-substitution base.
     """
 
     def __init__(self, context, divisors=(), degree=0, variables=0):
@@ -112,6 +131,10 @@ class DivisorTable:
         self._homogeneous = context.order.homogeneous
         self._modulus = None if context.field is None else context.field.p
         self._weight_of = dict(context.weights.overrides)
+        # Only the homogeneous orders cache reducers; `_lag` counts the
+        # cached divisions less their cache hits (see `_run`).
+        self._caching = self._homogeneous
+        self._lag = 0
         # The weighted degree of each leading monomial, for the S-pairs.
         self._degrees = []
         self._layout(0, 2)
@@ -203,6 +226,9 @@ class DivisorTable:
         self._buckets = {}
         self._bucketed = 0
         self._constant = _NO_POSITION
+        # The reducer cache and the weighted degree of its keys.
+        self._slice = None
+        self._cache = None
 
     def _add_row(self, g):
         """Pack g's lead into the index and its row after the others."""
@@ -371,6 +397,7 @@ class DivisorTable:
         return self._reduce(
             lambda: ({key(m): c for c, (_, m) in zip(integers, terms)}, scale),
             record,
+            need,
         )
 
     def spair_remainder(self, i, j, degree):
@@ -392,7 +419,9 @@ class DivisorTable:
                 (e for g in (g_i, g_j) for _, e in g.lm().exps), default=0
             ) + max(_max_exponent(g_i), _max_exponent(g_j))
         self._fit(0, need)
-        terms = self._reduce(lambda: self._spair_work(i, j, degree), False)[0]
+        terms = self._reduce(
+            lambda: self._spair_work(i, j, degree), False, degree
+        )[0]
         return self._polynomial(terms)
 
     def _spair_work(self, i, j, degree):
@@ -432,10 +461,14 @@ class DivisorTable:
                     del work[product]
         return work, a * lc_i
 
-    def _reduce(self, build, record):
+    def _reduce(self, build, record, degree):
         """Run the division loop on the work dict and scale `build()`
         makes, widening the fields and starting again while a product
-        overflows one."""
+        overflows one.  Under a homogeneous order `degree` is the weighted
+        degree of the leading term, the slice of the reducer cache."""
+        if self._caching and degree != self._slice:
+            self._slice = degree
+            self._cache = {}
         while True:
             outcome = self._run(*build(), record)
             if outcome is not None:
@@ -449,6 +482,8 @@ class DivisorTable:
 
         Remainder terms come out as (c, key, scale) and quotient terms as
         (q, factor key, scale), with the scale current when each was made.
+        Keys of the degree `_slice` are looked up in the reducer cache
+        `_cache`, when there is one; a key of a lower degree is searched.
         """
         live = list(work)
         heapify(live)
@@ -461,6 +496,14 @@ class DivisorTable:
         quotients = {} if record else None
         remainder_terms = []
         steps = 0
+        cache = self._cache
+        if cache is not None:
+            lookup = cache.get
+            # The largest key of the slice's degree, and the stamp of a "no
+            # divisor" answer found among the rows there are now.
+            top = -(self._slice << self._shift) + (0 if flip else mask)
+            blank = ~len(rows)
+            hits = 0
         while live:
             k = heappop(live)
             c = work.pop(k, None)
@@ -471,7 +514,19 @@ class DivisorTable:
                 if not c:
                     continue  # cancelled modulo p
             steps += 1
-            position = first_divisor((-k if flip else k) & mask)
+            if cache is None or k > top:
+                position = first_divisor((-k if flip else k) & mask)
+            else:
+                # A key not held reads as no divisor among no rows, ~0.
+                position = lookup(k, -1)
+                if position >= 0:
+                    hits += 1
+                elif position == blank:
+                    hits += 1
+                    position = None
+                else:
+                    position = first_divisor((-k if flip else k) & mask)
+                    cache[k] = blank if position is None else position
             if position is None:
                 remainder_terms.append((c, k, scale))
                 continue
@@ -504,6 +559,14 @@ class DivisorTable:
                         del work[product]
             if record:
                 quotients.setdefault(position, []).append((c, factor, scale))
+        if cache is not None:
+            # A division's bookkeeping costs about one search and each hit
+            # saves one: a table that falls as many searches behind as it
+            # has rows stops caching.
+            self._lag += 1 - hits
+            if self._lag >= len(rows):
+                self._caching = False
+                self._cache = None
         return remainder_terms, quotients, steps
 
     def lead_keys(self):

@@ -30,7 +30,8 @@ criteria M and F of Gebauer & Moeller (1988), one packed divisibility
 test on their lcms each.  The criterion B sweep over queued pairs and
 the removal of elements from pair formation are left out: they cost
 more than they saved on binomial input, whose reductions are cheap.
-`verify_buchberger` uses no criterion.
+`verify_buchberger` uses no criterion; it takes the pairs by lcm degree
+as `_complete` does.
 """
 
 from __future__ import annotations
@@ -372,19 +373,25 @@ def verify_buchberger(basis):
     to zero by plain division, with no coprime shortcut.
 
     The window test reads each pair's lcm degree off the table's packed
-    leading monomials, so no `Monomial` lcm is built.
+    leading monomials, so no `Monomial` lcm is built.  The pairs are
+    reduced in order of lcm degree, then of (j, i), so the table's reducer
+    cache serves one degree slice at a time; any order gives the same
+    verdict.
     """
     bound = basis.window.degree_bound
     # Laid out once for every S-pair inside the window.
     table = DivisorTable(basis.context, basis.elements, bound)
+    pairs = []
     for j in range(len(basis.elements)):
         for i in range(j):
             lcm_degree = table.spair_lcm(i, j)[0]
-            if lcm_degree > bound:
-                continue
-            if not table.spair_remainder(i, j, lcm_degree).is_zero:
-                return False
-    return True
+            if lcm_degree <= bound:
+                pairs.append((lcm_degree, j, i))
+    pairs.sort()
+    return all(
+        table.spair_remainder(i, j, lcm_degree).is_zero
+        for lcm_degree, j, i in pairs
+    )
 
 
 def reduce_basis(basis):
@@ -519,13 +526,21 @@ class IdealPresentation:
         pass for that window alone gives, since equal candidates are
         admitted alike and the first has the smaller index.  Each kept
         candidate's admission is read off its index, top variable and
-        weighted degree, taken once.
+        weighted degree, taken once.  A window with the degree bound of
+        the one before and no lower var_bound admits everything that one
+        did, so it tests only the candidates not yet admitted; any other
+        window tests them all.
         """
         candidates = []
         seen = set()
         # The explicit generators come first, at index 0.
         fresh = [(0, g) for g in self.generators]
         top = 0
+        # The positions of the kept candidates the previous window admitted
+        # and of the others, each increasing.
+        admitted = []
+        waiting = []
+        previous = None
         for window in windows:
             if self.family is not None:
                 fresh.extend(
@@ -541,13 +556,28 @@ class IdealPresentation:
                 seen.add(g)
                 if len(seen) > size:
                     top_variable = max(index, g.max_variable_index())
+                    waiting.append(len(candidates))
                     candidates.append((top_variable, g.weighted_degree(), g))
             fresh = []
-            yield [
-                (position, g)
-                for position, (top_variable, degree, g) in enumerate(candidates)
-                if window.admits_bounds(top_variable, degree)
-            ]
+            if (
+                previous is None
+                or window.degree_bound != previous.degree_bound
+                or window.var_bound < previous.var_bound
+            ):
+                admitted = []
+                waiting = list(range(len(candidates)))
+            newly = []
+            rest = []
+            for position in waiting:
+                top_variable, degree, _ = candidates[position]
+                if window.admits_bounds(top_variable, degree):
+                    newly.append(position)
+                else:
+                    rest.append(position)
+            admitted = sorted(admitted + newly)
+            waiting = rest
+            previous = window
+            yield [(position, candidates[position][2]) for position in admitted]
 
     def _check_candidate(self, g):
         """Raise CertificationError unless g is nonzero and lies in the

@@ -23,12 +23,15 @@ from infinigb.errors import (
     RingContextMismatch,
     ZeroPolynomialError,
 )
+from infinigb import index_sets
 from infinigb.groebner import (
     Certificate,
     GroebnerBasis,
+    IdealPresentation,
     TruncationWindow,
     bayer_stillman_basis,
     buchberger_truncated,
+    coprime_basis,
     is_reduced_set,
     reduce_basis,
     verify_buchberger,
@@ -477,8 +480,10 @@ class TestDivisorIndex:
     def test_family_f_searches_test_few_leads(self, monkeypatch):
         # A lead test is `with_guards - lead`: packed exponents become an
         # int whose reflected subtraction counts while a search runs.  On
-        # this window the linear scan made about 20 tests per search.
-        searching, tests, searches = [False], [0], [0]
+        # this window the linear scan made about 20 tests per search.  The
+        # reducer cache answers a repeated key of a degree slice without a
+        # search, so the division steps outnumber the searches.
+        searching, tests, searches, steps = [False], [0], [0], [0]
 
         class Lead(int):
             def __rsub__(self, other):
@@ -498,12 +503,21 @@ class TestDivisorIndex:
         monkeypatch.setattr(
             DivisorTable, "_packed", lambda self, m: Lead(packed(self, m))
         )
+        run = DivisorTable._run
+
+        def stepped(self, work, scale, record):
+            outcome = run(self, work, scale, record)
+            steps[0] += outcome[2]
+            return outcome
+
         monkeypatch.setattr(DivisorTable, "_first_divisor", counted)
+        monkeypatch.setattr(DivisorTable, "_run", stepped)
         window = TruncationWindow(30, 60)
         gens = helpers.family_f(HARL).instantiate(window)
         basis = reduce_basis(buchberger_truncated(gens, window, context=HARL))
         assert verify_buchberger(basis)
-        assert searches[0] > 5000
+        assert steps[0] > 5000
+        assert searches[0] < steps[0]
         assert tests[0] <= 8 * searches[0]
 
     def test_plex_division_that_widens_midway(self):
@@ -519,6 +533,194 @@ class TestDivisorIndex:
             divisors.append(poly("x1^7 - x3", PLEX))
             table.append(divisors[-1])
             assert divide(f, table) == helpers.reference_divide(f, divisors)
+
+
+def check_cache(table):
+    """Every answer the reducer cache holds is the linear scan's: a
+    position is the first divisor of its key, and a "no divisor" stamp
+    ~count means that none of the first `count` rows divides it.  Every key
+    has the weighted degree of the table's slice, and only a homogeneous
+    order caches."""
+    if table._cache is None:
+        return
+    assert table.context.order.homogeneous
+    flip, mask = table._sign > 0, table._mask
+    for k, entry in table._cache.items():
+        x = (-k if flip else k) & mask
+        assert table._packed_degree(x) == table._slice
+        first = helpers.reference_first_divisor(table, x)
+        if entry >= 0:
+            assert entry == first
+        else:
+            assert ~entry <= len(table._rows)
+            assert first is None or first >= ~entry
+
+
+@pytest.fixture
+def checked_cache(monkeypatch):
+    """Check the reducer cache of a table after each of its divisions and
+    record the table."""
+    run = DivisorTable._run
+    tables = []
+
+    def checked(self, work, scale, record):
+        outcome = run(self, work, scale, record)
+        check_cache(self)
+        if not tables or tables[-1] is not self:
+            tables.append(self)
+        return outcome
+
+    monkeypatch.setattr(DivisorTable, "_run", checked)
+    return tables
+
+
+class TestReducerCache:
+    """The reducer cache of a `DivisorTable` maps the keys of one weighted
+    degree to their first divisor.  `append` and `replace` keep it,
+    `select` and a new layout drop it, and a table whose keys do not repeat
+    stops using it; none of this may change a division."""
+
+    @settings(max_examples=150)
+    @given(case=index_cases(), data=st.data())
+    def test_a_warm_table_divides_as_a_fresh_one(self, case, data):
+        # Each step below ends with a division of the current dividend,
+        # which the reference, a fresh table and the warm one must agree
+        # on, step count included: repeated dividends, dividends of
+        # several degrees, appends (one of a remainder term of the last
+        # division, which the cache held as having no divisor), `select`,
+        # `replace` keeping the lead, and dividends beyond the layout,
+        # which widen it or, under `plex`, restart a division.
+        ctx, divisors, dividends, extra = case
+        table = DivisorTable(ctx, divisors)
+        f = dividends[0]
+        actions = data.draw(
+            st.lists(
+                st.sampled_from(
+                    ["divide", "again", "append", "shadow", "select", "replace", "widen"]
+                ),
+                max_size=10,
+            )
+        )
+        with checked_search():
+            for action in ["again", *actions]:
+                if action == "divide":
+                    f = data.draw(st.sampled_from(dividends))
+                elif action == "append":
+                    divisors = [*divisors, extra]
+                    table.append(extra)
+                elif action == "shadow":
+                    rest = helpers.reference_divide(f, divisors).remainder.terms
+                    if rest:
+                        m = data.draw(st.sampled_from(rest))[1]
+                        g = Polynomial.from_terms(ctx, [(3, m)])
+                        divisors = [*divisors, g]
+                        table.append(g)
+                elif action == "select":
+                    order = data.draw(st.permutations(range(len(divisors))))
+                    positions = order[: data.draw(st.integers(1, len(order)))]
+                    divisors = [divisors[position] for position in positions]
+                    table.select(positions)
+                elif action == "replace":
+                    position = data.draw(st.integers(0, len(divisors) - 1))
+                    g = divisors[position]
+                    if len(g.terms) > 1:
+                        g = Polynomial(ctx, g.terms[:-1])
+                    else:
+                        g = Polynomial.from_terms(ctx, [(3, g.lm())])
+                    divisors = [*divisors]
+                    divisors[position] = g
+                    table.replace(position, g)
+                elif action == "widen":
+                    factor = Monomial.variable(
+                        data.draw(st.integers(1, 200)), data.draw(st.integers(1, 40))
+                    )
+                    lead = data.draw(st.sampled_from(divisors)).lm()
+                    f = Polynomial.from_terms(ctx, [(1, lead * factor), *f.terms])
+                warm = divide(f, table)
+                assert warm == helpers.reference_divide(f, divisors)
+                assert warm == divide(f, DivisorTable(ctx, divisors))
+                check_cache(table)
+
+    def test_an_append_divides_a_key_cached_without_divisor(self):
+        divisors = [poly("x1*x5 - x6"), poly("x7*x8 - x1"), poly("x9^2 - x2")]
+        table = DivisorTable(HARL, divisors)
+        f = poly("x1*x5 + x2*x4 + x3^2")
+        assert divide(f, table) == helpers.reference_divide(f, divisors)
+        # x1*x5 reduces to x6; x6, x2*x4 and x3^2 (all of degree 6) are
+        # held as having no divisor among three rows.
+        assert sorted(table._cache.values()) == [~3, ~3, ~3, 0]
+        divisors.append(poly("x3^2 - x2*x4"))
+        table.append(divisors[-1])
+        result = divide(f, table)
+        assert result == helpers.reference_divide(f, divisors)
+        assert str(result.remainder) == "2*x2*x4 + x6"
+        check_cache(table)
+
+    def test_a_new_layout_drops_the_cache(self):
+        # x1*x9 has the degree of the cached slice but needs a ninth
+        # field: the keys of the old layout mean other monomials in the
+        # new one.
+        context = RingContext(
+            OrderKind.HOM_LEX,
+            WeightedAlphabet.with_weights({i: 1 for i in range(1, 10)}),
+        )
+        divisors = [poly("x1*x2 - x3^2", context), poly("x2^2 - x1*x3", context)]
+        table = DivisorTable(context, divisors)
+        # The second division finds every key in the cache, which keeps
+        # the table caching.
+        for text in ("x1*x2 + x2^2 + x1^2",) * 2 + ("x1*x9 + x2^2",):
+            f = poly(text, context)
+            result = divide(f, table)
+            assert result == helpers.reference_divide(f, divisors)
+            assert table._slice == 2
+            check_cache(table)
+        # Only the last division's keys are held.
+        assert table._variables == 9
+        assert 0 < len(table._cache) <= result.step_count
+
+    def test_the_cache_holds_one_degree(self, checked_cache):
+        # Cyclic-4 is not homogeneous, so its S-pairs and remainders run
+        # below the degree of their leading term: completion,
+        # interreduction and verification each hold keys of one weighted
+        # degree only, checked after every division.
+        context = RingContext(
+            OrderKind.HOM_REV_LEX,
+            WeightedAlphabet.with_weights({i: 1 for i in range(1, 5)}),
+        )
+        gens = [
+            poly("x1 + x2 + x3 + x4", context),
+            poly("x1*x2 + x2*x3 + x3*x4 + x4*x1", context),
+            poly("x1*x2*x3 + x2*x3*x4 + x3*x4*x1 + x4*x1*x2", context),
+            poly("x1*x2*x3*x4 - 1", context),
+        ]
+        window = TruncationWindow(4, 10)
+        basis = reduce_basis(buchberger_truncated(gens, window, context=context))
+        assert verify_buchberger(basis)
+        assert len(checked_cache) == 3
+        slices = set()
+        for f in (*gens, poly("x1^3 + x2 - 1", context), gens[0]):
+            divide(f, checked_cache[-1])
+            slices.add(checked_cache[-1]._slice)
+        assert len(slices) > 2
+
+    @pytest.mark.parametrize("order", helpers.HOMOGENEOUS_ORDERS, ids=str)
+    def test_a_table_whose_keys_do_not_repeat_stops_caching(
+        self, order, checked_cache
+    ):
+        # The S-pairs of x_i^2 - x_{2i} share no monomial in a degree
+        # slice, so the verifying table turns its cache off.  Family F's
+        # repeat, and its table keeps caching.
+        presentation = IdealPresentation.power_substitution(index_sets.ALL, 2, order)
+        assert verify_buchberger(coprime_basis(presentation, TruncationWindow(12, 24)))
+        (table,) = checked_cache
+        assert table._cache is None and not table._caching
+        window = TruncationWindow(30, 60)
+        gens = helpers.family_f(HARL).instantiate(window)
+        basis = reduce_basis(buchberger_truncated(gens, window, context=HARL))
+        checked_cache.clear()
+        assert verify_buchberger(basis)
+        (table,) = checked_cache
+        assert table._caching and table._cache
 
 
 def spair_expected(divisors, i, j):

@@ -449,8 +449,9 @@ class TestVerifyBuchberger:
         self, weights, degree_bound, monkeypatch
     ):
         # Criterion-free: every pair whose lcm degree, computed here with
-        # Monomial arithmetic, is within the bound is reduced, coprime or
-        # not, and no other pair is.
+        # Monomial arithmetic, is within the bound is reduced once, coprime
+        # or not, and no other pair is; the pairs come in order of lcm
+        # degree, so the reducer cache serves one degree slice at a time.
         context = RingContext(OrderKind.HOM_ANTI_REV_LEX, weights)
         window = TruncationWindow(12, degree_bound)
         basis = reduce_basis(buchberger_truncated(
@@ -474,11 +475,13 @@ class TestVerifyBuchberger:
             for i in range(j)
             if leads[i].lcm(leads[j]).degree(weights) <= window.degree_bound
         ]
-        assert reduced == expected
+        assert len(set(reduced)) == len(reduced)
+        assert set(reduced) == set(expected)
         # Each pair gets the lcm degree the window test read.
         assert degrees == [
-            leads[i].lcm(leads[j]).degree(weights) for i, j in expected
+            leads[i].lcm(leads[j]).degree(weights) for i, j in reduced
         ]
+        assert degrees == sorted(degrees)
         coprime = [(i, j) for i, j in expected if leads[i].coprime(leads[j])]
         assert 0 < len(coprime) < len(expected) < len(leads) * (len(leads) - 1) // 2
 
@@ -847,6 +850,42 @@ class TestGeneratorPass:
         else:
             assert failure is None
         assert passed == expected
+
+    @pytest.mark.parametrize(
+        "degrees",
+        [(30,), (30, 15), (15, 15, 30), (9, 30, 30, 30)],
+        ids=["equal", "alternating", "rising", "one-change"],
+    )
+    def test_one_degree_bound_tests_only_new_candidates(self, degrees, monkeypatch):
+        # Family F's candidate i is x_i*x_{i+1} - x_{2i+1}, kept at
+        # position i - 1.  Under the degree bound of the window before, a
+        # window with a larger var_bound tests only the candidates that
+        # window did not admit; after a change of bound it tests them all.
+        presentation = helpers.family_f(HARL)
+        windows = [
+            TruncationWindow(n, degrees[(n - 1) % len(degrees)]) for n in range(1, 15)
+        ]
+        calls = [0]
+        admits = TruncationWindow.admits_bounds
+
+        def counted(self, top, degree):
+            calls[0] += 1
+            return admits(self, top, degree)
+
+        monkeypatch.setattr(TruncationWindow, "admits_bounds", counted)
+        lists = [
+            [g for _, g in admitted]
+            for admitted in presentation._instantiations(windows)
+        ]
+        monkeypatch.undo()
+        expected = [helpers.reference_instantiate(presentation, w) for w in windows]
+        assert lists == expected
+        # Window n holds n candidates; the one before admitted len(kept).
+        assert calls[0] == windows[0].var_bound + sum(
+            window.var_bound
+            - (len(kept) if earlier.degree_bound == window.degree_bound else 0)
+            for earlier, kept, window in zip(windows, expected, windows[1:])
+        )
 
 
 class TestReducedIsDerived:
