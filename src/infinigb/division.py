@@ -24,8 +24,8 @@ only test of lead divisibility: besides division, interreduction and the
 reduced-set test ask it of the packed leads and tails of the rows
 (`is_minimal`, `tail_is_reduced`).  The loop asks it once per monomial of
 a degree slice, as F4's symbolic preprocessing does (Faugere, JPAA 139,
-1999): a table's reducer cache maps the keys of one weighted degree to
-their first divisor (`DivisorTable` gives its scope, invalidation and
+1999): a table's reducer cache maps each key a slice's divisions meet to
+its first divisor (`DivisorTable` gives its scope, invalidation and
 off-rule).  Completion and verification reduce
 S-pairs from two table rows (`DivisorTable.spair_remainder`): the two
 packed tails, shifted by their factor keys, make the work dict, so no
@@ -107,19 +107,19 @@ class DivisorTable:
     whose tail it changes.
 
     The reducer cache maps the order key of a term to the position of its
-    first divisor, or to the stamp ~count of a search that found none
-    among `count` rows.  It holds the keys of one weighted degree, the
-    slice of the last division's leading term: a division of another
-    degree starts a fresh one, and a lower-degree term is searched without
-    it.  Under a homogeneous order an S-pair's reduction stays in its
-    lcm's degree, so the scope loses no repeat; `plex` never caches.  A
-    new layout and `select` drop the cache.  `append` keeps it, since a
-    new row comes after every cached position and a stale stamp is
-    searched again, and `replace` keeps it, since it keeps the lead.
-    A division's bookkeeping costs about one search and each key found in
-    the cache saves one, so a table whose divisions have together fallen
-    as many searches behind as it has rows stops caching: one whose keys
-    seldom repeat, as in the verification of a power-substitution base.
+    first divisor, or to None when no row divides it: an answer that
+    depends on the rows only.  It lives for a degree slice, the divisions
+    whose leading terms share one weighted degree: a division of another
+    degree starts a fresh one.  Under a homogeneous order an S-pair's
+    reduction stays in its lcm's degree, so the scope loses no repeat;
+    `plex` never caches.  A new layout and `select` drop the cache.
+    `append` drops only its None answers, since a new row comes after
+    every cached position, and `replace` keeps it, since it keeps the
+    lead.  A division's bookkeeping costs about one search and each key
+    found in the cache saves one, so a table whose divisions have together
+    fallen as many searches behind as it has rows stops caching: one whose
+    keys seldom repeat, as in the verification of a power-substitution
+    base.
     """
 
     def __init__(self, context, divisors=(), degree=0, variables=0):
@@ -156,6 +156,9 @@ class DivisorTable:
             raise ZeroPolynomialError("zero divisor")
         self.divisors.append(g)
         self._degrees.append(self._degree(g.terms[0][1]))
+        if self._cache:
+            # The new row may divide a key cached as having no divisor.
+            self._cache = {k: p for k, p in self._cache.items() if p is not None}
         if not self._fit(g.max_variable_index(), _max_exponent(g)):
             self._add_row(g)
 
@@ -226,7 +229,7 @@ class DivisorTable:
         self._buckets = {}
         self._bucketed = 0
         self._constant = _NO_POSITION
-        # The reducer cache and the weighted degree of its keys.
+        # The reducer cache and the weighted degree of its slice.
         self._slice = None
         self._cache = None
 
@@ -465,7 +468,7 @@ class DivisorTable:
         """Run the division loop on the work dict and scale `build()`
         makes, widening the fields and starting again while a product
         overflows one.  Under a homogeneous order `degree` is the weighted
-        degree of the leading term, the slice of the reducer cache."""
+        degree of the leading term, whose slice the reducer cache serves."""
         if self._caching and degree != self._slice:
             self._slice = degree
             self._cache = {}
@@ -482,8 +485,8 @@ class DivisorTable:
 
         Remainder terms come out as (c, key, scale) and quotient terms as
         (q, factor key, scale), with the scale current when each was made.
-        Keys of the degree `_slice` are looked up in the reducer cache
-        `_cache`, when there is one; a key of a lower degree is searched.
+        Each key is looked up in the reducer cache `_cache`, when there is
+        one, and searched only when the cache does not hold it.
         """
         live = list(work)
         heapify(live)
@@ -499,10 +502,6 @@ class DivisorTable:
         cache = self._cache
         if cache is not None:
             lookup = cache.get
-            # The largest key of the slice's degree, and the stamp of a "no
-            # divisor" answer found among the rows there are now.
-            top = -(self._slice << self._shift) + (0 if flip else mask)
-            blank = ~len(rows)
             hits = 0
         while live:
             k = heappop(live)
@@ -514,19 +513,15 @@ class DivisorTable:
                 if not c:
                     continue  # cancelled modulo p
             steps += 1
-            if cache is None or k > top:
+            if cache is None:
                 position = first_divisor((-k if flip else k) & mask)
             else:
-                # A key not held reads as no divisor among no rows, ~0.
                 position = lookup(k, -1)
-                if position >= 0:
-                    hits += 1
-                elif position == blank:
-                    hits += 1
-                    position = None
-                else:
+                if position == -1:
                     position = first_divisor((-k if flip else k) & mask)
-                    cache[k] = blank if position is None else position
+                    cache[k] = position
+                else:
+                    hits += 1
             if position is None:
                 remainder_terms.append((c, k, scale))
                 continue

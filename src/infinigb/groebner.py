@@ -13,13 +13,14 @@ serve every caller; both work on the rows of a `DivisorTable` in place.
 The stabilization scan and the filtration go through the windows in order
 of n, and window n+1 instantiates every generator of window n.  One pass
 over the presentation makes and checks each generator once for all the
-windows.  When the input is homogeneous under a homogeneous order and D
-stays the same, window n+1 therefore continues on window n's table, which
-holds its reduced base: it appends the generators it adds, forms S-pairs
-only with them and the new remainders (Gebauer & Moeller 1988), and
-packs again only the rows interreduction rewrites.  By uniqueness its
-reduced base is the one a completion from scratch gives.  Every other
-window is completed from scratch on a fresh table.
+windows, and each window admits those within its bounds.  When the input
+is homogeneous under a homogeneous order and D stays the same, window n+1
+therefore continues on window n's table, which holds its reduced base: it
+appends the generators it adds, forms S-pairs only with them and the new
+remainders (Gebauer & Moeller 1988), and packs again only the rows
+interreduction rewrites.  By uniqueness its reduced base is the one a
+completion from scratch gives.  Every other window is completed from
+scratch on a fresh table.
 
 Pairs are scheduled and window-tested by their lcm degree, read off the
 divisor table's packed leading monomials (`DivisorTable.spair_lcm`),
@@ -509,8 +510,9 @@ class IdealPresentation:
         )
 
     def instantiate(self, window):
-        """The generators visible inside the window, validated nonzero and
-        within the configured subring."""
+        """The generators visible inside the window, each checked to be
+        nonzero, of the presentation's ring context and within the
+        configured subring."""
         return [g for _, g in next(self._instantiations([window]))]
 
     def _instantiations(self, windows):
@@ -519,28 +521,19 @@ class IdealPresentation:
 
         One pass makes the candidates for every window: the explicit
         generators, then the family member of each index up to the largest
-        var_bound so far, each made once, validated nonzero and within the
-        configured subring once, and kept unless an earlier candidate
-        equals it.  A window instantiates the kept candidates of index at
-        most its var_bound that it admits, in candidate order: the list a
-        pass for that window alone gives, since equal candidates are
-        admitted alike and the first has the smaller index.  Each kept
-        candidate's admission is read off its index, top variable and
-        weighted degree, taken once.  A window with the degree bound of
-        the one before and no lower var_bound admits everything that one
-        did, so it tests only the candidates not yet admitted; any other
-        window tests them all.
+        var_bound so far, each made once, checked once (`_check_candidate`),
+        and kept unless an earlier candidate equals it.  A window
+        instantiates the kept candidates of index at most its var_bound
+        that it admits, in candidate order: the list a pass for that window
+        alone gives, since equal candidates are admitted alike and the
+        first has the smaller index.  Each kept candidate's admission is
+        read off its index, top variable and weighted degree, taken once.
         """
         candidates = []
         seen = set()
         # The explicit generators come first, at index 0.
         fresh = [(0, g) for g in self.generators]
         top = 0
-        # The positions of the kept candidates the previous window admitted
-        # and of the others, each increasing.
-        admitted = []
-        waiting = []
-        previous = None
         for window in windows:
             if self.family is not None:
                 fresh.extend(
@@ -556,32 +549,20 @@ class IdealPresentation:
                 seen.add(g)
                 if len(seen) > size:
                     top_variable = max(index, g.max_variable_index())
-                    waiting.append(len(candidates))
                     candidates.append((top_variable, g.weighted_degree(), g))
             fresh = []
-            if (
-                previous is None
-                or window.degree_bound != previous.degree_bound
-                or window.var_bound < previous.var_bound
-            ):
-                admitted = []
-                waiting = list(range(len(candidates)))
-            newly = []
-            rest = []
-            for position in waiting:
-                top_variable, degree, _ = candidates[position]
-                if window.admits_bounds(top_variable, degree):
-                    newly.append(position)
-                else:
-                    rest.append(position)
-            admitted = sorted(admitted + newly)
-            waiting = rest
-            previous = window
-            yield [(position, candidates[position][2]) for position in admitted]
+            yield [
+                (position, g)
+                for position, (top_variable, degree, g) in enumerate(candidates)
+                if window.admits_bounds(top_variable, degree)
+            ]
 
     def _check_candidate(self, g):
-        """Raise CertificationError unless g is nonzero and lies in the
-        configured subring."""
+        """Raise RingContextMismatch unless g lies in the presentation's
+        ring context, and CertificationError unless it is nonzero and lies
+        in the configured subring."""
+        if g.context != self.context:
+            raise RingContextMismatch("generators in mixed ring contexts")
         if g.is_zero:
             raise CertificationError("a family rule produced zero")
         if self.variables is not None:
@@ -613,7 +594,9 @@ def _window_bases(presentation, windows):
     so the completion is one of the new ideal and its reduced base is the
     unique one.  A carried window that instantiates no new generator keeps
     the previous base as it is.  Any other window is completed from
-    scratch on a fresh table.
+    scratch on a fresh table.  The pass has already checked each generator
+    once and admitted it by the window's bounds, so none is checked again
+    here.
     """
     context = presentation.context
     windows = list(windows)
@@ -629,7 +612,6 @@ def _window_bases(presentation, windows):
         carried = (
             previous is not None
             and previous.window.degree_bound == window.degree_bound
-            and previous.window.var_bound <= window.var_bound
             and context.order.homogeneous
             and homogeneous
             and all(g.is_homogeneous() for g in new)
@@ -642,7 +624,6 @@ def _window_bases(presentation, windows):
             yield previous
             continue
         gens = new if carried else [g for _, g in admitted]
-        _validate_generators(gens, window, context)
         # Interreduction needs monic rows; a row is the same for g and g.monic().
         gens = [g.monic() for g in gens]
         if carried:

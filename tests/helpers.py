@@ -331,6 +331,8 @@ def reference_instantiate(presentation, window):
     out = []
 
     def admit(g):
+        if g.context != presentation.context:
+            raise RingContextMismatch("generators in mixed ring contexts")
         if g.is_zero:
             raise CertificationError("a family rule produced zero")
         if presentation.variables is not None:

@@ -536,24 +536,16 @@ class TestDivisorIndex:
 
 
 def check_cache(table):
-    """Every answer the reducer cache holds is the linear scan's: a
-    position is the first divisor of its key, and a "no divisor" stamp
-    ~count means that none of the first `count` rows divides it.  Every key
-    has the weighted degree of the table's slice, and only a homogeneous
-    order caches."""
+    """Every answer the reducer cache holds is the linear scan's: the
+    first divisor of its key, None only when no row divides it.  Only a
+    homogeneous order caches."""
     if table._cache is None:
         return
     assert table.context.order.homogeneous
     flip, mask = table._sign > 0, table._mask
     for k, entry in table._cache.items():
         x = (-k if flip else k) & mask
-        assert table._packed_degree(x) == table._slice
-        first = helpers.reference_first_divisor(table, x)
-        if entry >= 0:
-            assert entry == first
-        else:
-            assert ~entry <= len(table._rows)
-            assert first is None or first >= ~entry
+        assert entry == helpers.reference_first_divisor(table, x)
 
 
 @pytest.fixture
@@ -575,10 +567,11 @@ def checked_cache(monkeypatch):
 
 
 class TestReducerCache:
-    """The reducer cache of a `DivisorTable` maps the keys of one weighted
-    degree to their first divisor.  `append` and `replace` keep it,
-    `select` and a new layout drop it, and a table whose keys do not repeat
-    stops using it; none of this may change a division."""
+    """The reducer cache of a `DivisorTable` maps keys to their first
+    divisor for one degree slice of divisions.  `append` drops its "no
+    divisor" answers, `replace` keeps it, `select` and a new layout drop
+    it, and a table whose keys do not repeat stops using it; none of this
+    may change a division."""
 
     @settings(max_examples=150)
     @given(case=index_cases(), data=st.data())
@@ -647,10 +640,11 @@ class TestReducerCache:
         f = poly("x1*x5 + x2*x4 + x3^2")
         assert divide(f, table) == helpers.reference_divide(f, divisors)
         # x1*x5 reduces to x6; x6, x2*x4 and x3^2 (all of degree 6) are
-        # held as having no divisor among three rows.
-        assert sorted(table._cache.values()) == [~3, ~3, ~3, 0]
+        # held as having no divisor.
+        assert sorted(table._cache.values(), key=str) == [0, None, None, None]
         divisors.append(poly("x3^2 - x2*x4"))
         table.append(divisors[-1])
+        assert None not in table._cache.values()
         result = divide(f, table)
         assert result == helpers.reference_divide(f, divisors)
         assert str(result.remainder) == "2*x2*x4 + x6"
@@ -678,11 +672,12 @@ class TestReducerCache:
         assert table._variables == 9
         assert 0 < len(table._cache) <= result.step_count
 
-    def test_the_cache_holds_one_degree(self, checked_cache):
+    def test_keys_below_the_slice_are_cached_exactly(self, checked_cache):
         # Cyclic-4 is not homogeneous, so its S-pairs and remainders run
         # below the degree of their leading term: completion,
-        # interreduction and verification each hold keys of one weighted
-        # degree only, checked after every division.
+        # interreduction and verification cache those keys too, each
+        # answer checked after every division, and each new leading
+        # degree starts a new slice.
         context = RingContext(
             OrderKind.HOM_REV_LEX,
             WeightedAlphabet.with_weights({i: 1 for i in range(1, 5)}),

@@ -852,40 +852,28 @@ class TestGeneratorPass:
         assert passed == expected
 
     @pytest.mark.parametrize(
-        "degrees",
-        [(30,), (30, 15), (15, 15, 30), (9, 30, 30, 30)],
-        ids=["equal", "alternating", "rising", "one-change"],
+        "bounds",
+        [
+            [(n, 30) for n in range(1, 15)],
+            [(n, (30, 15)[(n - 1) % 2]) for n in range(1, 15)],
+            [(n, (15, 15, 30)[(n - 1) % 3]) for n in range(1, 15)],
+            [(n, (9, 30, 30, 30)[(n - 1) % 4]) for n in range(1, 15)],
+            [(n, 30) for n in (14, 9, 3, 12, 5, 1)],
+        ],
+        ids=["equal", "alternating", "rising", "one-change", "falling-var-bound"],
     )
-    def test_one_degree_bound_tests_only_new_candidates(self, degrees, monkeypatch):
-        # Family F's candidate i is x_i*x_{i+1} - x_{2i+1}, kept at
-        # position i - 1.  Under the degree bound of the window before, a
-        # window with a larger var_bound tests only the candidates that
-        # window did not admit; after a change of bound it tests them all.
+    def test_every_window_admits_by_its_bounds(self, bounds):
+        # Family F's candidate i is x_i*x_{i+1} - x_{2i+1}.  A window
+        # admits exactly what instantiating it alone gives, whatever the
+        # bounds of the windows before it.
         presentation = helpers.family_f(HARL)
-        windows = [
-            TruncationWindow(n, degrees[(n - 1) % len(degrees)]) for n in range(1, 15)
-        ]
-        calls = [0]
-        admits = TruncationWindow.admits_bounds
-
-        def counted(self, top, degree):
-            calls[0] += 1
-            return admits(self, top, degree)
-
-        monkeypatch.setattr(TruncationWindow, "admits_bounds", counted)
+        windows = [TruncationWindow(n, degree) for n, degree in bounds]
         lists = [
             [g for _, g in admitted]
             for admitted in presentation._instantiations(windows)
         ]
-        monkeypatch.undo()
         expected = [helpers.reference_instantiate(presentation, w) for w in windows]
         assert lists == expected
-        # Window n holds n candidates; the one before admitted len(kept).
-        assert calls[0] == windows[0].var_bound + sum(
-            window.var_bound
-            - (len(kept) if earlier.degree_bound == window.degree_bound else 0)
-            for earlier, kept, window in zip(windows, expected, windows[1:])
-        )
 
 
 class TestReducedIsDerived:
@@ -1495,6 +1483,30 @@ class TestPresentation:
     def test_generator_from_another_context_rejected(self):
         with pytest.raises(RingContextMismatch):
             IdealPresentation(HARL, generators=(poly("x1^2 - x2", PLEX),))
+
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda pres: pres.instantiate(TruncationWindow(3, 8)),
+            lambda pres: stabilized_reduced_basis(pres, 6, 8),
+            lambda pres: assemble_filtration(
+                pres, [TruncationWindow(n, 8) for n in range(1, 7)]
+            ),
+        ],
+        ids=["instantiate", "stabilized", "filtration"],
+    )
+    def test_family_member_from_another_context_rejected(self, use):
+        # Member 3 lies in the window (3, 8) but in another context: every
+        # entry point raises at that window, before a later one is made.
+        made = []
+
+        def rule(i):
+            made.append(i)
+            return poly(f"x{i}^2", PLEX if i == 3 else HARL)
+
+        with pytest.raises(RingContextMismatch, match="mixed ring contexts"):
+            use(IdealPresentation(HARL, family=rule))
+        assert made == [1, 2, 3]
 
     def test_generator_leaving_subring_rejected(self):
         pres = IdealPresentation(
