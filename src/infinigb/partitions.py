@@ -10,6 +10,7 @@ degree n, which is how partition families become quotient-ring questions.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 
@@ -161,41 +162,39 @@ def _division_image(parts, table):
 
 
 def _rewrite_down(parts, family, p):
-    """Replace p copies of a part i by one part p*i, smallest part first,
-    until no part repeats p times."""
+    """Replace p copies of a part i in the family by one part p*i until no
+    such part repeats p times.  The rules x_i^p -> x_{pi} shorten the
+    partition and overlap only with themselves, so they are confluent:
+    this ascending carry pass, where part i keeps c % p of its c copies and
+    carries c // p into the larger, still pending part p*i, reaches the
+    normal form of any order, smallest part first included."""
     counts = Counter(parts)
-    while True:
-        candidates = sorted(
-            i for i, c in counts.items() if c >= p and i in family
-        )
-        if not candidates:
-            break
-        i = candidates[0]
-        counts[i] -= p
-        if counts[i] == 0:
-            del counts[i]
-        counts[p * i] += 1
+    pending = list(counts)
+    heapq.heapify(pending)
+    while pending:
+        i = heapq.heappop(pending)
+        c = counts[i]
+        if c >= p and i in family:
+            counts[i] = c % p
+            if p * i not in counts:
+                heapq.heappush(pending, p * i)
+            counts[p * i] += c // p
     return tuple(sorted(counts.elements(), reverse=True))
 
 
 def _rewrite_up(parts, family, p):
-    """Replace a part p*i (i in the family) by p copies of i, smallest part
-    first, until no part lies in p*family."""
-    counts = Counter(parts)
-    while True:
-        candidates = sorted(
-            m
-            for m in counts
-            if m % p == 0 and (m // p) in family and counts[m] > 0
-        )
-        if not candidates:
-            break
-        m = candidates[0]
-        counts[m] -= 1
-        if counts[m] == 0:
-            del counts[m]
-        counts[m // p] += p
-    return tuple(sorted(counts.elements(), reverse=True))
+    """Replace a part p*i (i in the family) by p copies of i until no part
+    lies in p*family.  The rules x_{pi} -> x_i^p lengthen the partition at
+    its weight and overlap only with themselves, so they are confluent:
+    splitting each distinct part on its own reaches the normal form of any
+    order, smallest part first included."""
+    out = []
+    for m, c in Counter(parts).items():
+        while m % p == 0 and (m // p) in family:
+            m //= p
+            c *= p
+        out += [m] * c
+    return tuple(sorted(out, reverse=True))
 
 
 def _images(sources, family, p, n, route, *, down):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -553,6 +554,46 @@ def all_partitions(n):
     return enumerate_family(FamilySpec("parts", index_sets.ALL), n)
 
 
+def reference_rewrite_down(parts, family, p):
+    """The oracle for `infinigb.partitions._rewrite_down`, the loop it
+    replaced: replace p copies of the smallest part i in the family that
+    repeats p times by one part p*i, re-scanning after each step."""
+    counts = Counter(parts)
+    while True:
+        candidates = sorted(
+            i for i, c in counts.items() if c >= p and i in family
+        )
+        if not candidates:
+            break
+        i = candidates[0]
+        counts[i] -= p
+        if counts[i] == 0:
+            del counts[i]
+        counts[p * i] += 1
+    return tuple(sorted(counts.elements(), reverse=True))
+
+
+def reference_rewrite_up(parts, family, p):
+    """The oracle for `infinigb.partitions._rewrite_up`, the loop it
+    replaced: replace the smallest part p*i (i in the family) by p copies
+    of i, re-scanning after each step."""
+    counts = Counter(parts)
+    while True:
+        candidates = sorted(
+            m
+            for m in counts
+            if m % p == 0 and (m // p) in family and counts[m] > 0
+        )
+        if not candidates:
+            break
+        m = candidates[0]
+        counts[m] -= 1
+        if counts[m] == 0:
+            del counts[m]
+        counts[m // p] += p
+    return tuple(sorted(counts.elements(), reverse=True))
+
+
 def reference_verify_bijection(family, p, n):
     """The oracle for `infinigb.partitions.verify_bijection`, the loop it
     replaced: it divides each phi image again by the lexicographic base
@@ -568,7 +609,7 @@ def reference_verify_bijection(family, p, n):
     phi_section = True
     images = set()
     for parts, by_division in pairs:
-        routes_agree &= by_division == partitions._rewrite_down(parts, family, p)
+        routes_agree &= by_division == reference_rewrite_down(parts, family, p)
         in_y = by_division in y_side
         lands_in_y &= in_y
         psi_section &= (
@@ -577,7 +618,7 @@ def reference_verify_bijection(family, p, n):
         images.add(by_division)
     for parts in sorted(y_side):
         up_division = partitions._division_image(parts, up)
-        routes_agree &= up_division == partitions._rewrite_up(parts, family, p)
+        routes_agree &= up_division == reference_rewrite_up(parts, family, p)
         phi_section &= phi_of.get(up_division) == parts
     injective = len(images) == len(pairs)
     surjective = images == y_side

@@ -729,6 +729,10 @@ GOLDEN_STDOUT = {
     ("bijection", "--preset", "AC", "--n", "40", "--route", "division",
      "--format", "json"):
         "c1b6b84f229d17e8dd7524301b7e8a81723aafbda31498583e2431719681ceb2",
+    ("bijection", "--preset", "AB", "--n", "80", "--route", "oracle"):
+        "32f64fc627a18093d5eb7755905e25920abbe1fa4f3c4e0a6a73536325511cc4",
+    ("bijection", "--preset", "AC", "--n", "80", "--route", "oracle"):
+        "010b15bcef236fb01cf559713412d1aab1b63aa76c36dd256ade096d2afba238",
 }
 
 

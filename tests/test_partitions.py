@@ -330,6 +330,46 @@ class TestVerifyBijectionAgainstReference:
         assert len(calls) == report["x_size"] + report["y_size"]
 
 
+REWRITE_FAMILIES = [
+    index_sets.ALL,
+    index_sets.ODD,
+    index_sets.PM1_MOD3,
+    index_sets.PM1_MOD5,
+    index_sets.PM1_MOD6,
+    *(index_sets.avoiding_multiples_of(q) for q in (2, 3, 5, 7)),
+]
+
+
+def check_rewrites(parts, family, p):
+    down = helpers.reference_rewrite_down(parts, family, p)
+    assert partitions._rewrite_down(parts, family, p) == down
+    up = helpers.reference_rewrite_up(parts, family, p)
+    assert partitions._rewrite_up(parts, family, p) == up
+
+
+class TestRewriteOracle:
+    """The one-pass rewrites equal the step-by-step loops they replaced, on
+    any multiset of parts, parts outside the family included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parts=st.lists(st.integers(1, 60), max_size=40).map(
+            lambda parts: tuple(sorted(parts, reverse=True))
+        ),
+        family=st.sampled_from(REWRITE_FAMILIES),
+        p=st.integers(2, 5),
+    )
+    def test_random_parts(self, parts, family, p):
+        check_rewrites(parts, family, p)
+
+    @pytest.mark.parametrize("preset", list(BIJECTION_PRESETS))
+    def test_every_partition_up_to_twenty(self, preset):
+        family, p = BIJECTION_PRESETS[preset]
+        for n in range(21):
+            for parts in helpers.all_partitions(n):
+                check_rewrites(parts, family, p)
+
+
 class TestRandomizedSpecs:
     def test_cardinalities_agree_for_random_closed_sets(self):
         rng = random.Random(20260811)
