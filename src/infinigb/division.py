@@ -24,9 +24,9 @@ only test of lead divisibility: besides division, interreduction and the
 reduced-set test ask it of the packed leads and tails of the rows
 (`is_minimal`, `tail_is_reduced`).  The loop asks it once per monomial of
 a degree slice, as F4's symbolic preprocessing does (Faugere, JPAA 139,
-1999): a table's reducer cache maps each key a slice's divisions meet to
-its first divisor (`DivisorTable` gives its scope, invalidation and
-off-rule).  Completion and verification reduce
+1999): a table's reducer cache maps each key a slice's divisions meet
+and some row divides to its first divisor (`DivisorTable` gives its
+scope and off-rule).  Completion and verification reduce
 S-pairs from two table rows (`DivisorTable.spair_remainder`): the two
 packed tails, shifted by their factor keys, make the work dict, so no
 S-polynomial is built, and the pair's lcm, gcd and lcm degree come from
@@ -107,14 +107,13 @@ class DivisorTable:
     whose tail it changes.
 
     The reducer cache maps the order key of a term to the position of its
-    first divisor, or to None when no row divides it: an answer that
-    depends on the rows only.  It lives for a degree slice, the divisions
-    whose leading terms share one weighted degree: a division of another
-    degree starts a fresh one.  Under a homogeneous order an S-pair's
-    reduction stays in its lcm's degree, so the scope loses no repeat;
-    `plex` never caches.  A new layout and `select` drop the cache.
-    `append` drops only its None answers, since a new row comes after
-    every cached position, and `replace` keeps it, since it keeps the
+    first divisor; a key that no row divides is searched again each time.
+    It lives for a degree slice, the divisions whose leading terms share
+    one weighted degree: a division of another degree starts a fresh one.
+    Under a homogeneous order an S-pair's reduction stays in its lcm's
+    degree, so the scope loses no repeat; `plex` never caches.  A new
+    layout and `select` drop the cache.  `append` and `replace` keep it:
+    a new row comes after every cached position, and `replace` keeps the
     lead.  A division's bookkeeping costs about one search and each key
     found in the cache saves one, so a table whose divisions have together
     fallen as many searches behind as it has rows stops caching: one whose
@@ -156,9 +155,6 @@ class DivisorTable:
             raise ZeroPolynomialError("zero divisor")
         self.divisors.append(g)
         self._degrees.append(self._degree(g.terms[0][1]))
-        if self._cache:
-            # The new row may divide a key cached as having no divisor.
-            self._cache = {k: p for k, p in self._cache.items() if p is not None}
         if not self._fit(g.max_variable_index(), _max_exponent(g)):
             self._add_row(g)
 
@@ -261,8 +257,8 @@ class DivisorTable:
 
     def _pack_row(self, g, x, degree):
         """The row of divisor g, whose leading monomial packs to x and has
-        weighted degree `degree`: (negated order key of the lead, leading
-        coefficient or None for 1, negated tail as (coefficient, key))."""
+        weighted degree `degree`: (negated order key of the lead, integer
+        leading coefficient, negated tail as (coefficient, key))."""
         key = self._key
         terms = g.terms
         p = self._modulus
@@ -276,12 +272,10 @@ class DivisorTable:
         else:
             inverse = pow(terms[0][0].value, -1, p)
             integers = [c.value * inverse % p for c, _ in terms]
-        lc = integers[0]
-        # None for a leading coefficient 1, whose quotient coefficient is
-        # the current one; the tail is negated once here, not per product.
+        # The tail is negated once here, not per product.
         return (
             self._order_key(x, degree),
-            None if lc == 1 else lc,
+            integers[0],
             tuple(
                 (-c if p is None else p - c, key(m))
                 for c, (_, m) in zip(integers[1:], terms[1:])
@@ -441,8 +435,6 @@ class DivisorTable:
         k_lcm = self._order_key(self._lcm_and_gcd(i, j)[0], degree)
         k_lead_i, lc_i, tail_i = self._rows[i]
         k_lead_j, lc_j, tail_j = self._rows[j]
-        lc_i = lc_i or 1
-        lc_j = lc_j or 1
         common = gcd(lc_i, lc_j)
         a, b = lc_j // common, lc_i // common
         # The rows hold negated tails: row i's is negated back, row j's
@@ -486,7 +478,8 @@ class DivisorTable:
         Remainder terms come out as (c, key, scale) and quotient terms as
         (q, factor key, scale), with the scale current when each was made.
         Each key is looked up in the reducer cache `_cache`, when there is
-        one, and searched only when the cache does not hold it.
+        one, and searched only when the cache does not hold it; a search
+        that finds a divisor is cached.
         """
         live = list(work)
         heapify(live)
@@ -500,9 +493,9 @@ class DivisorTable:
         remainder_terms = []
         steps = 0
         cache = self._cache
+        hits = 0
         if cache is not None:
             lookup = cache.get
-            hits = 0
         while live:
             k = heappop(live)
             c = work.pop(k, None)
@@ -513,20 +506,18 @@ class DivisorTable:
                 if not c:
                     continue  # cancelled modulo p
             steps += 1
-            if cache is None:
-                position = first_divisor((-k if flip else k) & mask)
+            position = None if cache is None else lookup(k)
+            if position is not None:
+                hits += 1
             else:
-                position = lookup(k, -1)
-                if position == -1:
-                    position = first_divisor((-k if flip else k) & mask)
+                position = first_divisor((-k if flip else k) & mask)
+                if position is not None and cache is not None:
                     cache[k] = position
-                else:
-                    hits += 1
             if position is None:
                 remainder_terms.append((c, k, scale))
                 continue
             k_lead, lc, tail = rows[position]
-            if lc is not None:
+            if lc != 1:
                 # Only over Q: make lc divide c by multiplying the work dict
                 # and its scale alike, which leaves work/scale unchanged.
                 common = gcd(c, lc)
@@ -623,7 +614,7 @@ class DivisorTable:
         """The quotient of divisor `position` from its (q, factor key,
         scale) records: row = (l/lc) * divisor, l the row's leading
         coefficient and lc the divisor's, so each term is q*l/(scale*lc)."""
-        unit = self.context.coeff(self._rows[position][1] or 1)
+        unit = self.context.coeff(self._rows[position][1])
         unit = unit / self.divisors[position].terms[0][0]
         pairs = self._polynomial(terms).terms
         return Polynomial(self.context, tuple((c * unit, m) for c, m in pairs))

@@ -409,9 +409,8 @@ class _Parser(MonomialParser):
         return (self.context.coeff(coefficient) * self.context.coeff(sign), monomial)
 
     def parse_coefficient(self):
-        kind, value, position = self.advance()
-        if kind != "int":
-            raise ParseError("expected an integer", self.text, position)
+        """The integer or fraction that starts at the current `int` token."""
+        _, value, _ = self.advance()
         nxt = self.peek()
         if nxt is not None and nxt[0] == "/":
             self.advance()

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infinigb import cli
+from infinigb import cli, monomials
 
 CHAIN_LINES = [
     "hlex: x4 > x1*x3 > x2^2 > x1^2*x2 > x1^4",
@@ -60,6 +60,24 @@ class TestOrdersDemo:
         payload = json.loads(out)
         validate(payload, "orders_demo")
         assert payload["verdict"] == "PASS"
+
+    def test_a_wrong_order_key_fails(self, capsys, monkeypatch):
+        # Every order read with hlex's key shape: sorting and `compare`
+        # agree with each other, but not with the paper's chains.
+        hlex = monomials._KEY_SHAPES[monomials.OrderKind.HOM_LEX]
+        with monkeypatch.context() as patch:
+            for order in monomials.OrderKind:
+                patch.setitem(monomials._KEY_SHAPES, order, hlex)
+            monomials.sort_key.cache_clear()
+            try:
+                code, out, _ = run(capsys, "orders-demo")
+            finally:
+                monomials.sort_key.cache_clear()
+        assert code == 1
+        hlex_chain = "x4 > x1*x3 > x2^2 > x1^2*x2 > x1^4"
+        assert out.splitlines() == [
+            f"{name}: {hlex_chain}" for name in ("hlex", "halex", "hrevlex", "harevlex")
+        ] + ["verdict: FAIL"]
 
 
 class TestDivide:

@@ -537,14 +537,15 @@ class TestDivisorIndex:
 
 def check_cache(table):
     """Every answer the reducer cache holds is the linear scan's: the
-    first divisor of its key, None only when no row divides it.  Only a
-    homogeneous order caches."""
+    position of the first divisor of its key.  A key that no row divides
+    is not held.  Only a homogeneous order caches."""
     if table._cache is None:
         return
     assert table.context.order.homogeneous
     flip, mask = table._sign > 0, table._mask
     for k, entry in table._cache.items():
         x = (-k if flip else k) & mask
+        assert type(entry) is int
         assert entry == helpers.reference_first_divisor(table, x)
 
 
@@ -567,11 +568,11 @@ def checked_cache(monkeypatch):
 
 
 class TestReducerCache:
-    """The reducer cache of a `DivisorTable` maps keys to their first
-    divisor for one degree slice of divisions.  `append` drops its "no
-    divisor" answers, `replace` keeps it, `select` and a new layout drop
-    it, and a table whose keys do not repeat stops using it; none of this
-    may change a division."""
+    """The reducer cache of a `DivisorTable` maps keys to the position of
+    their first divisor for one degree slice of divisions, and holds no
+    key that no row divides.  `append` and `replace` keep it, `select` and
+    a new layout drop it, and a table whose keys do not repeat stops using
+    it; none of this may change a division."""
 
     @settings(max_examples=150)
     @given(case=index_cases(), data=st.data())
@@ -580,7 +581,7 @@ class TestReducerCache:
         # which the reference, a fresh table and the warm one must agree
         # on, step count included: repeated dividends, dividends of
         # several degrees, appends (one of a remainder term of the last
-        # division, which the cache held as having no divisor), `select`,
+        # division, which the cache does not hold), `select`,
         # `replace` keeping the lead, and dividends beyond the layout,
         # which widen it or, under `plex`, restart a division.
         ctx, divisors, dividends, extra = case
@@ -634,20 +635,22 @@ class TestReducerCache:
                 assert warm == divide(f, DivisorTable(ctx, divisors))
                 check_cache(table)
 
-    def test_an_append_divides_a_key_cached_without_divisor(self):
+    def test_an_append_divides_a_key_the_cache_does_not_hold(self):
         divisors = [poly("x1*x5 - x6"), poly("x7*x8 - x1"), poly("x9^2 - x2")]
         table = DivisorTable(HARL, divisors)
         f = poly("x1*x5 + x2*x4 + x3^2")
         assert divide(f, table) == helpers.reference_divide(f, divisors)
-        # x1*x5 reduces to x6; x6, x2*x4 and x3^2 (all of degree 6) are
-        # held as having no divisor.
-        assert sorted(table._cache.values(), key=str) == [0, None, None, None]
+        # x1*x5 reduces to x6; x6, x2*x4 and x3^2 (all of degree 6) have
+        # no divisor and are not held.
+        assert list(table._cache.values()) == [0]
         divisors.append(poly("x3^2 - x2*x4"))
         table.append(divisors[-1])
-        assert None not in table._cache.values()
+        assert list(table._cache.values()) == [0]
         result = divide(f, table)
         assert result == helpers.reference_divide(f, divisors)
         assert str(result.remainder) == "2*x2*x4 + x6"
+        # The new row is x3^2's first divisor.
+        assert sorted(table._cache.values()) == [0, 3]
         check_cache(table)
 
     def test_a_new_layout_drops_the_cache(self):
@@ -660,17 +663,17 @@ class TestReducerCache:
         )
         divisors = [poly("x1*x2 - x3^2", context), poly("x2^2 - x1*x3", context)]
         table = DivisorTable(context, divisors)
-        # The second division finds every key in the cache, which keeps
-        # the table caching.
-        for text in ("x1*x2 + x2^2 + x1^2",) * 2 + ("x1*x9 + x2^2",):
+        # The leads are x3^2 and x1*x3.  The second division finds both
+        # in the cache, which keeps the table caching.
+        for text in ("x3^2 + x1*x3",) * 2 + ("x1*x9 + x1*x3",):
             f = poly(text, context)
             result = divide(f, table)
             assert result == helpers.reference_divide(f, divisors)
             assert table._slice == 2
             check_cache(table)
-        # Only the last division's keys are held.
+        # Only the last division's key with a divisor is held.
         assert table._variables == 9
-        assert 0 < len(table._cache) <= result.step_count
+        assert table._cache == {table._key(poly("x1*x3", context).lm()): 1}
 
     def test_keys_below_the_slice_are_cached_exactly(self, checked_cache):
         # Cyclic-4 is not homogeneous, so its S-pairs and remainders run
@@ -900,7 +903,7 @@ class TestRationalCoefficients:
         ctx = RingContext(OrderKind.HOM_ANTI_REV_LEX, field=GF(7))
         g = parse_polynomial("3*x1^2 + 2*x2", ctx)
         k_lead, lc, tail = DivisorTable(ctx, [g])._rows[0]
-        assert lc is None and [c for c, _ in tail] == [7 - 2 * 5 % 7]
+        assert lc == 1 and [c for c, _ in tail] == [7 - 2 * 5 % 7]
 
     @pytest.mark.parametrize("field", [None, GF(7)], ids=str)
     def test_the_loop_sees_only_integers(self, field, monkeypatch):

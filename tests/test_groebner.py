@@ -35,7 +35,15 @@ from infinigb.groebner import (
     _canonical_sorted,
     verify_buchberger,
 )
-from infinigb.monomials import DEFAULT_WEIGHTS, Monomial, OrderKind, WeightedAlphabet
+from infinigb.monomials import (
+    DEFAULT_WEIGHTS,
+    Monomial,
+    OrderKind,
+    WeightedAlphabet,
+    monomials_of_degree,
+)
+from infinigb.partitions import FamilySpec, check_partition, enumerate_family
+from infinigb.series import TruncatedSeries
 from infinigb.polynomials import (
     GF,
     Polynomial,
@@ -1419,6 +1427,20 @@ class TestRegularity:
         with pytest.raises(OrderKindError):
             check_fr_condition([poly("x1", PLEX)], probe_degree=6)
 
+    @pytest.mark.parametrize(
+        "sequence, error, message",
+        [
+            (lambda: [poly("x1"), poly("x2", HLEX)], RingContextMismatch,
+             "sequence in mixed ring contexts"),
+            (lambda: [poly("x1"), poly("3")], HomogeneityError,
+             "regular sequences need positive degrees"),
+        ],
+        ids=["two contexts", "constant member"],
+    )
+    def test_rejects_a_sequence(self, sequence, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            check_fr_condition(sequence(), probe_degree=6)
+
     def test_multiple_of_earlier_element_fails_any_order(self):
         f = poly("x1^2 - x2")
         shifted = poly("x3") * f
@@ -1439,32 +1461,81 @@ class TestRegularity:
                 assert check_fr_condition(list(perm), probe)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: TruncationWindow(0, 4),
-        lambda: GF(4),
+# Each bad input: a call that passes it and a part of the message.
+INPUT_ERRORS = {
+    "window": (lambda: TruncationWindow(0, 4), "window bounds"),
+    "GF": (lambda: GF(4), "4 is not prime"),
+    "exponent": (
         lambda: IdealPresentation.power_substitution(
             index_sets.ODD, 1, OrderKind.HOM_LEX
         ),
+        "the substitution exponent",
+    ),
+    "closure": (
         lambda: IdealPresentation.power_substitution(
             index_sets.ODD, 2, OrderKind.HOM_LEX
         ),
+        "is not closed under multiplication by 2",
+    ),
+    "zero generator": (
         lambda: IdealPresentation(HARL, generators=(Polynomial.zero(HARL),)),
+        "explicit generators",
+    ),
+    "completion context": (
         lambda: buchberger_truncated([], TruncationWindow(2, 2)),
-        lambda: bayer_stillman_basis([]),
+        "an explicit context",
+    ),
+    "bayer-stillman context": (
+        lambda: bayer_stillman_basis([]), "an explicit context"
+    ),
+    "stability window": (
         lambda: stabilized_reduced_basis(
             substitution_presentation(index_sets.PM1_MOD3, 2), 2, 8
         ),
-    ],
-    ids=["window", "GF", "exponent", "closure", "zero generator",
-         "completion context", "bayer-stillman context", "stability window"],
-)
-def test_validation_raises_a_typed_input_error(make):
+        "max_n must be",
+    ),
+    "order name": (lambda: OrderKind.from_name("zz"), "unknown monomial order"),
+    "duplicate weight": (
+        lambda: WeightedAlphabet(((3, 1), (3, 2))), "duplicate weight override"
+    ),
+    "decreasing indices": (
+        lambda: Monomial(((2, 1), (1, 1))), "variable indices must be strictly"
+    ),
+    "zero exponent": (lambda: Monomial(((1, 0),)), "exponents must be strictly"),
+    "negative degree": (lambda: monomials_of_degree(-1), "degree must be"),
+    "modulus": (lambda: index_sets.avoiding_multiples_of(1), "modulus must be"),
+    "set name": (lambda: index_sets.from_name("zz"), "unknown index set"),
+    "partition": (lambda: check_partition((2, 0)), "parts must be positive"),
+    "family without p": (
+        lambda: FamilySpec("X", index_sets.ODD), "kind X needs a part set"
+    ),
+    "parts without a set": (
+        lambda: FamilySpec("parts"), "kind 'parts' needs a part set"
+    ),
+    "family kind": (lambda: FamilySpec("zz"), "unknown family kind"),
+    "preset": (lambda: FamilySpec.preset("zz"), "unknown preset"),
+    "negative weight": (
+        lambda: enumerate_family(FamilySpec.preset("A"), -1),
+        "partitions need a non-negative weight",
+    ),
+    "empty series": (lambda: TruncatedSeries(()), "a truncated series needs"),
+    "geometric gap": (
+        lambda: TruncatedSeries.geometric(0, 5), "gap must be positive"
+    ),
+    "shift": (
+        lambda: TruncatedSeries((1, 2)).times_power(-1), "gap must be non-negative"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_ERRORS))
+def test_validation_raises_a_typed_input_error(case):
+    make, message = INPUT_ERRORS[case]
     with pytest.raises(InputError) as info:
         make()
     assert isinstance(info.value, InfinigbError)
     assert isinstance(info.value, ValueError)
+    assert message in str(info.value)
 
 
 class TestPresentation:

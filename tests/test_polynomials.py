@@ -224,11 +224,17 @@ class TestText:
         assert parse_polynomial(format_polynomial(f), ctx) == f
 
     @pytest.mark.parametrize(
-        "bad", ["", "+", "x1 +", "x1 ++ x2", "3/0*x1", "x^2", "2**x1", "x1^-2"]
+        "bad",
+        ["", "+", "x1 +", "x1 ++ x2", "3/0*x1", "3/x1", "x^2", "2**x1", "x1^-2"],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ParseError):
             poly(bad)
+
+    def test_a_denominator_must_be_an_integer(self):
+        with pytest.raises(ParseError, match="^expected a denominator") as info:
+            poly("3/x1")
+        assert info.value.position == 2
 
     def test_error_position(self):
         with pytest.raises(ParseError) as info:
