@@ -30,7 +30,8 @@ scope and off-rule).  Completion and verification reduce
 S-pairs from two table rows (`DivisorTable.spair_remainder`): the two
 packed tails, shifted by their factor keys, make the work dict, so no
 S-polynomial is built, and the pair's lcm, gcd and lcm degree come from
-the two packed leads.
+the two packed leads.  The partition bijections divide single monomials
+(`DivisorTable.monomial_remainder`) with no polynomial built either.
 
 The loop does integer arithmetic only.  Over Q each row holds the
 primitive integer multiple of its divisor, with a positive leading
@@ -396,6 +397,19 @@ class DivisorTable:
             record,
             need,
         )
+
+    def monomial_remainder(self, m):
+        """The (c, key, scale) terms of `remainder(Polynomial.from_monomial(
+        context, m), table)`, with no polynomial built.  The key is packed
+        inside the build, so a widened layout packs it again."""
+        if self._homogeneous:
+            need = self._degree(m)
+        else:
+            need = max((e for _, e in m.exps), default=0)
+        self._fit(m.max_index(), need)
+        return self._reduce(
+            lambda: ({self._order_key(self._packed(m), need): 1}, 1), False, need
+        )[0]
 
     def spair_remainder(self, i, j, degree):
         """The remainder modulo the table of the S-polynomial of divisors

@@ -104,10 +104,6 @@ class GroebnerBasis:
     discarded_elements: int = field(default=0, compare=False)
 
     @property
-    def order(self):
-        return self.context.order
-
-    @property
     def reduced(self):
         """The reduced-basis predicate on the elements: every element monic
         and no leading monomial divides any term of another element."""

@@ -15,13 +15,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import index_sets, series
-from .division import DivisorTable, remainder
+from .division import DivisorTable
 from .errors import CertificationError, InputError
 from .groebner import IdealPresentation, TruncationWindow, coprime_basis
 from .index_sets import probe_closure
 from .monomials import DEFAULT_WEIGHTS, Monomial, OrderKind
 from .monomials import _counts_up_to, _pairs_of_degree
-from .polynomials import Polynomial
 
 
 def check_partition(parts):
@@ -151,14 +150,13 @@ def _substitution_table(family, p, order, weight):
 
 
 def _division_image(parts, table):
-    """The partition of the remainder of x^parts modulo the packed base."""
-    context = table.context
-    image = remainder(
-        Polynomial.from_monomial(context, partition_to_monomial(parts)), table
-    )
-    if len(image.terms) != 1 or image.lc() != context.one:
+    """The partition of the remainder of x^parts modulo the packed base,
+    which must be one term c/scale = 1: over GF(p) the scale is 1."""
+    terms = table.monomial_remainder(partition_to_monomial(parts))
+    if len(terms) != 1 or terms[0][0] != terms[0][2]:
+        image = table._polynomial(terms)
         raise CertificationError(f"division image {image} is not a monic monomial")
-    return monomial_to_partition(image.lm())
+    return monomial_to_partition(table._monomial(terms[0][1]))
 
 
 def _rewrite_down(parts, family, p):

@@ -78,7 +78,7 @@ class GFElement:
         if other is None:
             return NotImplemented
         if other.value == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
+            raise InputError(f"cannot divide {self} by zero in GF({self.p})")
         return self * GFElement(pow(other.value, -1, self.p), self.p)
 
     def __eq__(self, other):
@@ -118,7 +118,7 @@ class GF:
             return value
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
-                raise ZeroDivisionError("denominator vanishes in GF(p)")
+                raise InputError(f"the denominator of {value} vanishes in GF({self.p})")
             return GFElement(
                 value.numerator * pow(value.denominator, -1, self.p), self.p
             )

@@ -24,7 +24,7 @@ class TruncatedSeries:
             raise InputError("a truncated series needs at least the constant term")
         for c in coefficients:
             if not isinstance(c, int):
-                raise TypeError(f"integer coefficients only, got {c!r}")
+                raise InputError(f"coefficients must be integers, got {c!r}")
         self.coefficients = coefficients
 
     @property
@@ -33,27 +33,23 @@ class TruncatedSeries:
 
     def coefficient(self, n):
         if not 0 <= n <= self.truncation:
-            raise IndexError(f"coefficient {n} beyond truncation {self.truncation}")
+            raise InputError(f"n must lie in 0..{self.truncation}, got {n}")
         return self.coefficients[n]
 
     @classmethod
     def one(cls, truncation):
-        if truncation < 0:
-            raise InputError(f"truncation must be non-negative, got {truncation}")
+        _check_truncation(truncation)
         return cls((1,) + (0,) * truncation)
 
     @classmethod
     def zero(cls, truncation):
+        _check_truncation(truncation)
         return cls((0,) * (truncation + 1))
 
     @classmethod
     def geometric(cls, gap, truncation):
         """1/(1 - T^gap) = 1 + T^gap + T^(2 gap) + ..."""
-        if gap < 1:
-            raise InputError("gap must be positive")
-        return cls(
-            tuple(1 if n % gap == 0 else 0 for n in range(truncation + 1))
-        )
+        return cls.one(truncation).over_one_minus_power(gap)
 
     def _common(self, other):
         bound = min(self.truncation, other.truncation)
@@ -62,10 +58,6 @@ class TruncatedSeries:
     def __add__(self, other):
         bound, a, b = self._common(other)
         return _trusted(tuple(a[n] + b[n] for n in range(bound + 1)))
-
-    def __sub__(self, other):
-        bound, a, b = self._common(other)
-        return _trusted(tuple(a[n] - b[n] for n in range(bound + 1)))
 
     def __mul__(self, other):
         bound, a, b = self._common(other)
@@ -128,6 +120,11 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coefficients)!r})"
 
 
+def _check_truncation(truncation):
+    if truncation < 0:
+        raise InputError(f"truncation must be non-negative, got {truncation}")
+
+
 def _trusted(coefficients):
     """A series from a nonempty tuple of ints, as arithmetic on validated
     series makes; skips the checks of `TruncatedSeries.__init__`."""
@@ -141,8 +138,7 @@ def one_minus_power(gap, truncation):
     the dense factor that tests hold `times_one_minus_power` against."""
     if gap < 0:
         raise InputError("gap must be non-negative")
-    if truncation < 0:
-        raise InputError(f"truncation must be non-negative, got {truncation}")
+    _check_truncation(truncation)
     coefficients = [0] * (truncation + 1)
     coefficients[0] = 1
     if gap <= truncation:

@@ -343,7 +343,7 @@ class TestBijection:
     def test_failed_verification_exits_one_with_report(self, capsys, monkeypatch):
         from infinigb import partitions
 
-        monkeypatch.setattr(partitions, "remainder", lambda f, divisors: f)
+        monkeypatch.setattr(partitions, "_division_image", lambda parts, table: parts)
         code, out, _ = run(capsys, "bijection", "--preset", "AB", "--n", "4")
         assert code == 1
         lines = out.splitlines()

@@ -6,7 +6,7 @@ import random
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -807,6 +807,59 @@ class TestSpairRemainder:
         table = DivisorTable(ctx, divisors)
         assert spair_remainder(table, 0, 1).is_zero
         assert s_polynomial(divisors[0], divisors[1]).is_zero
+
+
+@st.composite
+def monomial_cases(draw):
+    """An `index_cases` context and divisors, its dividends, and monomials
+    to divide: the leads, the leads times factors with exponents up to 40,
+    which overflow the fields in the middle of a `plex` division, and the
+    dividends' monomials."""
+    ctx, divisors, dividends, _ = draw(index_cases())
+    leads = [g.lm() for g in divisors]
+    factors = st.lists(
+        st.tuples(
+            st.sampled_from(sorted({i for m in leads for i in m.support()} | {1})),
+            st.integers(1, 40),
+        ),
+        max_size=2,
+    ).map(Monomial.from_pairs)
+    queries = [
+        *leads,
+        *(lm * draw(factors) for lm in leads),
+        *(m for f in dividends for _, m in f.terms),
+    ]
+    return ctx, divisors, dividends, queries
+
+
+class TestMonomialRemainder:
+    """`DivisorTable.monomial_remainder` divides one monomial with no
+    polynomial built, and its terms unpack to the remainder that
+    `remainder` and `reference_divide` give, on a fresh table and on a warm
+    one whose reducer cache earlier divisions have filled."""
+
+    @settings(max_examples=150)
+    @given(case=monomial_cases())
+    # x2^8 -> x1^40: the fields sized for x2^8 overflow at x1^20, and the
+    # build packs x2^8 again for the widened layout.
+    @example(case=(PLEX, [poly("x2 - x1^5", PLEX)], [], [Monomial.variable(2, 8)]))
+    def test_matches_remainder_and_the_reference(self, case):
+        ctx, divisors, dividends, queries = case
+        warm = DivisorTable(ctx, divisors)
+        for f in dividends:
+            remainder(f, warm)
+        for m in queries:
+            f = Polynomial.from_monomial(ctx, m)
+            expected = helpers.reference_divide(f, divisors).remainder
+            fresh = DivisorTable(ctx, divisors)
+            assert fresh._polynomial(fresh.monomial_remainder(m)) == expected
+            # The same slice twice: the second division meets the keys of
+            # the first in the cache.
+            assert remainder(f, warm) == expected
+            terms = warm.monomial_remainder(m)
+            assert terms == warm._divide(f, False)[0]
+            assert warm._polynomial(terms) == expected
+            check_cache(warm)
 
 
 class TestPackedPairs:

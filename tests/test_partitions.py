@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 import helpers
 from infinigb import index_sets, partitions
+from infinigb.division import DivisorTable
 from infinigb.errors import CertificationError, InputError
-from infinigb.monomials import Monomial
+from infinigb.monomials import Monomial, OrderKind
 from infinigb.partitions import (
     FamilySpec,
     enumerate_family,
@@ -24,6 +26,7 @@ from infinigb.partitions import (
     schur_identity_check,
     verify_bijection,
 )
+from infinigb.polynomials import GF, RingContext, parse_polynomial
 
 W3, W_ODD = index_sets.PM1_MOD3, index_sets.ODD
 
@@ -213,14 +216,51 @@ class TestPhiPsi:
                 assert phi(psi(parts, W3, 2), W3, 2) == parts
 
     def test_image_that_is_not_a_monic_monomial_is_refused(self, monkeypatch):
-        def binomial_remainder(f, divisors):
-            return f - f.from_monomial(f.context, Monomial.variable(99))
+        real = DivisorTable.monomial_remainder
 
-        monkeypatch.setattr(partitions, "remainder", binomial_remainder)
+        def binomial_remainder(table, m):
+            # The true image less x1: a remainder of two terms.
+            return [*real(table, m), (-1, table._key(Monomial.variable(1)), 1)]
+
+        monkeypatch.setattr(DivisorTable, "monomial_remainder", binomial_remainder)
         with pytest.raises(CertificationError):
             phi((5, 1), W3, 2)
         with pytest.raises(CertificationError):
             psi((5, 1), W3, 2)
+
+    @pytest.mark.parametrize("field", [None, 7])
+    @pytest.mark.parametrize(
+        "rows, parts, images",
+        [
+            # One term whose coefficient is not 1, integer or rational.
+            (["x1^2 - 2*x2"], (1, 1), ("2*x2", "2*x2")),
+            (["2*x1^2 - x2"], (1, 1), ("1/2*x2", "4*x2")),
+            # Two terms, and none.
+            (["x1^4 - x2^2 - x4"], (1, 1, 1, 1), ("x2^2 + x4", "x2^2 + x4")),
+            (["x1^2"], (1, 1), ("0", "0")),
+        ],
+    )
+    def test_real_remainder_that_is_not_a_monic_monomial_is_refused(
+        self, rows, parts, images, field
+    ):
+        table = _table(rows, field)
+        image = images[field is not None]
+        with pytest.raises(CertificationError, match=rf"image {re.escape(image)} is"):
+            partitions._division_image(parts, table)
+
+    @pytest.mark.parametrize("field", [None, 7])
+    def test_monic_image_at_a_scale_above_one_is_accepted(self, field):
+        # Over Q the work dict doubles at the first step, so the image x4
+        # comes out as 2/2.
+        table = _table(["2*x1^4 - x2^2", "x2^2 - 2*x4"], field)
+        assert partitions._division_image((1, 1, 1, 1), table) == (4,)
+
+
+def _table(rows, field):
+    """A packed table of the given rows under the anti-reverse lexicographic
+    order, over Q or GF(field)."""
+    context = RingContext(OrderKind.HOM_ANTI_REV_LEX, field=field and GF(field))
+    return DivisorTable(context, [parse_polynomial(r, context) for r in rows])
 
 
 class TestVerifyBijection:
@@ -240,7 +280,7 @@ class TestVerifyBijection:
         assert report["ok"], report
 
     def test_failed_verification_is_reported_not_raised(self, monkeypatch):
-        monkeypatch.setattr(partitions, "remainder", lambda f, divisors: f)
+        monkeypatch.setattr(partitions, "_division_image", lambda parts, table: parts)
         pairs, report = verify_bijection(W3, 2, 4)
         assert pairs == [((1, 1, 1, 1), (1, 1, 1, 1))]
         assert report["ok"] is False
@@ -248,19 +288,15 @@ class TestVerifyBijection:
         assert report["phi_after_psi_is_identity"] is False
 
 
-def _swapping_remainder(n, family, p):
-    """The true remainder, except that the two smallest X partitions of
-    weight n trade images."""
-    a, b = map(
-        partition_to_monomial,
-        sorted(enumerate_family(FamilySpec("X", family, p), n))[:2],
-    )
+def _swapping_image(n, family, p):
+    """The true division image, except that the two smallest X partitions
+    of weight n trade images."""
+    a, b = sorted(enumerate_family(FamilySpec("X", family, p), n))[:2]
     swap = {a: b, b: a}
-    real = partitions.remainder
+    real = partitions._division_image
 
-    def swapped(f, divisors):
-        lm = f.lm()
-        return real(f.from_monomial(f.context, swap.get(lm, lm)), divisors)
+    def swapped(parts, table):
+        return real(swap.get(parts, parts), table)
 
     return swapped
 
@@ -302,14 +338,12 @@ class TestVerifyBijectionAgainstReference:
     def test_sabotaged_remainder(self, monkeypatch, sabotage, preset, n):
         family, p = BIJECTION_PRESETS[preset]
         fake = {
-            "identity": lambda f, divisors: f,
+            "identity": lambda parts, table: parts,
             # Every monomial goes to x_n, the partition (n,).
-            "fixed_monomial": lambda f, divisors: f.from_monomial(
-                f.context, Monomial.variable(n)
-            ),
-            "swap": _swapping_remainder(n, family, p),
+            "fixed_monomial": lambda parts, table: (n,),
+            "swap": _swapping_image(n, family, p),
         }[sabotage]
-        monkeypatch.setattr(partitions, "remainder", fake)
+        monkeypatch.setattr(partitions, "_division_image", fake)
         pairs, report = verify_bijection(family, p, n)
         assert report["ok"] is False
         assert (pairs, report) == helpers.reference_verify_bijection(family, p, n)
@@ -318,13 +352,13 @@ class TestVerifyBijectionAgainstReference:
     def test_each_partition_is_divided_once(self, monkeypatch, preset):
         family, p = BIJECTION_PRESETS[preset]
         calls = []
-        real = partitions.remainder
+        real = DivisorTable.monomial_remainder
 
-        def counted(f, divisors):
-            calls.append(f)
-            return real(f, divisors)
+        def counted(table, m):
+            calls.append(m)
+            return real(table, m)
 
-        monkeypatch.setattr(partitions, "remainder", counted)
+        monkeypatch.setattr(DivisorTable, "monomial_remainder", counted)
         _, report = verify_bijection(family, p, 12)
         assert report["ok"]
         assert len(calls) == report["x_size"] + report["y_size"]
@@ -408,8 +442,7 @@ class TestCharacteristicIndependence:
             reduce_basis,
         )
         from infinigb.division import remainder
-        from infinigb.monomials import OrderKind
-        from infinigb.polynomials import GF, Polynomial
+        from infinigb.polynomials import Polynomial
 
         window = TruncationWindow(12, 12)
         results = {}

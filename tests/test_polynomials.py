@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from infinigb.errors import ParseError, RingContextMismatch, ZeroPolynomialError
+from infinigb.errors import (
+    InputError,
+    ParseError,
+    RingContextMismatch,
+    ZeroPolynomialError,
+)
 from infinigb.monomials import Monomial, OrderKind
 from infinigb.polynomials import (
     GF,
@@ -184,6 +189,14 @@ class TestPrimeField:
     def test_not_prime_rejected(self):
         with pytest.raises(ValueError):
             GF(6)
+
+    def test_a_denominator_that_vanishes_is_refused(self):
+        with pytest.raises(InputError, match=r"denominator of 1/7 vanishes in GF\(7\)"):
+            GF(7)(Fraction(1, 7))
+
+    def test_division_by_zero_is_refused(self):
+        with pytest.raises(InputError, match=r"cannot divide 3 by zero in GF\(7\)"):
+            GFElement(3, 7) / 0
 
     def test_polynomials_over_gf(self):
         ctx = RingContext(OrderKind.HOM_ANTI_REV_LEX, field=GF(2))

@@ -81,8 +81,9 @@ class TestArithmetic:
 
     def test_no_claims_beyond_truncation(self):
         s = TruncatedSeries((1, 1))
-        with pytest.raises(IndexError):
-            s.coefficient(2)
+        for n in (2, -1):
+            with pytest.raises(InputError, match=rf"n must lie in 0..1, got {n}"):
+                s.coefficient(n)
 
     def test_times_power(self):
         s = TruncatedSeries((1, 2, 3))
@@ -121,8 +122,19 @@ class TestArithmetic:
     def test_integer_coefficients_enforced(self):
         from fractions import Fraction
 
-        with pytest.raises(TypeError):
+        with pytest.raises(InputError, match=r"coefficients .* Fraction\(3, 2\)"):
             TruncatedSeries((1, Fraction(3, 2)))
+
+    def test_negative_truncations_are_refused(self):
+        for build in (
+            TruncatedSeries.one,
+            TruncatedSeries.zero,
+            lambda truncation: TruncatedSeries.geometric(2, truncation),
+        ):
+            with pytest.raises(
+                InputError, match="truncation must be non-negative, got -1"
+            ):
+                build(-1)
 
 
 class TestAmbient:
