@@ -15,7 +15,7 @@ import sys
 from itertools import combinations
 
 from . import index_sets, partitions, series
-from .division import divide
+from .division import DivisorTable, divide, remainder
 from .errors import InfinigbError, InputError
 from .groebner import (
     STABILITY_WINDOW,
@@ -234,6 +234,7 @@ def cmd_gb(args):
             raise InputError("a parametric family needs --W and --p")
         presentation = _family_presentation(args.order, args.W, args.p)
         basis = coprime_basis(presentation, window)
+        gens = basis.elements
         if args.n >= STABILITY_WINDOW:
             scan = stabilized_reduced_basis(
                 presentation, max_n=args.n, degree_bound=args.deg
@@ -242,7 +243,11 @@ def cmd_gb(args):
             unstable = [str(g) for g in scan.unstable]
     if args.reduced:
         basis = reduce_basis(basis)
-    verified = verify_buchberger(basis)
+    # verify_buchberger sees only the output, which may have lost a generator.
+    table = DivisorTable(basis.context, basis.elements, args.deg)
+    verified = verify_buchberger(basis) and all(
+        remainder(g, table).is_zero for g in gens
+    )
     payload = {
         "elements": [str(g) for g in basis.elements],
         "order": args.order,
@@ -276,10 +281,11 @@ def cmd_hilbert(args):
     N = args.N
     presentation = _family_presentation("harevlex", set_name, p)
     basis = coprime_basis(presentation, TruncationWindow(max(1, N), max(1, N)))
+    variables = presentation.variables
     counted = series.quotient_series_from_standard_monomials(
-        basis, N, variables=presentation.variables
+        basis, N, variables=variables
     )
-    predicted = series.regular_sequence_series(presentation, N)
+    predicted = series.regular_sequence_series(basis, N, variables=variables)
     agree = counted == predicted
     payload = {
         "preset": args.preset,

@@ -20,7 +20,7 @@ from .errors import CertificationError, InputError
 from .groebner import IdealPresentation, TruncationWindow, coprime_basis
 from .index_sets import probe_closure
 from .monomials import DEFAULT_WEIGHTS, Monomial, OrderKind
-from .monomials import _counts_up_to, _pairs_of_degree
+from .monomials import _counts_up_to, _pairs_of_degree, _trusted
 
 
 def check_partition(parts):
@@ -151,8 +151,9 @@ def _substitution_table(family, p, order, weight):
 
 def _division_image(parts, table):
     """The partition of the remainder of x^parts modulo the packed base,
-    which must be one term c/scale = 1: over GF(p) the scale is 1."""
-    terms = table.monomial_remainder(partition_to_monomial(parts))
+    which must be one term c/scale = 1: over GF(p) the scale is 1.  The
+    caller has checked `parts`, so x^parts is built unchecked."""
+    terms = table.monomial_remainder(_trusted(tuple(sorted(Counter(parts).items()))))
     if len(terms) != 1 or terms[0][0] != terms[0][2]:
         image = table._polynomial(terms)
         raise CertificationError(f"division image {image} is not a monic monomial")

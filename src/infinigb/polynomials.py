@@ -56,15 +56,6 @@ class GFElement:
     def __neg__(self):
         return GFElement(-self.value, self.p)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GFElement(self.value - other.value, self.p)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -283,9 +274,6 @@ class Polynomial:
                     for cb, mb in other.terms
                 ),
             )
-        return self.scale(other)
-
-    def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, value):

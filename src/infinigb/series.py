@@ -169,29 +169,23 @@ def quotient_series_from_standard_monomials(basis, truncation, *, variables=None
     )
 
 
-def regular_sequence_series(presentation, truncation):
+def regular_sequence_series(basis, truncation, *, variables=None):
     """Hilbert series of the quotient by a regular family: the ambient
-    series times the product of (1 - T^{deg f}) over the generators of
-    degree at most the truncation.
+    series on `variables` times the product of (1 - T^{deg g}) over the
+    elements of the base.
 
-    The generators must certify as regular, either by pairwise-coprime
-    leading monomials or by the degreewise regularity check.
+    A base certified by pairwise-coprime leading monomials is a regular
+    sequence as it stands; the elements of any other base must pass the
+    degreewise regularity check up to the truncation.
     """
     from . import groebner
 
-    window = groebner.TruncationWindow(max(1, truncation), max(1, truncation))
-    gens = presentation.instantiate(window)
-    certified = (
-        groebner.bayer_stillman_basis(
-            gens, window=window, context=presentation.context
-        )
-        is not None
-    )
-    if not certified and not groebner.check_fr_condition(gens, truncation):
+    coprime = basis.certificate is groebner.Certificate.BAYER_STILLMAN
+    if not coprime and not groebner.check_fr_condition(basis.elements, truncation):
         raise CertificationError(
             "the generators did not certify as a regular sequence"
         )
-    out = ambient_series(presentation.context.weights, presentation.variables, truncation)
-    for g in gens:
+    out = ambient_series(basis.context.weights, variables, truncation)
+    for g in basis.elements:
         out = out.times_one_minus_power(g.weighted_degree())
     return out

@@ -214,7 +214,9 @@ def test_criterion_6_hilbert_two_routes():
             counted = quotient_series_from_standard_monomials(
                 basis, 40, variables=presentation.variables
             )
-            predicted = regular_sequence_series(presentation, 40)
+            predicted = regular_sequence_series(
+                basis, 40, variables=presentation.variables
+            )
             assert counted == predicted
         ambient = ambient_series(DEFAULT_WEIGHTS, None, 40)
         assert list(ambient.coefficients) == partition_counts_up_to(40)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import importlib.resources
 import io
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infinigb import cli, monomials
+from infinigb import cli, groebner, monomials
 
 CHAIN_LINES = [
     "hlex: x4 > x1*x3 > x2^2 > x1^2*x2 > x1^4",
@@ -154,6 +155,14 @@ class TestDivide:
         assert code == 0
         assert json.loads(out)["remainder"] == "1"
 
+    def test_terms_without_a_sign_between_are_a_usage_error(self, capsys, gens_file):
+        code, out, err = run(
+            capsys,
+            "divide", "--order", "hlex", "--divisors", gens_file, "--input", "x1 x2",
+        )
+        assert code == 2 and out == ""
+        assert "expected '+' or '-'" in err
+
     def test_malformed_input_is_usage_error(self, capsys, gens_file):
         code, _, err = run(
             capsys,
@@ -208,6 +217,37 @@ class TestGb:
         validate(payload, "gb")
         assert payload["elements"] == ["x1^6 - x1", "x2 - x1^3"]
         assert payload["certificate"] == "asserted"
+
+    @pytest.mark.parametrize(
+        "source, kept",
+        [(("--order", "hlex", "--gens", "{gens}", "--n", "3", "--deg", "12"),
+          ["x2 - x1^2"]),
+         (("--order", "harevlex", "--family", "x^p{{i}}-x{{p*i}}", "--W", "pm1mod3",
+           "--p", "2", "--n", "12", "--deg", "24"),
+          ["x1^2 - x2", "x2^2 - x4", "x4^2 - x8"])],
+        ids=["gens", "family"],
+    )
+    def test_a_base_that_lost_a_generator_is_not_verified(
+        self, capsys, monkeypatch, tmp_path, source, kept
+    ):
+        # What is left is still a Groebner base, of a smaller ideal: only
+        # the generators' remainders show the loss.
+        path = tmp_path / "two.gens"
+        path.write_text("x1^2 - x2\nx3^3 - x1*x2\n")
+        reduce_basis = cli.reduce_basis
+
+        def lossy(basis):
+            reduced = reduce_basis(basis)
+            return dataclasses.replace(reduced, elements=reduced.elements[:-1])
+
+        monkeypatch.setattr(cli, "reduce_basis", lossy)
+        argv = [arg.format(gens=path) for arg in source]
+        code, out, _ = run(capsys, "gb", *argv, "--reduced")
+        assert code == 1
+        payload = json.loads(out)
+        validate(payload, "gb")
+        assert payload["elements"] == kept
+        assert payload["verified"] is False
 
     def test_unknown_family_rejected(self, capsys):
         code, _, err = run(
@@ -283,6 +323,19 @@ class TestHilbert:
     def test_unknown_preset(self, capsys):
         code, _, err = run(capsys, "hilbert", "--preset", "nope", "--N", "8")
         assert code == 2 and "preset" in err
+
+    def test_both_routes_read_one_instantiation(self, capsys, monkeypatch):
+        calls = []
+        instantiate = groebner.IdealPresentation.instantiate
+
+        def counted(presentation, window):
+            calls.append(window)
+            return instantiate(presentation, window)
+
+        monkeypatch.setattr(groebner.IdealPresentation, "instantiate", counted)
+        code, out, _ = run(capsys, "hilbert", "--preset", "schur-p3", "--N", "20")
+        assert code == 0 and json.loads(out)["routes_agree"] is True
+        assert calls == [groebner.TruncationWindow(20, 20)]
 
 
 class TestBijection:

@@ -59,6 +59,9 @@ class TestArithmetic:
         m = Monomial.from_pairs([(2, 3), (5, 1)])
         assert m * Monomial.one() == m
 
+    def test_a_number_is_not_a_monomial(self):
+        assert (Monomial() == 1) is False
+
     def test_square(self):
         assert X(2) * X(2) == X(2, 2)
 

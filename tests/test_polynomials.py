@@ -54,6 +54,24 @@ class TestArithmetic:
         assert poly("x1 + 1").scale(Fraction(3, 2)) == poly("3/2*x1 + 3/2")
         assert poly("x1") * 0 == Polynomial.zero(HARL)
 
+    def test_zero_results(self):
+        zero = Polynomial.zero(HARL)
+        x1 = Monomial.variable(1)
+        assert Polynomial.from_monomial(HARL, x1, 0) == zero
+        assert poly("x1 + 1").times_term(0, x1) == zero
+        assert zero.monic() == zero
+        assert not zero and poly("x1")
+        with pytest.raises(ZeroPolynomialError):
+            zero.weighted_degree()
+
+    @pytest.mark.parametrize(
+        "apply", [lambda f: f + 1, lambda f: f - 1], ids=["add", "sub"]
+    )
+    def test_numbers_are_not_polynomials(self, apply):
+        with pytest.raises(TypeError):
+            apply(poly("x1"))
+        assert (poly("1") == 1) is False
+
     @settings(max_examples=60)
     @given(ctx=helpers.contexts(), data=st.data())
     def test_ring_axioms(self, ctx, data):
@@ -198,6 +216,29 @@ class TestPrimeField:
         with pytest.raises(InputError, match=r"cannot divide 3 by zero in GF\(7\)"):
             GFElement(3, 7) / 0
 
+    def test_mixed_prime_fields_are_refused(self):
+        with pytest.raises(RingContextMismatch):
+            GFElement(1, 5) + GFElement(1, 7)
+        with pytest.raises(RingContextMismatch):
+            GF(5)(GFElement(1, 7))
+        with pytest.raises(RingContextMismatch):
+            RingContext(OrderKind.HOM_LEX).coeff(GFElement(1, 5))
+
+    @pytest.mark.parametrize(
+        "apply",
+        [lambda a: a + "a", lambda a: a * 1.5, lambda a: a / "a"],
+        ids=["add", "mul", "truediv"],
+    )
+    def test_other_operands_are_refused(self, apply):
+        with pytest.raises(TypeError):
+            apply(GFElement(3, 5))
+
+    def test_equality_and_text(self):
+        assert GFElement(3, 5) == 8
+        assert (GFElement(3, 5) == "3") is False
+        assert (GF(5) == 5) is False
+        assert repr(GFElement(8, 5)) == "GFElement(3, 5)"
+
     def test_polynomials_over_gf(self):
         ctx = RingContext(OrderKind.HOM_ANTI_REV_LEX, field=GF(2))
         f = parse_polynomial("x1^2 - x2", ctx)
@@ -248,6 +289,11 @@ class TestText:
         with pytest.raises(ParseError, match="^expected a denominator") as info:
             poly("3/x1")
         assert info.value.position == 2
+
+    def test_terms_need_a_sign_between_them(self):
+        with pytest.raises(ParseError, match="^expected '\\+' or '-'") as info:
+            poly("x1 x2")
+        assert info.value.position == 3
 
     def test_error_position(self):
         with pytest.raises(ParseError) as info:

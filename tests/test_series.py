@@ -19,6 +19,7 @@ from infinigb.groebner import (
     TruncationWindow,
     bayer_stillman_basis,
     buchberger_truncated,
+    coprime_basis,
     reduce_basis,
 )
 from infinigb.monomials import (
@@ -118,6 +119,13 @@ class TestArithmetic:
                 one_minus_power(gap, truncation)
         assert one_minus_power(0, 0) == TruncatedSeries.zero(0)
         assert one_minus_power(6, 5) == TruncatedSeries.one(5)
+
+    def test_equality_hash_and_text(self):
+        s = TruncatedSeries((1, 2, 3))
+        assert s == TruncatedSeries.one(2) + TruncatedSeries((0, 2, 3))
+        assert len({s, TruncatedSeries([1, 2, 3])}) == 1
+        assert (TruncatedSeries((1,)) == 1) is False
+        assert repr(s) == "TruncatedSeries([1, 2, 3])"
 
     def test_integer_coefficients_enforced(self):
         from fractions import Fraction
@@ -345,7 +353,8 @@ class TestCountsUpTo:
 class TestRegularSequenceRoute:
     def test_empty_presentation_is_ambient(self):
         pres = IdealPresentation(HARL)
-        assert regular_sequence_series(pres, 8) == ambient_series(
+        basis = coprime_basis(pres, TruncationWindow(8, 8))
+        assert regular_sequence_series(basis, 8) == ambient_series(
             DEFAULT_WEIGHTS, None, 8
         )
 
@@ -356,7 +365,7 @@ class TestRegularSequenceRoute:
             pres.instantiate(window), window=window, context=HARL
         )
         counted = quotient_series_from_standard_monomials(basis, 8)
-        assert regular_sequence_series(pres, 8) == counted
+        assert regular_sequence_series(basis, 8) == counted
 
     @pytest.mark.parametrize(
         "parts,p", [(index_sets.PM1_MOD3, 2), (index_sets.ODD, 3)]
@@ -373,7 +382,7 @@ class TestRegularSequenceRoute:
         counted = quotient_series_from_standard_monomials(
             basis, N, variables=pres.variables
         )
-        predicted = regular_sequence_series(pres, N)
+        predicted = regular_sequence_series(basis, N, variables=pres.variables)
         assert counted == predicted
         x_counts = [
             len(enumerate_family(FamilySpec("X", parts, p), n))
@@ -381,16 +390,40 @@ class TestRegularSequenceRoute:
         ]
         assert list(predicted.coefficients) == x_counts
 
+    def test_a_regular_sequence_with_shared_lead_variables(self):
+        # Under hlex the leads x1*x2 and x2^2 share x2, so only the
+        # degreewise regularity check can certify the pair.
+        ctx = RingContext(
+            OrderKind.HOM_LEX, weights=WeightedAlphabet.with_weights({1: 1, 2: 1})
+        )
+        gens = (poly("x1*x2", ctx), poly("x1^2 - x2^2", ctx))
+        window = TruncationWindow(2, 6)
+        assert bayer_stillman_basis(gens, window=window, context=ctx) is None
+        predicted = regular_sequence_series(
+            GroebnerBasis(ctx, gens, window, Certificate.ASSERTED), 6,
+            variables=(1, 2),
+        )
+        assert predicted == TruncatedSeries((1, 2, 1, 0, 0, 0, 0))
+        reduced = reduce_basis(buchberger_truncated(gens, window, context=ctx))
+        assert predicted == quotient_series_from_standard_monomials(
+            reduced, 6, variables=(1, 2)
+        )
+
     def test_uncertified_generators_rejected(self):
         pres = IdealPresentation(
             HARL, generators=(poly("x1"), poly("x1^2"))
         )
+        window = TruncationWindow(8, 8)
+        basis = GroebnerBasis(
+            HARL, pres.instantiate(window), window, Certificate.ASSERTED
+        )
         with pytest.raises(CertificationError):
-            regular_sequence_series(pres, 8)
+            regular_sequence_series(basis, 8)
 
     def test_quotient_coefficients_non_negative(self):
         pres = IdealPresentation.power_substitution(
             index_sets.PM1_MOD3, 2, OrderKind.HOM_ANTI_REV_LEX
         )
-        series = regular_sequence_series(pres, 24)
+        basis = coprime_basis(pres, TruncationWindow(24, 24))
+        series = regular_sequence_series(basis, 24, variables=pres.variables)
         assert all(c >= 0 for c in series.coefficients)
