@@ -207,6 +207,16 @@ def cmd_divide(args):
         _emit(f"steps\t{payload['steps']}")
     else:
         _emit_json(payload)
+    # Checked by `Monomial.divides`, apart from the packed divisor search.
+    leads = [g.lm() for g in divisors]
+    for _, m in result.remainder.terms:
+        if any(lead.divides(m) for lead in leads):
+            print(
+                f"infinigb: the remainder term {m} is divisible by a divisor's "
+                "leading monomial",
+                file=sys.stderr,
+            )
+            return 1
     return 0
 
 

@@ -29,9 +29,10 @@ and some row divides to its first divisor (`DivisorTable` gives its
 scope and off-rule).  Completion and verification reduce
 S-pairs from two table rows (`DivisorTable.spair_remainder`): the two
 packed tails, shifted by their factor keys, make the work dict, so no
-S-polynomial is built, and the pair's lcm, gcd and lcm degree come from
-the two packed leads.  The partition bijections divide single monomials
-(`DivisorTable.monomial_remainder`) with no polynomial built either.
+S-polynomial is built.  The caller lists the pair's lcm degree and packed
+lcm off the two packed leads and hands both in, and the remainder comes
+back as packed terms, as the partition bijections' single-monomial
+divisions (`DivisorTable.monomial_remainder`) return theirs.
 
 The loop does integer arithmetic only.  Over Q each row holds the
 primitive integer multiple of its divisor, with a positive leading
@@ -336,15 +337,11 @@ class DivisorTable:
 
     def spair_lcm(self, i, j):
         """The weighted degree of the lcm of the leading monomials of
-        divisors i and j, and that lcm packed, or None in its place when
-        the two are coprime: the lcm has the degree of both less that of
-        their gcd, which is 1 exactly when the two use no variable in
-        common.  The packed lcm holds in the current layout only, which a
-        division may widen."""
-        degree = self._degrees[i] + self._degrees[j]
-        if not self._supports[i] & self._supports[j]:
-            return degree, None
+        divisors i and j, and that lcm packed: the lcm has the degree of
+        both less that of their gcd.  The packed lcm holds in the current
+        layout only, which a division may widen."""
         lcm, gcd = self._lcm_and_gcd(i, j)
+        degree = self._degrees[i] + self._degrees[j]
         return degree - self._packed_degree(gcd), lcm
 
     def packed_divides(self, d, x):
@@ -386,17 +383,16 @@ class DivisorTable:
         else:
             need = _max_exponent(f)
         self._fit(f.max_variable_index(), need)
-        key = self._key
         terms = f.terms
         if self._modulus is None:
             integers, scale = _cleared(terms)
         else:
             integers, scale = [c.value for c, _ in terms], 1
-        return self._reduce(
-            lambda: ({key(m): c for c, (_, m) in zip(integers, terms)}, scale),
-            record,
-            need,
-        )
+        return self._reduce(record, need, self._terms_work, terms, integers, scale)
+
+    def _terms_work(self, terms, integers, scale):
+        key = self._key
+        return {key(m): c for c, (_, m) in zip(integers, terms)}, scale
 
     def monomial_remainder(self, m):
         """The (c, key, scale) terms of `remainder(Polynomial.from_monomial(
@@ -407,35 +403,38 @@ class DivisorTable:
         else:
             need = max((e for _, e in m.exps), default=0)
         self._fit(m.max_index(), need)
-        return self._reduce(
-            lambda: ({self._order_key(self._packed(m), need): 1}, 1), False, need
-        )[0]
+        return self._reduce(False, need, self._monomial_work, m, need)[0]
 
-    def spair_remainder(self, i, j, degree):
-        """The remainder modulo the table of the S-polynomial of divisors
-        i and j, whose leads' lcm has weighted degree `degree`, as
-        `spair_lcm(i, j)` gives it.
+    def _monomial_work(self, m, degree):
+        return {self._order_key(self._packed(m), degree): 1}, 1
+
+    def spair_remainder(self, i, j, degree, lcm=None):
+        """The (c, key, scale) terms of the remainder modulo the table of
+        the S-polynomial of divisors i and j, whose leads' lcm has weighted
+        degree `degree` and packs to `lcm`, as `spair_lcm(i, j)` gives them;
+        the lcm is taken here when it is None.
 
         Equals `remainder(s_polynomial(g_i, g_j), table)`, but the two
         packed tails go straight into the work dict, so no S-polynomial
         is built.  The S-polynomial's monomials have weighted degree at
         most that of the leads' lcm; under `plex` its exponents are
-        bounded by an exponent of the lcm plus one of g_i or g_j.
+        bounded by an exponent of the lcm plus one of g_i or g_j.  The lcm
+        must be packed in the current layout, and is taken again if this
+        pair widens it, or always under `plex`, where any division may.
         """
         if self._homogeneous:
             need = degree
         else:
+            lcm = None
             g_i, g_j = self.divisors[i], self.divisors[j]
             need = max(
                 (e for g in (g_i, g_j) for _, e in g.lm().exps), default=0
             ) + max(_max_exponent(g_i), _max_exponent(g_j))
-        self._fit(0, need)
-        terms = self._reduce(
-            lambda: self._spair_work(i, j, degree), False, degree
-        )[0]
-        return self._polynomial(terms)
+        if self._fit(0, need):
+            lcm = None
+        return self._reduce(False, degree, self._spair_work, i, j, degree, lcm)[0]
 
-    def _spair_work(self, i, j, degree):
+    def _spair_work(self, i, j, degree, lcm):
         """The work dict and scale of (lcm/lt_i) g_i - (lcm/lt_j) g_j.
 
         With rows r_i = s_i g_i whose leading coefficients l_i, l_j have
@@ -443,10 +442,12 @@ class DivisorTable:
         a = l_j / c and b = l_i / c, the S-polynomial times a * l_i: the
         leading terms cancel, leaving the two tails shifted by their factor
         keys.  Over GF(p) both rows are monic and a = b = 1.  `degree` is
-        the weighted degree of the lcm; its packed exponents are taken here,
-        in the current layout, so a widened layout takes them again.
+        the weighted degree of the lcm and `lcm` its packed exponents in the
+        current layout, or None to take them here.
         """
-        k_lcm = self._order_key(self._lcm_and_gcd(i, j)[0], degree)
+        if lcm is None:
+            lcm = self._lcm_and_gcd(i, j)[0]
+        k_lcm = self._order_key(lcm, degree)
         k_lead_i, lc_i, tail_i = self._rows[i]
         k_lead_j, lc_j, tail_j = self._rows[j]
         common = gcd(lc_i, lc_j)
@@ -470,8 +471,8 @@ class DivisorTable:
                     del work[product]
         return work, a * lc_i
 
-    def _reduce(self, build, record, degree):
-        """Run the division loop on the work dict and scale `build()`
+    def _reduce(self, record, degree, build, *args):
+        """Run the division loop on the work dict and scale `build(*args)`
         makes, widening the fields and starting again while a product
         overflows one.  Under a homogeneous order `degree` is the weighted
         degree of the leading term, whose slice the reducer cache serves."""
@@ -479,7 +480,7 @@ class DivisorTable:
             self._slice = degree
             self._cache = {}
         while True:
-            outcome = self._run(*build(), record)
+            outcome = self._run(*build(*args), record)
             if outcome is not None:
                 return outcome
             self._layout(self._variables, 2 * self._width)

@@ -22,17 +22,19 @@ interreduction rewrites.  By uniqueness its reduced base is the one a
 completion from scratch gives.  Every other window is completed from
 scratch on a fresh table.
 
-Pairs are scheduled and window-tested by their lcm degree, read off the
-divisor table's packed leading monomials (`DivisorTable.spair_lcm`),
-and reduced from the table's rows (`DivisorTable.spair_remainder`), so
-no S-polynomial, lcm or `Monomial` is built per pair.  Under the
-homogeneous orders the new pairs of each element are pruned by the
-criteria M and F of Gebauer & Moeller (1988), one packed divisibility
-test on their lcms each.  The criterion B sweep over queued pairs and
-the removal of elements from pair formation are left out: they cost
-more than they saved on binomial input, whose reductions are cheap.
-`verify_buchberger` uses no criterion; it takes the pairs by lcm degree
-as `_complete` does.
+Pairs are listed off the table's packed leads: two whose support masks
+share no guard bit have their product as lcm and the sum of their
+degrees as its degree, and only the others ask `DivisorTable.spair_lcm`.
+Each pair is scheduled and window-tested by its lcm degree, carries its
+packed lcm into `DivisorTable.spair_remainder` and gets packed terms
+back: no S-polynomial, lcm or `Monomial` is built per pair, and a
+`Polynomial` only for a non-zero remainder.  Under the homogeneous
+orders the new pairs of each element are pruned by the criteria M and F
+of Gebauer & Moeller (1988), one packed divisibility test on their lcms
+each.  The criterion B sweep over queued pairs and the removal of
+elements from pair formation are left out: they cost more than they
+saved on binomial input, whose reductions are cheap.  `verify_buchberger`
+uses no criterion; it takes the pairs by lcm degree as `_complete` does.
 """
 
 from __future__ import annotations
@@ -238,11 +240,12 @@ def _complete(table, start, window):
 
     def pair_up(j):
         nonlocal discarded_pairs
+        supports = table._supports
         pairs = []
-        for i in range(j):
-            lcm_degree, lcm = table.spair_lcm(i, j)
+        for i, support_i in zip(range(j), supports):
             # A coprime pair reduces to zero without computation.
-            if lcm is not None:
+            if support_i & supports[j]:
+                lcm_degree, lcm = table.spair_lcm(i, j)
                 pairs.append((lcm_degree, i, lcm))
         pairs.sort()
         # The packed lcms of the kept pairs, in this layout: no division
@@ -256,21 +259,21 @@ def _complete(table, start, window):
                 if any(table.packed_divides(d, lcm) for d in kept):
                     continue
                 kept.append(lcm)
-            heapq.heappush(queue, (lcm_degree, i, j))
+            heapq.heappush(queue, (lcm_degree, i, j, lcm))
 
     for j in range(start, len(table.divisors)):
         pair_up(j)
 
     while queue:
-        lcm_degree, i, j = heapq.heappop(queue)
-        r = table.spair_remainder(i, j, lcm_degree)
-        if r.is_zero:
+        lcm_degree, i, j, lcm = heapq.heappop(queue)
+        terms = table.spair_remainder(i, j, lcm_degree, lcm)
+        if not terms:
             continue
+        r = table._polynomial(terms)
         if not window.admits(r):
             discarded_elements += 1
             continue
-        r = r.monic()
-        table.append(r)
+        table.append(r.monic())
         pair_up(len(table.divisors) - 1)
     return discarded_pairs, discarded_elements
 
@@ -378,16 +381,21 @@ def verify_buchberger(basis):
     bound = basis.window.degree_bound
     # Laid out once for every S-pair inside the window.
     table = DivisorTable(basis.context, basis.elements, bound)
+    supports, leads, degrees = table._supports, table._leads, table._degrees
     pairs = []
-    for j in range(len(basis.elements)):
-        for i in range(j):
-            lcm_degree = table.spair_lcm(i, j)[0]
+    for j, (support, lead, degree) in enumerate(zip(supports, leads, degrees)):
+        for i, support_i, lead_i, degree_i in zip(range(j), supports, leads, degrees):
+            # A coprime pair's lcm is the product of the two leads.
+            if support_i & support:
+                lcm_degree, lcm = table.spair_lcm(i, j)
+            else:
+                lcm_degree, lcm = degree_i + degree, lead_i + lead
             if lcm_degree <= bound:
-                pairs.append((lcm_degree, j, i))
+                pairs.append((lcm_degree, j, i, lcm))
     pairs.sort()
-    return all(
-        table.spair_remainder(i, j, lcm_degree).is_zero
-        for lcm_degree, j, i in pairs
+    return not any(
+        table.spair_remainder(i, j, lcm_degree, lcm)
+        for lcm_degree, j, i, lcm in pairs
     )
 
 

@@ -92,13 +92,51 @@ class GFElement:
         return f"GFElement({self.value}, {self.p})"
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below the
+# smallest strong pseudoprime to all of them (Sorenson & Webster, Math.
+# Comp. 86, 2017), which is 3.3e24.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(p):
+    """Whether the int p below PRIME_BOUND is prime, by deterministic
+    Miller-Rabin on `_PRIME_BASES`."""
+    if p < 2:
+        return False
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    # p - 1 = d * 2^s with d odd.
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class GF:
-    """Prime field tag; calling it coerces integers and fractions."""
+    """Prime field tag; calling it coerces integers and fractions.  The
+    prime must be below PRIME_BOUND, where its test is exact."""
 
     __slots__ = ("p",)
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not isinstance(p, int):
+            raise InputError(f"the characteristic {p!r} is not an int")
+        if p >= PRIME_BOUND:
+            raise InputError(
+                f"{p} is not below {PRIME_BOUND}, the bound of the primality test"
+            )
+        if not _is_prime(p):
             raise InputError(f"{p} is not prime")
         self.p = p
 

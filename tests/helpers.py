@@ -276,10 +276,11 @@ def reference_buchberger(gens, window, *, context=None):
 
     def pair_up(j):
         nonlocal discarded_pairs
+        lead = table.divisors[j].lm()
         for i in range(j):
-            lcm_degree, lcm = table.spair_lcm(i, j)
-            if lcm is None:
+            if table.divisors[i].lm().coprime(lead):
                 continue
+            lcm_degree = table.spair_lcm(i, j)[0]
             if lcm_degree > bound:
                 discarded_pairs += 1
                 continue
@@ -289,9 +290,11 @@ def reference_buchberger(gens, window, *, context=None):
         pair_up(j)
     while queue:
         lcm_degree, i, j = heapq.heappop(queue)
-        r = table.spair_remainder(i, j, lcm_degree)
-        if r.is_zero:
+        # No lcm is carried: the table takes it in its layout of the moment.
+        terms = table.spair_remainder(i, j, lcm_degree)
+        if not terms:
             continue
+        r = table._polynomial(terms)
         if not window.admits(r):
             discarded_elements += 1
             continue

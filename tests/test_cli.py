@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infinigb import cli, groebner, monomials
+from infinigb.division import DivisionResult
 
 CHAIN_LINES = [
     "hlex: x4 > x1*x3 > x2^2 > x1^2*x2 > x1^4",
@@ -122,6 +123,19 @@ class TestDivide:
         with pytest.raises(ValueError, match="kernel bug"):
             cli.main(["divide", "--order", "harevlex",
                       "--divisors", gens_file, "--input", "x1^4"])
+
+    def test_a_reducible_remainder_fails(self, capsys, monkeypatch, gens_file):
+        # A kernel that sent its input to the remainder undivided: x1^4 is
+        # divisible by the lead x1^2 of the first divisor.
+        def undivided(f, divisors):
+            return DivisionResult((), f, 0)
+
+        monkeypatch.setattr(cli, "divide", undivided)
+        code, out, err = run(capsys, "divide", "--order", "harevlex",
+                             "--divisors", gens_file, "--input", "x1^4")
+        assert code == 1
+        assert json.loads(out)["remainder"] == "x1^4"
+        assert "remainder term x1^4 is divisible" in err
 
     def test_undecodable_divisor_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "binary.gens"

@@ -731,9 +731,10 @@ def spair_expected(divisors, i, j):
 
 
 def spair_remainder(table, i, j):
-    """`DivisorTable.spair_remainder` given the lcm degree from the table,
-    as its callers in `groebner` give it."""
-    return table.spair_remainder(i, j, table.spair_lcm(i, j)[0])
+    """The (c, key, scale) terms of `DivisorTable.spair_remainder`, given
+    the lcm degree and packed lcm from the table, as its callers in
+    `groebner` give them."""
+    return table.spair_remainder(i, j, *table.spair_lcm(i, j))
 
 
 class TestSpairRemainder:
@@ -766,7 +767,8 @@ class TestSpairRemainder:
                 for j in range(len(divisors)):
                     for i in range(j):
                         expected = spair_expected(divisors, i, j)
-                        assert spair_remainder(table, i, j) == expected
+                        terms = spair_remainder(table, i, j)
+                        assert table._polynomial(terms) == expected
                         if divisors[i].lm().coprime(divisors[j].lm()):
                             seen["coprime"] += 1
                         if divisors[i].lc() != ctx.one:
@@ -785,7 +787,7 @@ class TestSpairRemainder:
             parse_polynomial("x2^2 - x1*x3", ctx),
         ]
         table = DivisorTable(ctx, divisors)
-        result = spair_remainder(table, 0, 1)
+        result = table._polynomial(spair_remainder(table, 0, 1))
         assert result == spair_expected(divisors, 0, 1)
         assert result == parse_polynomial("x1*x3 - x1^4", ctx)
 
@@ -797,7 +799,7 @@ class TestSpairRemainder:
             parse_polynomial("2*x2^2*x3 - x3", PLEX),
         ]
         table = DivisorTable(PLEX, divisors)
-        result = spair_remainder(table, 0, 1)
+        result = table._polynomial(spair_remainder(table, 0, 1))
         assert result == spair_expected(divisors, 0, 1)
         assert result == parse_polynomial("-x1^10*x3 + 1/2*x3", PLEX)
 
@@ -805,7 +807,7 @@ class TestSpairRemainder:
         ctx = RingContext(OrderKind.HOM_REV_LEX)
         divisors = [poly("x1*x2 - x1^3", ctx), poly("x2 - x1^2", ctx)]
         table = DivisorTable(ctx, divisors)
-        assert spair_remainder(table, 0, 1).is_zero
+        assert spair_remainder(table, 0, 1) == []
         assert s_polynomial(divisors[0], divisors[1]).is_zero
 
 
@@ -890,9 +892,7 @@ class TestPackedPairs:
             packed_lcm, packed_gcd = table._lcm_and_gcd(i, j)
             assert packed_lcm == table._packed(lcm)
             assert packed_gcd == table._packed(gcd)
-            assert table.spair_lcm(i, j) == (
-                degree, None if a.coprime(b) else packed_lcm
-            )
+            assert table.spair_lcm(i, j) == (degree, packed_lcm)
             assert table._order_key(packed_lcm, degree) == table._key(lcm)
             lead_i, lead_j = table._leads[i], table._leads[j]
             assert table.packed_divides(lead_i, lead_j) == (a, b)[i].divides(
@@ -934,7 +934,7 @@ class TestRationalCoefficients:
                     s = s_polynomial(divisors[i], divisors[j])
                     expected = helpers.reference_divide(s, divisors).remainder
                     assert remainder(s, table) == expected
-                    assert spair_remainder(table, i, j) == expected
+                    assert table._polynomial(spair_remainder(table, i, j)) == expected
                     seen["zero spair" if expected.is_zero else "nonzero spair"] += 1
             if field is None:
                 for g in divisors:
@@ -984,7 +984,7 @@ class TestRationalCoefficients:
         assert divide(f, divisors) == helpers.reference_divide(f, divisors)
         table = DivisorTable(ctx, divisors)
         expected = remainder(s_polynomial(*divisors), divisors)
-        assert spair_remainder(table, 0, 1) == expected
+        assert table._polynomial(spair_remainder(table, 0, 1)) == expected
         assert len(calls) == 3
 
 

@@ -315,11 +315,24 @@ def count_spair_reductions(monkeypatch):
     calls = []
     real = DivisorTable.spair_remainder
 
-    def spy(self, i, j, degree):
+    def spy(self, i, j, degree, lcm=None):
         calls.append((i, j))
-        return real(self, i, j, degree)
+        return real(self, i, j, degree, lcm)
 
     monkeypatch.setattr(DivisorTable, "spair_remainder", spy)
+    return calls
+
+
+def count_layouts(monkeypatch):
+    """Count the layouts `DivisorTable` packs its rows in."""
+    calls = [0]
+    real = DivisorTable._layout
+
+    def spy(self, variables, width):
+        calls[0] += 1
+        return real(self, variables, width)
+
+    monkeypatch.setattr(DivisorTable, "_layout", spy)
     return calls
 
 
@@ -449,32 +462,56 @@ class TestVerifyBuchberger:
         assert verify_buchberger(buchberger_truncated(gens, window, context=context))
 
     @pytest.mark.parametrize(
-        "weights, degree_bound",
-        [(DEFAULT_WEIGHTS, 24), (WeightedAlphabet.with_weights({4: 3, 9: 6}), 16)],
-        ids=["d_i=i", "overrides"],
+        "order, weights, field, degree_bound",
+        [
+            (OrderKind.HOM_ANTI_REV_LEX, DEFAULT_WEIGHTS, None, 24),
+            (
+                OrderKind.HOM_ANTI_REV_LEX,
+                WeightedAlphabet.with_weights({4: 3, 9: 6}),
+                None,
+                16,
+            ),
+            (OrderKind.HOM_ANTI_REV_LEX, DEFAULT_WEIGHTS, GF(7), 24),
+            (OrderKind.PURE_LEX, DEFAULT_WEIGHTS, None, 11),
+        ],
+        ids=["d_i=i", "overrides", "GF(7)", "plex"],
     )
     def test_reduces_exactly_the_in_window_pairs(
-        self, weights, degree_bound, monkeypatch
+        self, order, weights, field, degree_bound, monkeypatch
     ):
         # Criterion-free: every pair whose lcm degree, computed here with
         # Monomial arithmetic, is within the bound is reduced once, coprime
         # or not, and no other pair is; the pairs come in order of lcm
         # degree, so the reducer cache serves one degree slice at a time.
-        context = RingContext(OrderKind.HOM_ANTI_REV_LEX, weights)
-        window = TruncationWindow(12, degree_bound)
-        basis = reduce_basis(buchberger_truncated(
-            helpers.family_f(context).instantiate(window), window, context=context
-        ))
+        context = RingContext(order, weights, field)
+        if order is OrderKind.PURE_LEX:
+            # Family F's plex base has coprime leads only; this one has
+            # both kinds, and its verification widens the layout.
+            window = TruncationWindow(3, degree_bound)
+            gens = [
+                poly(text, context)
+                for text in ("x3 - x1^3", "x2*x3 - x1", "x2^2 - x3")
+            ]
+        else:
+            window = TruncationWindow(12, degree_bound)
+            gens = helpers.family_f(context).instantiate(window)
+        basis = reduce_basis(buchberger_truncated(gens, window, context=context))
         reduced = []
         degrees = []
         real = DivisorTable.spair_remainder
 
-        def spy(self, i, j, degree):
+        def spy(self, i, j, degree, lcm=None):
             reduced.append((i, j))
             degrees.append(degree)
-            return real(self, i, j, degree)
+            if self._homogeneous:
+                # The carried lcm is the one Monomial arithmetic gives, in
+                # the current layout; plex takes its own.
+                g_i, g_j = self.divisors[i], self.divisors[j]
+                assert lcm == self._packed(g_i.lm().lcm(g_j.lm()))
+            return real(self, i, j, degree, lcm)
 
         monkeypatch.setattr(DivisorTable, "spair_remainder", spy)
+        layouts = count_layouts(monkeypatch)
         assert verify_buchberger(basis)
         leads = basis.leading_monomials()
         expected = [
@@ -492,6 +529,9 @@ class TestVerifyBuchberger:
         assert degrees == sorted(degrees)
         coprime = [(i, j) for i, j in expected if leads[i].coprime(leads[j])]
         assert 0 < len(coprime) < len(expected) < len(leads) * (len(leads) - 1) // 2
+        # Building the table lays it out twice, empty and then for the
+        # window; only plex widens it after that.
+        assert (layouts[0] > 2) == (order is OrderKind.PURE_LEX)
 
 
 class TestReducedSetAgainstReference:

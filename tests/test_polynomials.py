@@ -18,6 +18,7 @@ from infinigb.errors import (
 from infinigb.monomials import Monomial, OrderKind
 from infinigb.polynomials import (
     GF,
+    PRIME_BOUND,
     GFElement,
     Polynomial,
     RingContext,
@@ -207,6 +208,34 @@ class TestPrimeField:
     def test_not_prime_rejected(self):
         with pytest.raises(ValueError):
             GF(6)
+
+    def test_primality_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        candidates = [
+            *range(-3, 3000),
+            # Carmichael numbers, and strong pseudoprimes to the bases
+            # 2, 3, 5, 7 and to every prime base up to 23.
+            561, 41041, 825265, 3215031751, 3825123056546413051,
+            10**14 + 31, 2**61 - 1, 2**61 + 1, 2**31 - 1,
+            sympy.prevprime(PRIME_BOUND), PRIME_BOUND - 1,
+        ]
+        for p in candidates:
+            if sympy.isprime(p):
+                assert GF(p).p == p
+            else:
+                with pytest.raises(InputError, match=f"{p} is not prime"):
+                    GF(p)
+
+    def test_the_bound_of_the_primality_test(self):
+        # PRIME_BOUND is itself a strong pseudoprime to the 13 bases.
+        for p in (PRIME_BOUND, PRIME_BOUND + 2, 10**30 + 57):
+            with pytest.raises(InputError, match=f"not below {PRIME_BOUND}"):
+                GF(p)
+
+    @pytest.mark.parametrize("p", [7.0, "7", Fraction(7)], ids=repr)
+    def test_a_characteristic_that_is_not_an_int_is_refused(self, p):
+        with pytest.raises(InputError, match="is not an int"):
+            GF(p)
 
     def test_a_denominator_that_vanishes_is_refused(self):
         with pytest.raises(InputError, match=r"denominator of 1/7 vanishes in GF\(7\)"):
