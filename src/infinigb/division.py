@@ -16,23 +16,24 @@ are additive, so a product is an integer add, and `d` divides `m` exactly
 when subtracting `X_d` from `X_m` with every guard bit set clears none.
 The working polynomial is a dict from key to coefficient (the dict
 accumulator of sympy's `PolyElement.rem`) with a heap of its keys.
-`divide` and `remainder` share the one loop; only `divide` records
-quotients.  The divisor search scans only the leads whose top variable
-the term uses, bucketed by that variable, and returns the smallest
-dividing position, as a scan over every lead would.  It is the library's
-only test of lead divisibility: besides division, interreduction and the
-reduced-set test ask it of the packed leads and tails of the rows
+The one loop, `DivisorTable._stream`, is set up once for a stream of
+jobs, each made into a work dict by one of three builders: a polynomial
+(`divide`, `remainder`), a monomial (`monomial_remainder`) or an S-pair
+(`spair_remainders`), the last from the two packed tails of its rows
+shifted by their factor keys, so no S-polynomial is built.  Verification
+streams all of its pairs and stops at the first non-zero remainder;
+completion streams pairs from its queue as remainders add to it.  The
+divisor search scans only the leads whose top variable the term uses,
+bucketed by that variable, and returns the smallest dividing position,
+as a scan over every lead would; a divisor found drops every bucket that
+begins after it.  It is the library's only test of lead divisibility:
+besides division, interreduction and the reduced-set test ask it of the
+packed leads and tails of the rows
 (`is_minimal`, `tail_is_reduced`).  The loop asks it once per monomial of
 a degree slice, as F4's symbolic preprocessing does (Faugere, JPAA 139,
 1999): a table's reducer cache maps each key a slice's divisions meet
 and some row divides to its first divisor (`DivisorTable` gives its
-scope and off-rule).  Completion and verification reduce
-S-pairs from two table rows (`DivisorTable.spair_remainder`): the two
-packed tails, shifted by their factor keys, make the work dict, so no
-S-polynomial is built.  The caller lists the pair's lcm degree and packed
-lcm off the two packed leads and hands both in, and the remainder comes
-back as packed terms, as the partition bijections' single-monomial
-divisions (`DivisorTable.monomial_remainder`) return theirs.
+scope and off-rule).
 
 The loop does integer arithmetic only.  Over Q each row holds the
 primitive integer multiple of its divisor, with a positive leading
@@ -55,6 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import (
     CertificationError,
@@ -223,9 +225,11 @@ class DivisorTable:
         # The divisor index: a bucket of (position, packed lead) pairs in
         # increasing position for each top variable of a lead, under that
         # variable's guard bit; the guard bits of the variables with a
-        # bucket; the first position of a constant lead.
+        # bucket; for each position, the guard bits of the buckets that
+        # begin below it; the first position of a constant lead.
         self._buckets = {}
         self._bucketed = 0
+        self._below = []
         self._constant = _NO_POSITION
         # The reducer cache and the weighted degree of its slice.
         self._slice = None
@@ -243,7 +247,9 @@ class DivisorTable:
 
     def _index(self, position, x, support):
         """Enter the packed lead x of row `position`, using the variables
-        of the guard bits `support`, into the divisor index."""
+        of the guard bits `support`, into the divisor index.  Rows enter
+        in position order."""
+        self._below.append(self._bucketed)
         if support:
             # The guard bit of the top variable: the highest field holds
             # it when x1 is in the lowest, else the lowest does.
@@ -376,51 +382,69 @@ class DivisorTable:
             raise RingContextMismatch(f"{f.context} does not match {self.context}")
         if not f.terms:
             return [], {} if record else None, 0
+        return next(self._stream(self._terms_work, [(f,)], record))
+
+    def _terms_work(self, f):
         # Under a homogeneous order no monomial of the division exceeds
         # the degree of lm(f), nor then does any exponent.
+        terms = f.terms
         if self._homogeneous:
-            need = self._degree(f.terms[0][1])
+            need = self._degree(terms[0][1])
         else:
             need = _max_exponent(f)
         self._fit(f.max_variable_index(), need)
-        terms = f.terms
         if self._modulus is None:
             integers, scale = _cleared(terms)
         else:
             integers, scale = [c.value for c, _ in terms], 1
-        return self._reduce(record, need, self._terms_work, terms, integers, scale)
-
-    def _terms_work(self, terms, integers, scale):
         key = self._key
-        return {key(m): c for c, (_, m) in zip(integers, terms)}, scale
+        return {key(m): c for c, (_, m) in zip(integers, terms)}, scale, need
 
     def monomial_remainder(self, m):
         """The (c, key, scale) terms of `remainder(Polynomial.from_monomial(
         context, m), table)`, with no polynomial built.  The key is packed
         inside the build, so a widened layout packs it again."""
+        return next(self._stream(self._monomial_work, [(m,)]))[0]
+
+    def _monomial_work(self, m):
         if self._homogeneous:
             need = self._degree(m)
         else:
             need = max((e for _, e in m.exps), default=0)
         self._fit(m.max_index(), need)
-        return self._reduce(False, need, self._monomial_work, m, need)[0]
-
-    def _monomial_work(self, m, degree):
-        return {self._order_key(self._packed(m), degree): 1}, 1
+        return {self._order_key(self._packed(m), need): 1}, 1, need
 
     def spair_remainder(self, i, j, degree, lcm=None):
         """The (c, key, scale) terms of the remainder modulo the table of
         the S-polynomial of divisors i and j, whose leads' lcm has weighted
         degree `degree` and packs to `lcm`, as `spair_lcm(i, j)` gives them;
-        the lcm is taken here when it is None.
+        the lcm is taken here when it is None (see `spair_remainders`)."""
+        return next(self.spair_remainders([(degree, i, j, lcm)]))
 
-        Equals `remainder(s_polynomial(g_i, g_j), table)`, but the two
-        packed tails go straight into the work dict, so no S-polynomial
-        is built.  The S-polynomial's monomials have weighted degree at
-        most that of the leads' lcm; under `plex` its exponents are
-        bounded by an exponent of the lcm plus one of g_i or g_j.  The lcm
-        must be packed in the current layout, and is taken again if this
-        pair widens it, or always under `plex`, where any division may.
+    def spair_remainders(self, pairs):
+        """For each pair (lcm degree, i, j, packed lcm or None), the terms
+        of `remainder(s_polynomial(g_i, g_j), table)`, read only once the
+        remainder before it is taken: a caller may append rows and add
+        pairs in between.  Unpack each remainder before the next, which
+        may widen the layout its keys hold in.
+
+        The S-polynomial's monomials have weighted degree at most that of
+        the leads' lcm; under `plex` its exponents are bounded by an
+        exponent of the lcm plus one of g_i or g_j.  A carried lcm must be
+        packed in the current layout; it is taken again if its pair widens
+        the layout, and always under `plex`, where any division may.
+        """
+        return map(itemgetter(0), self._stream(self._spair_work, pairs))
+
+    def _spair_work(self, degree, i, j, lcm):
+        """The work dict, scale and lcm degree of (lcm/lt_i) g_i -
+        (lcm/lt_j) g_j, the layout first fitted to the pair.
+
+        With rows r_i = s_i g_i whose leading coefficients l_i, l_j have
+        gcd c, the dict holds a (lcm/lm_i) r_i - b (lcm/lm_j) r_j for
+        a = l_j / c and b = l_i / c, the S-polynomial times a * l_i: the
+        leading terms cancel, leaving the two tails shifted by their factor
+        keys.  Over GF(p) both rows are monic and a = b = 1.
         """
         if self._homogeneous:
             need = degree
@@ -430,22 +454,7 @@ class DivisorTable:
             need = max(
                 (e for g in (g_i, g_j) for _, e in g.lm().exps), default=0
             ) + max(_max_exponent(g_i), _max_exponent(g_j))
-        if self._fit(0, need):
-            lcm = None
-        return self._reduce(False, degree, self._spair_work, i, j, degree, lcm)[0]
-
-    def _spair_work(self, i, j, degree, lcm):
-        """The work dict and scale of (lcm/lt_i) g_i - (lcm/lt_j) g_j.
-
-        With rows r_i = s_i g_i whose leading coefficients l_i, l_j have
-        gcd c, the dict holds a (lcm/lm_i) r_i - b (lcm/lm_j) r_j for
-        a = l_j / c and b = l_i / c, the S-polynomial times a * l_i: the
-        leading terms cancel, leaving the two tails shifted by their factor
-        keys.  Over GF(p) both rows are monic and a = b = 1.  `degree` is
-        the weighted degree of the lcm and `lcm` its packed exponents in the
-        current layout, or None to take them here.
-        """
-        if lcm is None:
+        if self._fit(0, need) or lcm is None:
             lcm = self._lcm_and_gcd(i, j)[0]
         k_lcm = self._order_key(lcm, degree)
         k_lead_i, lc_i, tail_i = self._rows[i]
@@ -469,106 +478,114 @@ class DivisorTable:
                     work[product] = rest
                 else:
                     del work[product]
-        return work, a * lc_i
+        return work, a * lc_i, degree
 
-    def _reduce(self, record, degree, build, *args):
-        """Run the division loop on the work dict and scale `build(*args)`
-        makes, widening the fields and starting again while a product
-        overflows one.  Under a homogeneous order `degree` is the weighted
-        degree of the leading term, whose slice the reducer cache serves."""
-        if self._caching and degree != self._slice:
-            self._slice = degree
-            self._cache = {}
-        while True:
-            outcome = self._run(*build(*args), record)
-            if outcome is not None:
-                return outcome
-            self._layout(self._variables, 2 * self._width)
+    def _stream(self, build, jobs, record=False):
+        """The division loop over a stream of jobs: for each job, in turn,
+        yield (remainder terms, {position: quotient terms} or None, steps).
 
-    def _run(self, work, scale, record):
-        """One pass of the division loop over `work`, a dict from key to
-        integer coefficient that it consumes, standing for work/scale;
-        None when a product overflowed a field, which only `plex` allows.
+        `build(*job)` fits the layout to the job and returns its work dict
+        (key to integer coefficient, consumed here) standing for
+        work/scale, the scale, and the weighted degree whose slice the
+        reducer cache serves.  A product that overflows a field, which
+        only `plex` allows, widens the fields and builds the job again.
+        Jobs are read one at a time, and the rows, the layout and the
+        cache again for each, so rows may be appended between two.
 
         Remainder terms come out as (c, key, scale) and quotient terms as
         (q, factor key, scale), with the scale current when each was made.
-        Each key is looked up in the reducer cache `_cache`, when there is
-        one, and searched only when the cache does not hold it; a search
-        that finds a divisor is cached.
+        Each key is looked up in the reducer cache, when there is one, and
+        searched only when the cache does not hold it; a search that finds
+        a divisor is cached.
         """
-        live = list(work)
-        heapify(live)
-        rows = self._rows
         first_divisor = self._first_divisor
-        mask = self._mask
         flip = self._sign > 0
-        overflow = 0 if self._homogeneous else self._guard
         p = self._modulus
-        quotients = {} if record else None
-        remainder_terms = []
-        steps = 0
-        cache = self._cache
-        hits = 0
-        if cache is not None:
-            lookup = cache.get
-        while live:
-            k = heappop(live)
-            c = work.pop(k, None)
-            if c is None:
-                continue  # cancelled after it was queued
-            if p is not None:
-                c %= p
-                if not c:
-                    continue  # cancelled modulo p
-            steps += 1
-            position = None if cache is None else lookup(k)
-            if position is not None:
-                hits += 1
-            else:
-                position = first_divisor((-k if flip else k) & mask)
-                if position is not None and cache is not None:
-                    cache[k] = position
-            if position is None:
-                remainder_terms.append((c, k, scale))
-                continue
-            k_lead, lc, tail = rows[position]
-            if lc != 1:
-                # Only over Q: make lc divide c by multiplying the work dict
-                # and its scale alike, which leaves work/scale unchanged.
-                common = gcd(c, lc)
-                if common != lc:
-                    multiplier = lc // common
-                    for other in work:
-                        work[other] *= multiplier
-                    scale *= multiplier
-                c //= common
-            factor = k - k_lead
-            # Subtract c*factor*row; its leading term cancels the popped one.
-            for negated, k_term in tail:
-                product = factor + k_term
-                if overflow and -product & overflow:
-                    return None
-                entry = work.get(product)
-                if entry is None:
-                    work[product] = negated * c
-                    heappush(live, product)
-                else:
-                    rest = entry + negated * c
-                    if rest:
-                        work[product] = rest
+        for job in jobs:
+            while True:
+                work, scale, degree = build(*job)
+                if self._caching and degree != self._slice:
+                    self._slice = degree
+                    self._cache = {}
+                rows = self._rows
+                mask = self._mask
+                overflow = 0 if self._homogeneous else self._guard
+                cache = self._cache
+                if cache is not None:
+                    lookup = cache.get
+                quotients = {} if record else None
+                remainder_terms = []
+                steps = hits = 0
+                live = list(work)
+                heapify(live)
+                while live:
+                    k = heappop(live)
+                    c = work.pop(k, None)
+                    if c is None:
+                        continue  # cancelled after it was queued
+                    if p is not None:
+                        c %= p
+                        if not c:
+                            continue  # cancelled modulo p
+                    steps += 1
+                    position = None if cache is None else lookup(k)
+                    if position is not None:
+                        hits += 1
                     else:
-                        del work[product]
-            if record:
-                quotients.setdefault(position, []).append((c, factor, scale))
-        if cache is not None:
-            # A division's bookkeeping costs about one search and each hit
-            # saves one: a table that falls as many searches behind as it
-            # has rows stops caching.
-            self._lag += 1 - hits
-            if self._lag >= len(rows):
-                self._caching = False
-                self._cache = None
-        return remainder_terms, quotients, steps
+                        position = first_divisor((-k if flip else k) & mask)
+                        if position is not None and cache is not None:
+                            cache[k] = position
+                    if position is None:
+                        remainder_terms.append((c, k, scale))
+                        continue
+                    k_lead, lc, tail = rows[position]
+                    if lc != 1:
+                        # Only over Q: make lc divide c by multiplying the
+                        # work dict and its scale alike, which leaves
+                        # work/scale unchanged.
+                        common = gcd(c, lc)
+                        if common != lc:
+                            multiplier = lc // common
+                            for other in work:
+                                work[other] *= multiplier
+                            scale *= multiplier
+                        c //= common
+                    factor = k - k_lead
+                    # Subtract c*factor*row; its leading term cancels the
+                    # popped one.
+                    for negated, k_term in tail:
+                        product = factor + k_term
+                        if overflow and -product & overflow:
+                            break
+                        entry = work.get(product)
+                        if entry is None:
+                            work[product] = negated * c
+                            heappush(live, product)
+                        else:
+                            rest = entry + negated * c
+                            if rest:
+                                work[product] = rest
+                            else:
+                                del work[product]
+                    else:
+                        if record:
+                            quotients.setdefault(position, []).append(
+                                (c, factor, scale)
+                            )
+                        continue
+                    break  # a product overflowed a field
+                else:
+                    break  # the job is done
+                self._layout(self._variables, 2 * self._width)
+            if cache is not None:
+                # A division's bookkeeping costs about one search and each
+                # hit saves one: a table that falls as many searches behind
+                # as it has rows stops caching.
+                self._lag += 1 - hits
+                if self._lag >= len(rows):
+                    self._caching = False
+                    self._cache = None
+            yield remainder_terms, quotients, steps
 
     def lead_keys(self):
         """The order key of each row's leading monomial: sorting by it
@@ -597,9 +614,11 @@ class DivisorTable:
         the buckets of the variables x uses are scanned (their guard bits
         are those that survive subtracting one from every field of x with
         its guard bits set), each in increasing position up to the best
-        found so far.  A constant lead divides every x.
+        found so far.  A bucket that begins at or after the best position
+        found cannot hold a smaller one, so finding a divisor drops every
+        such bucket at once.  A constant lead divides every x.
         """
-        guard, buckets = self._guard, self._buckets
+        guard, buckets, below = self._guard, self._buckets, self._below
         with_guards = x | guard
         used = (with_guards - self._ones) & self._bucketed
         best = self._constant
@@ -611,6 +630,7 @@ class DivisorTable:
                     break
                 if (with_guards - lead) & guard == guard:
                     best = position
+                    used &= below[position]
                     break
         return None if best == _NO_POSITION else best
 

@@ -25,10 +25,10 @@ scratch on a fresh table.
 Pairs are listed off the table's packed leads: two whose support masks
 share no guard bit have their product as lcm and the sum of their
 degrees as its degree, and only the others ask `DivisorTable.spair_lcm`.
-Each pair is scheduled and window-tested by its lcm degree, carries its
-packed lcm into `DivisorTable.spair_remainder` and gets packed terms
-back: no S-polynomial, lcm or `Monomial` is built per pair, and a
-`Polynomial` only for a non-zero remainder.  Under the homogeneous
+Each pair is scheduled and window-tested by its lcm degree, and the pairs
+stream with their packed lcms through `DivisorTable.spair_remainders`,
+which gives packed terms back: no S-polynomial, lcm or `Monomial` is
+built per pair, and a `Polynomial` only for a non-zero remainder.  Under the homogeneous
 orders the new pairs of each element are pruned by the criteria M and F
 of Gebauer & Moeller (1988), one packed divisibility test on their lcms
 each.  The criterion B sweep over queued pairs and the removal of
@@ -43,6 +43,7 @@ import enum
 import heapq
 from dataclasses import dataclass, field
 from itertools import groupby
+from operator import itemgetter
 
 from . import series
 from .division import DivisorTable, remainder
@@ -264,9 +265,12 @@ def _complete(table, start, window):
     for j in range(start, len(table.divisors)):
         pair_up(j)
 
-    while queue:
-        lcm_degree, i, j, lcm = heapq.heappop(queue)
-        terms = table.spair_remainder(i, j, lcm_degree, lcm)
+    def pairs():
+        # Read one at a time: the remainder of each may queue new pairs.
+        while queue:
+            yield heapq.heappop(queue)
+
+    for terms in table.spair_remainders(pairs()):
         if not terms:
             continue
         r = table._polynomial(terms)
@@ -374,9 +378,9 @@ def verify_buchberger(basis):
 
     The window test reads each pair's lcm degree off the table's packed
     leading monomials, so no `Monomial` lcm is built.  The pairs are
-    reduced in order of lcm degree, then of (j, i), so the table's reducer
-    cache serves one degree slice at a time; any order gives the same
-    verdict.
+    reduced in one stream in order of lcm degree, then of (j, i), so the
+    table's reducer cache serves one degree slice at a time (any order
+    gives the same verdict), and the first non-zero remainder ends it.
     """
     bound = basis.window.degree_bound
     # Laid out once for every S-pair inside the window.
@@ -391,12 +395,11 @@ def verify_buchberger(basis):
             else:
                 lcm_degree, lcm = degree_i + degree, lead_i + lead
             if lcm_degree <= bound:
-                pairs.append((lcm_degree, j, i, lcm))
-    pairs.sort()
-    return not any(
-        table.spair_remainder(i, j, lcm_degree, lcm)
-        for lcm_degree, j, i, lcm in pairs
-    )
+                pairs.append((lcm_degree, i, j, lcm))
+    # Listed by (j, i), so a stable sort by degree orders them by (lcm
+    # degree, j, i).
+    pairs.sort(key=itemgetter(0))
+    return not any(table.spair_remainders(pairs))
 
 
 def reduce_basis(basis):

@@ -33,6 +33,7 @@ from infinigb.monomials import (
     OrderKind,
     WeightedAlphabet,
     _walk,
+    monomials_of_degree,
     sort_key,
 )
 from infinigb.partitions import FamilySpec, enumerate_family
@@ -68,6 +69,28 @@ def polynomials(context, max_terms=4, **kwargs):
 
 def nonzero_polynomials(context, **kwargs):
     return polynomials(context, **kwargs).filter(lambda f: not f.is_zero)
+
+
+def homogeneous_polynomials(context, max_degree=10, max_terms=4, max_index=7):
+    """Nonzero homogeneous polynomials of positive weighted degree over
+    x1..x{max_index}: distinct monomials of one drawn degree, each with a
+    nonzero coefficient, so no draw is filtered away."""
+
+    def of_degree(degree):
+        pool = [
+            m
+            for m in monomials_of_degree(degree, context.weights)
+            if m.max_index() <= max_index
+        ]
+        return st.lists(
+            st.sampled_from(pool), min_size=1, max_size=max_terms, unique=True
+        ).flatmap(
+            lambda ms: st.lists(
+                coefficients(), min_size=len(ms), max_size=len(ms)
+            ).map(lambda cs: Polynomial.from_terms(context, list(zip(cs, ms))))
+        )
+
+    return st.integers(1, max_degree).flatmap(of_degree)
 
 
 def contexts():
@@ -151,11 +174,28 @@ def random_rational_polynomial(
     return f
 
 
+class _Descending:
+    """A heap entry that pops the largest monomial first."""
+
+    __slots__ = ("key", "monomial")
+
+    def __init__(self, key, monomial):
+        self.key = key
+        self.monomial = monomial
+
+    def __lt__(self, other):
+        return other.key < self.key
+
+
 def reference_divide(f, divisors):
     """The oracle for `infinigb.division.divide`: the textbook loop that
     subtracts a whole divisor multiple from the working polynomial and tries
-    every divisor on every step.  Quotients, remainder and step count must
-    equal the fast kernel's."""
+    every divisor, in list order, on every step.  Quotients, remainder and
+    step count must equal the fast kernel's.
+
+    The working polynomial is a dict from `Monomial` to its exact
+    coefficient, with a heap of its monomials by `sort_key`, so a step
+    costs the terms it touches, not a rebuilt polynomial."""
     divisors = list(divisors)
     context = f.context
     leads = []
@@ -167,24 +207,40 @@ def reference_divide(f, divisors):
         lc, lm = g.leading()
         leads.append((lm, lc, g))
 
+    key = sort_key(context.order, context.weights)
+    zero = context.coeff(0)
+    work = {m: c for c, m in f.terms}
+    heap = [_Descending(key(m), m) for m in work]
+    heapq.heapify(heap)
     quotient_terms = {}
     remainder_terms = []
-    work = f
     steps = 0
-    while not work.is_zero:
-        c, m = work.leading()
+    while heap:
+        m = heapq.heappop(heap).monomial
+        c = work.pop(m, None)
+        if c is None:
+            continue  # cancelled after it was pushed
         for position, (lm_g, lc_g, g) in enumerate(leads):
             factor = m.try_divide(lm_g)
             if factor is not None:
                 coefficient = c / lc_g
-                work = work - g.times_term(coefficient, factor)
+                minus = -coefficient
+                # The leading term of the multiple cancels c*m exactly.
+                for c_g, m_g in g.terms[1:]:
+                    product = m_g * factor
+                    rest = work.get(product, zero) + minus * c_g
+                    if not rest:
+                        work.pop(product, None)
+                    else:
+                        if product not in work:
+                            heapq.heappush(heap, _Descending(key(product), product))
+                        work[product] = rest
                 quotient_terms.setdefault(position, []).append(
                     (coefficient, factor)
                 )
                 break
         else:
             remainder_terms.append((c, m))
-            work = Polynomial(context, work.terms[1:])
         steps += 1
     quotients = tuple(
         (position, Polynomial.from_terms(context, terms))

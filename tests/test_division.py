@@ -364,6 +364,23 @@ def checked_search():
         DivisorTable._first_divisor = real
 
 
+class Replay:
+    """Stands in for `st.data()` in an `@example`: each draw returns the
+    next of the given values, whatever the strategy."""
+
+    def __init__(self, *draws):
+        self._draws = iter(draws)
+
+    def draw(self, strategy):
+        return next(self._draws)
+
+
+ONE = Monomial.one()
+SLOW_CONTEXT = RingContext(
+    OrderKind.HOM_LEX, WeightedAlphabet.with_weights({36: 3, 116: 3})
+)
+
+
 @st.composite
 def index_cases(draw):
     """A context (any order, field and weight overrides), nonzero divisors
@@ -423,6 +440,28 @@ class TestDivisorIndex:
 
     @settings(max_examples=150)
     @given(case=index_cases(), data=st.data())
+    # A slow draw: x74^4*x152^8 times x152^53*x200^34 takes 25,690 steps
+    # and leaves 8,692 remainder terms.
+    @example(
+        case=(
+            SLOW_CONTEXT,
+            [
+                poly(text, SLOW_CONTEXT)
+                for text in (
+                    "x146^2*x180^7 + 3*x74^6 + 2*x74^3 - 2",
+                    "3*x74^4*x152^8 + 3*x152^4*x200^3"
+                    " + 2*x74^4*x152^3*x200 - 3*x152*x180^4",
+                    "3*x74^4*x152^8",
+                    "x152^6*x200 + 2*x146*x152^4*x180 + x180^2*x200^2",
+                )
+            ],
+            [],
+            poly("-3*x146^4*x200^4 + 3*x146*x152^4*x180 - 3", SLOW_CONTEXT),
+        ),
+        data=Replay(
+            ONE, ONE, Monomial.from_pairs([(152, 53), (200, 34)]), ONE, ONE, []
+        ),
+    )
     def test_dividends_beyond_the_layout(self, case, data):
         # The leads, multiples of them and other monomials, with exponents
         # up to 40 and indices up to x200 that outgrow the fields and the
@@ -503,15 +542,15 @@ class TestDivisorIndex:
         monkeypatch.setattr(
             DivisorTable, "_packed", lambda self, m: Lead(packed(self, m))
         )
-        run = DivisorTable._run
+        stream = DivisorTable._stream
 
-        def stepped(self, work, scale, record):
-            outcome = run(self, work, scale, record)
-            steps[0] += outcome[2]
-            return outcome
+        def stepped(self, build, jobs, record=False):
+            for outcome in stream(self, build, jobs, record):
+                steps[0] += outcome[2]
+                yield outcome
 
         monkeypatch.setattr(DivisorTable, "_first_divisor", counted)
-        monkeypatch.setattr(DivisorTable, "_run", stepped)
+        monkeypatch.setattr(DivisorTable, "_stream", stepped)
         window = TruncationWindow(30, 60)
         gens = helpers.family_f(HARL).instantiate(window)
         basis = reduce_basis(buchberger_truncated(gens, window, context=HARL))
@@ -535,6 +574,103 @@ class TestDivisorIndex:
             assert divide(f, table) == helpers.reference_divide(f, divisors)
 
 
+def check_below(table):
+    """`_below[p]` holds the guard bits of exactly the buckets whose first
+    position is below p."""
+    first = {}
+    for bit, bucket in table._buckets.items():
+        assert [position for position, _ in bucket] == sorted(
+            position for position, _ in bucket
+        )
+        first[bit] = bucket[0][0]
+    assert len(table._below) == len(table._leads)
+    for position, mask in enumerate(table._below):
+        assert mask == sum(bit for bit, start in first.items() if start < position)
+
+
+def search_everything(table, divisors):
+    """Every monomial of the divisors, and every product of two leads
+    that fits the layout, searched by the pruned scan and by the linear
+    one."""
+    leads = [g.lm() for g in divisors]
+    queries = [m for g in divisors for _, m in g.terms]
+    queries += [a * b for a in leads for b in leads]
+    for m in queries:
+        if m.max_index() <= table._variables and all(
+            e <= table._capacity for _, e in m.exps
+        ):
+            x = table._packed(m)
+            assert table._first_divisor(x) == (
+                helpers.reference_first_divisor(table, x)
+            )
+
+
+class TestPrunedSearch:
+    """A found divisor drops every bucket that begins at or after it; the
+    search still returns the linear scan's position after `select`, with a
+    constant lead and after a widened layout."""
+
+    @settings(max_examples=100)
+    @given(case=index_cases(), data=st.data())
+    def test_after_select_and_widening(self, case, data):
+        ctx, divisors, _, extra = case
+        divisors = [*divisors, extra]
+        table = DivisorTable(ctx, divisors)
+        check_below(table)
+        search_everything(table, divisors)
+        order = data.draw(st.permutations(range(len(divisors))))
+        positions = order[: data.draw(st.integers(1, len(order)))]
+        divisors = [divisors[position] for position in positions]
+        table.select(positions)
+        check_below(table)
+        search_everything(table, divisors)
+        width = table._width
+        lead = data.draw(st.sampled_from(divisors)).lm()
+        f = Polynomial.from_monomial(ctx, lead * Monomial.variable(150, 40))
+        assert divide(f, table) == helpers.reference_divide(f, divisors)
+        assert table._width > width and table._variables >= 150
+        check_below(table)
+        search_everything(table, divisors)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_a_constant_lead(self, position):
+        divisors = [poly("x1^2 - x2"), poly("x3 - x1"), poly("x2*x5 + x4")]
+        divisors.insert(position, poly("5"))
+        table = DivisorTable(HARL, divisors)
+        check_below(table)
+        search_everything(table, divisors)
+        table.select([3, 2, 1, 0])
+        divisors.reverse()
+        check_below(table)
+        search_everything(table, divisors)
+
+    @pytest.mark.parametrize(
+        "texts, first, visits",
+        [(("x1", "x2", "x1*x2"), 0, 1), (("x2", "x1", "x1*x2"), 0, 2)],
+        ids=["dropped", "kept"],
+    )
+    def test_a_found_divisor_drops_later_buckets(self, texts, first, visits):
+        # Under harevlex a lead's bucket is its top variable's: x1 and x2
+        # each begin one, and x1*x2 joins x2's.  A search of x1*x2 visits
+        # x1's bucket first.  When x1 is row 0, x2's bucket begins after
+        # it and is never visited; when x1 is row 1, x2's begins before it
+        # and holds row 0.
+        divisors = [poly(text) for text in texts]
+        table = DivisorTable(HARL, divisors)
+        visited = []
+
+        class Buckets(dict):
+            def __getitem__(self, bit):
+                visited.append(bit)
+                return dict.__getitem__(self, bit)
+
+        table._buckets = Buckets(table._buckets)
+        x = table._packed(poly("x1*x2").lm())
+        assert table._first_divisor(x) == first
+        assert table._first_divisor(x) == helpers.reference_first_divisor(table, x)
+        assert len(visited) == 2 * visits
+
+
 def check_cache(table):
     """Every answer the reducer cache holds is the linear scan's: the
     position of the first divisor of its key.  A key that no row divides
@@ -551,19 +687,19 @@ def check_cache(table):
 
 @pytest.fixture
 def checked_cache(monkeypatch):
-    """Check the reducer cache of a table after each of its divisions and
-    record the table."""
-    run = DivisorTable._run
+    """Check the reducer cache of a table after each of its divisions, as
+    its stream yields the division, and record the table."""
+    stream = DivisorTable._stream
     tables = []
 
-    def checked(self, work, scale, record):
-        outcome = run(self, work, scale, record)
-        check_cache(self)
-        if not tables or tables[-1] is not self:
-            tables.append(self)
-        return outcome
+    def checked(self, build, jobs, record=False):
+        for outcome in stream(self, build, jobs, record):
+            check_cache(self)
+            if not tables or tables[-1] is not self:
+                tables.append(self)
+            yield outcome
 
-    monkeypatch.setattr(DivisorTable, "_run", checked)
+    monkeypatch.setattr(DivisorTable, "_stream", checked)
     return tables
 
 
@@ -701,6 +837,21 @@ class TestReducerCache:
             slices.add(checked_cache[-1]._slice)
         assert len(slices) > 2
 
+    def test_each_single_division_counts_toward_the_off_rule(self):
+        # `remainder` is a stream of one division that is never resumed,
+        # so the loop must count each division before it yields it.
+        # x_i^2 reduces to x_{2i} with no cache hit, and after as many
+        # such divisions as the table has rows it stops caching.
+        order = OrderKind.HOM_ANTI_REV_LEX
+        presentation = IdealPresentation.power_substitution(index_sets.ALL, 2, order)
+        basis = coprime_basis(presentation, TruncationWindow(12, 24))
+        table = DivisorTable(basis.context, basis.elements, 24)
+        for g in basis.elements:
+            assert table._caching
+            f = Polynomial.from_monomial(basis.context, g.lm())
+            assert remainder(f, table) == Polynomial(basis.context, g.terms[1:]) * -1
+        assert not table._caching and table._cache is None
+
     @pytest.mark.parametrize("order", helpers.HOMOGENEOUS_ORDERS, ids=str)
     def test_a_table_whose_keys_do_not_repeat_stops_caching(
         self, order, checked_cache
@@ -809,6 +960,105 @@ class TestSpairRemainder:
         table = DivisorTable(ctx, divisors)
         assert spair_remainder(table, 0, 1) == []
         assert s_polynomial(divisors[0], divisors[1]).is_zero
+
+
+def all_pairs(table):
+    """Every pair (lcm degree, i, j, packed lcm) of the table's rows, as
+    the callers in `groebner` list them."""
+    return [
+        (*table.spair_lcm(i, j), j, i)
+        for j in range(len(table.divisors))
+        for i in range(j)
+    ]
+
+
+def streamed_against_single(ctx, divisors):
+    """Stream every pair of a table through `spair_remainders` and reduce
+    each on a twin table by one `spair_remainder` call, in the same order:
+    the terms, the step-by-step layout and the remainders must agree.
+    Under a homogeneous order the tables are laid out for every lcm, as
+    the callers' are for the window, so that the carried lcms hold; `plex`
+    takes its own.  Returns the field widths the stream went through."""
+    degree = 0
+    if ctx.order.homogeneous:
+        degree = 2 * max(g.weighted_degree() for g in divisors)
+    streamed = DivisorTable(ctx, divisors, degree)
+    single = DivisorTable(ctx, divisors, degree)
+    pairs = [
+        (degree, i, j, lcm) for degree, lcm, j, i in all_pairs(streamed)
+    ]
+    widths = []
+    for (degree, i, j, lcm), terms in zip(pairs, streamed.spair_remainders(pairs)):
+        # Each remainder is read before the stream takes the next pair.
+        assert terms == single.spair_remainder(i, j, degree, lcm)
+        assert streamed._width == single._width
+        assert streamed._polynomial(terms) == spair_expected(divisors, i, j)
+        widths.append(streamed._width)
+    assert len(widths) == len(pairs)
+    return widths
+
+
+class TestSpairStream:
+    """A stream of pairs through `spair_remainders` gives exactly what one
+    `spair_remainder` call per pair gives, and reads each pair only when
+    the one before it has been answered."""
+
+    @pytest.mark.parametrize("field", [None, GF(7)], ids=str)
+    def test_every_pair_of_random_tables(self, field):
+        rng = random.Random(7019)
+        nonzero = 0
+        for k in range(30):
+            ctx = RingContext(helpers.ALL_ORDERS[k % 5], field=field)
+            divisors = [
+                helpers.random_rational_polynomial(
+                    rng, ctx, max_var=4, max_degree=8, max_terms=4
+                )
+                for _ in range(rng.randint(2, 5))
+            ]
+            streamed_against_single(ctx, divisors)
+            nonzero += any(
+                not spair_expected(divisors, i, j).is_zero
+                for j in range(len(divisors))
+                for i in range(j)
+            )
+        assert nonzero >= 10
+
+    def test_a_plex_stream_that_widens_midway(self):
+        # The second pair, of x2 - x1^5 and 2*x2^2*x3 - x3, reaches x1^10
+        # in the middle of its division, past the fields the first pair fit.
+        divisors = [
+            parse_polynomial(text, PLEX)
+            for text in ("x2 - x1^5", "x4 - x1", "2*x2^2*x3 - x3")
+        ]
+        widths = streamed_against_single(PLEX, divisors)
+        assert len(set(widths)) > 1 and widths == sorted(widths)
+
+    def test_pairs_are_read_one_at_a_time(self):
+        # Completion appends a remainder and queues its pairs between two
+        # answers: a pair queued after an answer is the next one read.
+        divisors = [poly("x1^2 - x2"), poly("x1*x3 - x4")]
+        table = DivisorTable(HARL, divisors, 8)
+        queue = [(*table.spair_lcm(0, 1)[:1], 0, 1, None)]
+        read = []
+
+        def pairs():
+            while queue:
+                read.append(queue[-1])
+                yield queue.pop()
+
+        answers = []
+        expected = [spair_expected(divisors, 0, 1)]
+        for terms in table.spair_remainders(pairs()):
+            answers.append(table._polynomial(terms))
+            if len(answers) == 1:
+                g = answers[0].monic()
+                divisors.append(g)
+                table.append(g)
+                queue.append((table.spair_lcm(0, 2)[0], 0, 2, None))
+                expected.append(spair_expected(divisors, 0, 2))
+        assert [pair[1:3] for pair in read] == [(0, 1), (0, 2)]
+        assert answers == expected
+        assert not answers[0].is_zero
 
 
 @st.composite
@@ -961,21 +1211,25 @@ class TestRationalCoefficients:
     @pytest.mark.parametrize("field", [None, GF(7)], ids=str)
     def test_the_loop_sees_only_integers(self, field, monkeypatch):
         ctx = RingContext(OrderKind.HOM_REV_LEX, field=field)
-        run = DivisorTable._run
+        stream = DivisorTable._stream
         calls = []
 
-        def checked(self, work, scale, record):
-            assert all(type(c) is int for c in work.values())
-            assert type(scale) is int
-            outcome = run(self, work, scale, record)
-            for c, _, s in outcome[0]:
-                assert type(c) is int and type(s) is int
-            for terms in (outcome[1] or {}).values():
-                assert all(type(q) is int and type(s) is int for q, _, s in terms)
-            calls.append(outcome)
-            return outcome
+        def checked(self, build, jobs, record=False):
+            def checked_build(*job):
+                work, scale, degree = build(*job)
+                assert all(type(c) is int for c in work.values())
+                assert type(scale) is int
+                return work, scale, degree
 
-        monkeypatch.setattr(DivisorTable, "_run", checked)
+            for outcome in stream(self, checked_build, jobs, record):
+                for c, _, s in outcome[0]:
+                    assert type(c) is int and type(s) is int
+                for terms in (outcome[1] or {}).values():
+                    assert all(type(q) is int and type(s) is int for q, _, s in terms)
+                calls.append(outcome)
+                yield outcome
+
+        monkeypatch.setattr(DivisorTable, "_stream", checked)
         divisors = [
             parse_polynomial("-2/3*x1^2 + 5*x1*x2 - 1/5*x2^2", ctx),
             parse_polynomial("3*x2^2 - 1/2*x1*x3", ctx),

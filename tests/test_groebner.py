@@ -310,16 +310,27 @@ def assert_completion_matches_reference(gens, window, context):
     return basis
 
 
+def spy_on_spairs(monkeypatch, seen):
+    """Call `seen(table, pair)` on each (lcm degree, i, j, lcm) pair that
+    `DivisorTable.spair_remainders` reads, `spair_remainder`'s one pair
+    included, as the stream reads it: just before reducing it."""
+    real = DivisorTable.spair_remainders
+
+    def spy(self, pairs):
+        def watched():
+            for pair in pairs:
+                seen(self, pair)
+                yield pair
+
+        return real(self, watched())
+
+    monkeypatch.setattr(DivisorTable, "spair_remainders", spy)
+
+
 def count_spair_reductions(monkeypatch):
-    """Count the S-pairs reduced through `DivisorTable.spair_remainder`."""
+    """Count the S-pairs reduced through `DivisorTable.spair_remainders`."""
     calls = []
-    real = DivisorTable.spair_remainder
-
-    def spy(self, i, j, degree, lcm=None):
-        calls.append((i, j))
-        return real(self, i, j, degree, lcm)
-
-    monkeypatch.setattr(DivisorTable, "spair_remainder", spy)
+    spy_on_spairs(monkeypatch, lambda table, pair: calls.append(pair[1:3]))
     return calls
 
 
@@ -461,6 +472,27 @@ class TestVerifyBuchberger:
         assert not verify_buchberger(claimed)
         assert verify_buchberger(buchberger_truncated(gens, window, context=context))
 
+    @pytest.mark.parametrize("dropped", ["x1*x2 - x3", "x5*x7 - x3*x9"])
+    def test_stops_at_the_first_nonzero_remainder(self, dropped, monkeypatch):
+        # The reduced Family F base of (12, 24) less one element is not a
+        # Groebner base: some in-window pair leaves a remainder, and no
+        # pair after it is reduced.
+        window = TruncationWindow(12, 24)
+        gens = helpers.family_f(HARL).instantiate(window)
+        basis = reduce_basis(buchberger_truncated(gens, window, context=HARL))
+        elements = tuple(g for g in basis.elements if str(g) != dropped)
+        assert len(elements) == len(basis.elements) - 1
+        leads = [g.lm() for g in elements]
+        in_window = sum(
+            leads[i].lcm(leads[j]).degree(HARL.weights) <= window.degree_bound
+            for j in range(len(leads))
+            for i in range(j)
+        )
+        calls = count_spair_reductions(monkeypatch)
+        claimed = GroebnerBasis(HARL, elements, window, Certificate.ASSERTED)
+        assert not verify_buchberger(claimed)
+        assert 0 < len(calls) < in_window
+
     @pytest.mark.parametrize(
         "order, weights, field, degree_bound",
         [
@@ -498,19 +530,18 @@ class TestVerifyBuchberger:
         basis = reduce_basis(buchberger_truncated(gens, window, context=context))
         reduced = []
         degrees = []
-        real = DivisorTable.spair_remainder
 
-        def spy(self, i, j, degree, lcm=None):
+        def seen(table, pair):
+            degree, i, j, lcm = pair
             reduced.append((i, j))
             degrees.append(degree)
-            if self._homogeneous:
+            if table._homogeneous:
                 # The carried lcm is the one Monomial arithmetic gives, in
                 # the current layout; plex takes its own.
-                g_i, g_j = self.divisors[i], self.divisors[j]
-                assert lcm == self._packed(g_i.lm().lcm(g_j.lm()))
-            return real(self, i, j, degree, lcm)
+                g_i, g_j = table.divisors[i], table.divisors[j]
+                assert lcm == table._packed(g_i.lm().lcm(g_j.lm()))
 
-        monkeypatch.setattr(DivisorTable, "spair_remainder", spy)
+        spy_on_spairs(monkeypatch, seen)
         layouts = count_layouts(monkeypatch)
         assert verify_buchberger(basis)
         leads = basis.leading_monomials()

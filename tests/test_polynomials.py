@@ -175,22 +175,14 @@ class TestVariableIndex:
     @settings(max_examples=80)
     @given(data=st.data())
     def test_hom_lex_bounds_variables_of_homogeneous(self, data):
-        f = data.draw(
-            helpers.nonzero_polynomials(HLEX).filter(
-                lambda f: f.is_homogeneous()
-            )
-        )
+        f = data.draw(helpers.homogeneous_polynomials(HLEX))
         assert f.max_variable_index() == f.lm().max_index()
 
     @settings(max_examples=80)
     @given(data=st.data())
     def test_rev_lex_smallest_variable_of_homogeneous(self, data):
         ctx = RingContext(OrderKind.HOM_REV_LEX)
-        f = data.draw(
-            helpers.nonzero_polynomials(ctx).filter(
-                lambda f: f.is_homogeneous() and not f.lm().is_one
-            )
-        )
+        f = data.draw(helpers.homogeneous_polynomials(ctx))
         # If lm(f) involves some x_i with i <= n then every term does.
         n = f.lm().exps[0][0]
         for m in f.monomials():
