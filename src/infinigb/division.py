@@ -220,6 +220,8 @@ class DivisorTable:
         self._clear_index()
         for g in self.divisors:
             self._add_row(g)
+        # Every lcm packed before now is stale (see `spair_remainders`).
+        self._stale = True
 
     def _clear_index(self):
         # The divisor index: a bucket of (position, packed lead) pairs in
@@ -414,26 +416,21 @@ class DivisorTable:
         self._fit(m.max_index(), need)
         return {self._order_key(self._packed(m), need): 1}, 1, need
 
-    def spair_remainder(self, i, j, degree, lcm=None):
-        """The (c, key, scale) terms of the remainder modulo the table of
-        the S-polynomial of divisors i and j, whose leads' lcm has weighted
-        degree `degree` and packs to `lcm`, as `spair_lcm(i, j)` gives them;
-        the lcm is taken here when it is None (see `spair_remainders`)."""
-        return next(self.spair_remainders([(degree, i, j, lcm)]))
-
     def spair_remainders(self, pairs):
-        """For each pair (lcm degree, i, j, packed lcm or None), the terms
-        of `remainder(s_polynomial(g_i, g_j), table)`, read only once the
+        """For each pair (lcm degree, i, j, packed lcm), the terms of
+        `remainder(s_polynomial(g_i, g_j), table)`, read only once the
         remainder before it is taken: a caller may append rows and add
         pairs in between.  Unpack each remainder before the next, which
         may widen the layout its keys hold in.
 
         The S-polynomial's monomials have weighted degree at most that of
         the leads' lcm; under `plex` its exponents are bounded by an
-        exponent of the lcm plus one of g_i or g_j.  A carried lcm must be
-        packed in the current layout; it is taken again if its pair widens
-        the layout, and always under `plex`, where any division may.
+        exponent of the lcm plus one of g_i or g_j.  Each packed lcm must
+        hold in the layout the stream begins in or a later one: a new
+        layout marks every carried lcm stale, and the rest of the stream
+        takes each lcm again.
         """
+        self._stale = False
         return map(itemgetter(0), self._stream(self._spair_work, pairs))
 
     def _spair_work(self, degree, i, j, lcm):
@@ -449,12 +446,12 @@ class DivisorTable:
         if self._homogeneous:
             need = degree
         else:
-            lcm = None
             g_i, g_j = self.divisors[i], self.divisors[j]
             need = max(
                 (e for g in (g_i, g_j) for _, e in g.lm().exps), default=0
             ) + max(_max_exponent(g_i), _max_exponent(g_j))
-        if self._fit(0, need) or lcm is None:
+        self._fit(0, need)
+        if self._stale:
             lcm = self._lcm_and_gcd(i, j)[0]
         k_lcm = self._order_key(lcm, degree)
         k_lead_i, lc_i, tail_i = self._rows[i]

@@ -131,11 +131,7 @@ def partition_to_monomial(parts):
 
 def monomial_to_partition(monomial):
     """Inverse dictionary; degree-preserving under the default grading."""
-    parts = []
-    for index, exponent in monomial.exps:
-        parts.extend([index] * exponent)
-    parts.sort(reverse=True)
-    return tuple(parts)
+    return tuple(i for i, e in reversed(monomial.exps) for _ in range(e))
 
 
 def _substitution_table(family, p, order, weight):

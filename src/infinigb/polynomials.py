@@ -76,11 +76,12 @@ class GFElement:
         if isinstance(other, GFElement):
             return self.p == other.p and self.value == other.value
         if isinstance(other, int):
-            return self.value == other % self.p
+            # Only the canonical residue, so that equal objects hash alike.
+            return self.value == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((GFElement, self.p, self.value))
+        return hash(self.value)
 
     def __bool__(self):
         return self.value != 0
@@ -360,7 +361,7 @@ def s_polynomial(f, g):
 
     The leading monomials of the two summands cancel by construction.
     Completion and verification reduce S-pairs inside
-    `DivisorTable.spair_remainder` without building them; tests compare
+    `DivisorTable.spair_remainders` without building them; tests compare
     that against the remainder of this polynomial.
     """
     if f.is_zero or g.is_zero:

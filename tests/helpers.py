@@ -345,9 +345,11 @@ def reference_buchberger(gens, window, *, context=None):
     for j in range(len(gens)):
         pair_up(j)
     while queue:
-        lcm_degree, i, j = heapq.heappop(queue)
-        # No lcm is carried: the table takes it in its layout of the moment.
-        terms = table.spair_remainder(i, j, lcm_degree)
+        _, i, j = heapq.heappop(queue)
+        # No lcm is carried across a job: the table packs it in its layout
+        # of the moment, and a one-pair stream reduces it.
+        lcm_degree, lcm = table.spair_lcm(i, j)
+        terms = next(table.spair_remainders([(lcm_degree, i, j, lcm)]))
         if not terms:
             continue
         r = table._polynomial(terms)

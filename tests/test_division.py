@@ -881,15 +881,16 @@ def spair_expected(divisors, i, j):
     return expected
 
 
-def spair_remainder(table, i, j):
-    """The (c, key, scale) terms of `DivisorTable.spair_remainder`, given
-    the lcm degree and packed lcm from the table, as its callers in
-    `groebner` give them."""
-    return table.spair_remainder(i, j, *table.spair_lcm(i, j))
+def one_pair_remainder(table, i, j):
+    """The (c, key, scale) terms of a one-pair `DivisorTable.spair_remainders`
+    stream, given the lcm degree and packed lcm from the table, as its
+    callers in `groebner` give them."""
+    degree, lcm = table.spair_lcm(i, j)
+    return next(table.spair_remainders([(degree, i, j, lcm)]))
 
 
 class TestSpairRemainder:
-    """`DivisorTable.spair_remainder` reduces the S-polynomial of two rows
+    """`DivisorTable.spair_remainders` reduces the S-polynomial of two rows
     without building it, and gives the remainder of `s_polynomial`."""
 
     @pytest.mark.parametrize(
@@ -918,7 +919,7 @@ class TestSpairRemainder:
                 for j in range(len(divisors)):
                     for i in range(j):
                         expected = spair_expected(divisors, i, j)
-                        terms = spair_remainder(table, i, j)
+                        terms = one_pair_remainder(table, i, j)
                         assert table._polynomial(terms) == expected
                         if divisors[i].lm().coprime(divisors[j].lm()):
                             seen["coprime"] += 1
@@ -938,7 +939,7 @@ class TestSpairRemainder:
             parse_polynomial("x2^2 - x1*x3", ctx),
         ]
         table = DivisorTable(ctx, divisors)
-        result = table._polynomial(spair_remainder(table, 0, 1))
+        result = table._polynomial(one_pair_remainder(table, 0, 1))
         assert result == spair_expected(divisors, 0, 1)
         assert result == parse_polynomial("x1*x3 - x1^4", ctx)
 
@@ -950,7 +951,7 @@ class TestSpairRemainder:
             parse_polynomial("2*x2^2*x3 - x3", PLEX),
         ]
         table = DivisorTable(PLEX, divisors)
-        result = table._polynomial(spair_remainder(table, 0, 1))
+        result = table._polynomial(one_pair_remainder(table, 0, 1))
         assert result == spair_expected(divisors, 0, 1)
         assert result == parse_polynomial("-x1^10*x3 + 1/2*x3", PLEX)
 
@@ -958,7 +959,7 @@ class TestSpairRemainder:
         ctx = RingContext(OrderKind.HOM_REV_LEX)
         divisors = [poly("x1*x2 - x1^3", ctx), poly("x2 - x1^2", ctx)]
         table = DivisorTable(ctx, divisors)
-        assert spair_remainder(table, 0, 1) == []
+        assert one_pair_remainder(table, 0, 1) == []
         assert s_polynomial(divisors[0], divisors[1]).is_zero
 
 
@@ -974,11 +975,13 @@ def all_pairs(table):
 
 def streamed_against_single(ctx, divisors):
     """Stream every pair of a table through `spair_remainders` and reduce
-    each on a twin table by one `spair_remainder` call, in the same order:
-    the terms, the step-by-step layout and the remainders must agree.
-    Under a homogeneous order the tables are laid out for every lcm, as
-    the callers' are for the window, so that the carried lcms hold; `plex`
-    takes its own.  Returns the field widths the stream went through."""
+    each on a twin table by a stream of that pair alone, in the same
+    order: the terms, the step-by-step layout and the remainders must
+    agree.  Under a homogeneous order the tables are laid out for every
+    lcm, as the callers' are for the window; `plex` may widen midway.
+    Each one-pair stream of the twin begins after its own widenings, so
+    it packs its own lcm.  Returns the field widths the stream went
+    through."""
     degree = 0
     if ctx.order.homogeneous:
         degree = 2 * max(g.weighted_degree() for g in divisors)
@@ -988,9 +991,9 @@ def streamed_against_single(ctx, divisors):
         (degree, i, j, lcm) for degree, lcm, j, i in all_pairs(streamed)
     ]
     widths = []
-    for (degree, i, j, lcm), terms in zip(pairs, streamed.spair_remainders(pairs)):
+    for (_, i, j, _), terms in zip(pairs, streamed.spair_remainders(pairs)):
         # Each remainder is read before the stream takes the next pair.
-        assert terms == single.spair_remainder(i, j, degree, lcm)
+        assert terms == one_pair_remainder(single, i, j)
         assert streamed._width == single._width
         assert streamed._polynomial(terms) == spair_expected(divisors, i, j)
         widths.append(streamed._width)
@@ -999,9 +1002,10 @@ def streamed_against_single(ctx, divisors):
 
 
 class TestSpairStream:
-    """A stream of pairs through `spair_remainders` gives exactly what one
-    `spair_remainder` call per pair gives, and reads each pair only when
-    the one before it has been answered."""
+    """A stream of pairs through `spair_remainders` gives exactly what a
+    stream of each pair alone gives, reads each pair only when the one
+    before it has been answered, and takes again every lcm that a new
+    layout has made stale."""
 
     @pytest.mark.parametrize("field", [None, GF(7)], ids=str)
     def test_every_pair_of_random_tables(self, field):
@@ -1023,6 +1027,28 @@ class TestSpairStream:
             )
         assert nonzero >= 10
 
+    @pytest.mark.parametrize("field", [None, GF(7)], ids=str)
+    def test_lcms_a_widening_made_stale(self, field):
+        # Tables laid out for their divisors only: a pair whose lcm degree
+        # exceeds the fields widens them midway, after which every later
+        # lcm of the stream, packed for the old layout, is stale.
+        rng = random.Random(7027)
+        stale = 0
+        for k in range(40):
+            ctx = RingContext(helpers.HOMOGENEOUS_ORDERS[k % 4], field=field)
+            divisors = [
+                helpers.random_rational_polynomial(
+                    rng, ctx, max_var=4, max_degree=8, max_terms=4
+                )
+                for _ in range(rng.randint(2, 5))
+            ]
+            table = DivisorTable(ctx, divisors)
+            pairs = [(degree, i, j, lcm) for degree, lcm, j, i in all_pairs(table)]
+            for (_, i, j, lcm), terms in zip(pairs, table.spair_remainders(pairs)):
+                assert table._polynomial(terms) == spair_expected(divisors, i, j)
+                stale += lcm != table._lcm_and_gcd(i, j)[0]
+        assert stale >= 10
+
     def test_a_plex_stream_that_widens_midway(self):
         # The second pair, of x2 - x1^5 and 2*x2^2*x3 - x3, reaches x1^10
         # in the middle of its division, past the fields the first pair fit.
@@ -1038,7 +1064,8 @@ class TestSpairStream:
         # answers: a pair queued after an answer is the next one read.
         divisors = [poly("x1^2 - x2"), poly("x1*x3 - x4")]
         table = DivisorTable(HARL, divisors, 8)
-        queue = [(*table.spair_lcm(0, 1)[:1], 0, 1, None)]
+        degree, lcm = table.spair_lcm(0, 1)
+        queue = [(degree, 0, 1, lcm)]
         read = []
 
         def pairs():
@@ -1054,7 +1081,8 @@ class TestSpairStream:
                 g = answers[0].monic()
                 divisors.append(g)
                 table.append(g)
-                queue.append((table.spair_lcm(0, 2)[0], 0, 2, None))
+                degree, lcm = table.spair_lcm(0, 2)
+                queue.append((degree, 0, 2, lcm))
                 expected.append(spair_expected(divisors, 0, 2))
         assert [pair[1:3] for pair in read] == [(0, 1), (0, 2)]
         assert answers == expected
@@ -1184,7 +1212,7 @@ class TestRationalCoefficients:
                     s = s_polynomial(divisors[i], divisors[j])
                     expected = helpers.reference_divide(s, divisors).remainder
                     assert remainder(s, table) == expected
-                    assert table._polynomial(spair_remainder(table, i, j)) == expected
+                    assert table._polynomial(one_pair_remainder(table, i, j)) == expected
                     seen["zero spair" if expected.is_zero else "nonzero spair"] += 1
             if field is None:
                 for g in divisors:
@@ -1238,7 +1266,7 @@ class TestRationalCoefficients:
         assert divide(f, divisors) == helpers.reference_divide(f, divisors)
         table = DivisorTable(ctx, divisors)
         expected = remainder(s_polynomial(*divisors), divisors)
-        assert table._polynomial(spair_remainder(table, 0, 1)) == expected
+        assert table._polynomial(one_pair_remainder(table, 0, 1)) == expected
         assert len(calls) == 3
 
 

@@ -312,8 +312,8 @@ def assert_completion_matches_reference(gens, window, context):
 
 def spy_on_spairs(monkeypatch, seen):
     """Call `seen(table, pair)` on each (lcm degree, i, j, lcm) pair that
-    `DivisorTable.spair_remainders` reads, `spair_remainder`'s one pair
-    included, as the stream reads it: just before reducing it."""
+    `DivisorTable.spair_remainders` reads, a one-pair stream's included,
+    as the stream reads it: just before reducing it."""
     real = DivisorTable.spair_remainders
 
     def spy(self, pairs):

@@ -255,7 +255,12 @@ class TestPrimeField:
             apply(GFElement(3, 5))
 
     def test_equality_and_text(self):
-        assert GFElement(3, 5) == 8
+        # An int equals only the canonical residue, so that equal objects
+        # hash alike and a set or dict holds each field element once.
+        assert GFElement(3, 5) != 8
+        assert GFElement(3, 5) == 3
+        assert len({GFElement(3, 5), GFElement(8, 5), 3}) == 1
+        assert {3: "three"}[GFElement(8, 5)] == "three"
         assert (GFElement(3, 5) == "3") is False
         assert (GF(5) == 5) is False
         assert repr(GFElement(8, 5)) == "GFElement(3, 5)"
