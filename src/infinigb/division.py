@@ -20,10 +20,13 @@ The one loop, `DivisorTable._stream`, is set up once for a stream of
 jobs, each made into a work dict by one of three builders: a polynomial
 (`divide`, `remainder`), a monomial (`monomial_remainder`) or an S-pair
 (`spair_remainders`), the last from the two packed tails of its rows
-shifted by their factor keys, so no S-polynomial is built.  Verification
-streams all of its pairs and stops at the first non-zero remainder;
-completion streams pairs from its queue as remainders add to it.  The
-divisor search scans only the leads whose top variable the term uses,
+shifted by their factor keys, so no S-polynomial is built.  One kernel,
+`pairs_of`, lists the pairs of a row with their lcm degrees and packed
+lcms.  Verification streams all of its pairs and stops at the first
+non-zero remainder; completion streams pairs from its queue as
+remainders add to it.  `_pack_row` builds every row, a remainder's from
+its packed terms (`divisor_of`), an outside polynomial's from its terms.
+The divisor search scans only the leads whose top variable the term uses,
 bucketed by that variable, and returns the smallest dividing position,
 as a scan over every lead would; a divisor found drops every bucket that
 begins after it.  It is the library's only test of lead divisibility:
@@ -107,8 +110,8 @@ class DivisorTable:
     repacks.
 
     Interreduction works on the rows in place: `select` reorders and drops
-    rows without packing any again, and `replace` packs again only the row
-    whose tail it changes.
+    rows without packing any again, and `replace` changes only the row
+    whose tail it reduces, to one built from the remainder's keys.
 
     The reducer cache maps the order key of a term to the position of its
     first divisor; a key that no row divides is searched again each time.
@@ -127,7 +130,7 @@ class DivisorTable:
 
     def __init__(self, context, divisors=(), degree=0, variables=0):
         self.context = context
-        self.divisors = []
+        self.divisors = list(divisors)
         backwards, _, exponent_sign = _KEY_SHAPES[context.order]
         self._backwards = backwards
         self._sign = exponent_sign
@@ -135,41 +138,41 @@ class DivisorTable:
         self._modulus = None if context.field is None else context.field.p
         self._weight_of = dict(context.weights.overrides)
         # Only the homogeneous orders cache reducers; `_lag` counts the
-        # cached divisions less their cache hits (see `_run`).
+        # cached divisions less their cache hits (see `_stream`).
         self._caching = self._homogeneous
         self._lag = 0
+        for g in self.divisors:
+            self._check(g)
         # The weighted degree of each leading monomial, for the S-pairs.
-        self._degrees = []
-        self._layout(0, 2)
-        # One layout for all of them: widening per divisor would pack every
-        # earlier one again.
-        divisors = list(divisors)
-        self._fit(
-            max([variables, *(g.max_variable_index() for g in divisors)]),
-            max([degree, *map(_max_exponent, divisors)]),
-        )
-        for g in divisors:
-            self.append(g)
+        self._degrees = [self._degree(g.terms[0][1]) for g in self.divisors]
+        # One layout for all of them, fitted in one pass over each:
+        # appending them one by one would pack every earlier one again.
+        top, need = _extent(*self.divisors)
+        self._layout(max(top, variables), max(need, degree, 1).bit_length() + 1)
 
-    def append(self, g):
-        context = self.context
-        if g.context is not context and g.context != context:
-            raise RingContextMismatch(f"{g.context} does not match {context}")
+    def _check(self, g):
+        if g.context is not self.context and g.context != self.context:
+            raise RingContextMismatch(f"{g.context} does not match {self.context}")
         if not g.terms:
             raise ZeroPolynomialError("zero divisor")
+
+    def append(self, g, packed=None):
+        """Append divisor g, and its row `packed` as in `replace`."""
+        self._check(g)
         self.divisors.append(g)
         self._degrees.append(self._degree(g.terms[0][1]))
-        if not self._fit(g.max_variable_index(), _max_exponent(g)):
-            self._add_row(g)
+        row = packed[1] if packed and packed[0] == self._shape else None
+        if row or not self._fit(*_extent(g)):
+            self._add_row(row or self._row_of(g, self._degrees[-1]))
 
-    def replace(self, position, g):
+    def replace(self, position, g, packed=None):
         """Put g in place of divisor `position`, whose leading monomial it
-        keeps, and pack its row again."""
+        keeps, and its row: `packed`, the (layout, row) `divisor_of` gave
+        for g, unless a new layout has come since, else g packed again."""
         self.divisors[position] = g
-        if not self._fit(g.max_variable_index(), _max_exponent(g)):
-            self._rows[position] = self._pack_row(
-                g, self._leads[position], self._degrees[position]
-            )
+        row = packed[1] if packed and packed[0] == self._shape else None
+        if row or not self._fit(*_extent(g)):
+            self._rows[position] = row or self._row_of(g, self._degrees[position])
 
     def select(self, positions):
         """Keep only the rows at `positions`, in that order, packing none
@@ -197,6 +200,7 @@ class DivisorTable:
         `width` bits, the top one the guard."""
         self._variables = variables
         self._width = width
+        self._shape = (variables, width)
         self._capacity = (1 << (width - 1)) - 1
         self._shift = variables * width
         self._mask = (1 << self._shift) - 1
@@ -218,8 +222,8 @@ class DivisorTable:
         self._supports = []
         self._rows = []
         self._clear_index()
-        for g in self.divisors:
-            self._add_row(g)
+        for g, degree in zip(self.divisors, self._degrees):
+            self._add_row(self._row_of(g, degree))
         # Every lcm packed before now is stale (see `spair_remainders`).
         self._stale = True
 
@@ -237,15 +241,15 @@ class DivisorTable:
         self._slice = None
         self._cache = None
 
-    def _add_row(self, g):
-        """Pack g's lead into the index and its row after the others."""
+    def _add_row(self, row):
+        """Index the row's lead and put the row after the others."""
         position = len(self._leads)
-        x = self._packed(g.terms[0][1])
+        x = self._exponents(row[0])
         self._leads.append(x)
         support = ((x | self._guard) - self._ones) & self._guard
         self._supports.append(support)
         self._index(position, x, support)
-        self._rows.append(self._pack_row(g, x, self._degrees[position]))
+        self._rows.append(row)
 
     def _index(self, position, x, support):
         """Enter the packed lead x of row `position`, using the variables
@@ -265,31 +269,50 @@ class DivisorTable:
         elif self._constant == _NO_POSITION:
             self._constant = position
 
-    def _pack_row(self, g, x, degree):
-        """The row of divisor g, whose leading monomial packs to x and has
-        weighted degree `degree`: (negated order key of the lead, integer
-        leading coefficient, negated tail as (coefficient, key))."""
-        key = self._key
+    def _row_of(self, g, degree):
+        """The row of divisor g, whose lead has weighted degree `degree`."""
         terms = g.terms
+        integers = _cleared(terms, self._modulus)[0]
+        keys = [self._order_key(self._packed(terms[0][1]), degree)]
+        keys.extend(map(self._key, [m for _, m in terms[1:]]))
+        return self._pack_row(integers, keys)
+
+    def divisor_of(self, terms):
+        """The monic divisor of the (c, key, scale) terms of a remainder
+        and its row, packed from their keys, with the layout it holds in:
+        (polynomial, (layout, row)) for `append` or `replace`.  Each
+        coefficient is built once, from the row."""
+        # The loop only multiplies a scale, so the last is a multiple of
+        # every earlier one; over GF(p) each is 1.
+        scale = terms[-1][2]
+        keys = [k for _, k, _ in terms]
+        row = self._pack_row([c * (scale // s) for c, _, s in terms], keys)
+        p, lc = self._modulus, row[1]
+        monomials = map(self._monomial, keys)
+        lead = (self.context.one, next(monomials))
+        g = Polynomial(self.context, (lead, *(
+            (Fraction(-c, lc) if p is None else GFElement(-c, p), m)
+            for (c, _), m in zip(row[2], monomials)
+        )))
+        return g, (self._shape, row)
+
+    def _pack_row(self, integers, keys):
+        """The row of the polynomial with the integer coefficients
+        `integers` on the monomials of the negated order keys `keys`, lead
+        first: (lead key, integer leading coefficient, negated tail as
+        (coefficient, key)), primitive with a positive leading coefficient
+        over Q and monic over GF(p)."""
         p = self._modulus
         if p is None:
-            # The primitive integer multiple, its leading coefficient > 0.
-            integers, _ = _cleared(terms)
             content = gcd(*integers)
-            if integers[0] < 0:
-                content = -content
+            content = -content if integers[0] < 0 else content
             integers = [c // content for c in integers]
         else:
-            inverse = pow(terms[0][0].value, -1, p)
-            integers = [c.value * inverse % p for c, _ in terms]
+            inverse = pow(integers[0], -1, p)
+            integers = [c * inverse % p for c in integers]
         # The tail is negated once here, not per product.
-        return (
-            self._order_key(x, degree),
-            integers[0],
-            tuple(
-                (-c if p is None else p - c, key(m))
-                for c, (_, m) in zip(integers[1:], terms[1:])
-            ),
+        return keys[0], integers[0], tuple(
+            (-c if p is None else p - c, k) for c, k in zip(integers[1:], keys[1:])
         )
 
     def _packed(self, m):
@@ -318,51 +341,54 @@ class DivisorTable:
             return -x
         return -((degree << self._shift) + self._sign * x)
 
-    def _packed_degree(self, x):
-        """The weighted degree of the packed exponents x, walking only the
-        fields that are not zero."""
-        width, field_mask = self._width, self._capacity
+    def pairs_of(self, j, bound, coprime):
+        """The S-pairs (i, j), i < j: (lcm degree, i, packed lcm) in
+        increasing i for those of lcm degree at most `bound`, and the
+        number of the others; with `coprime` False, the pairs whose leads
+        share no variable are left out.  The lcms hold in this layout.
+
+        Subtracting lead j from lead i with every guard bit set leaves the
+        guard bit of each field where i's exponent is at least j's: those
+        fields take i's exponent in the lcm, the others j's.  Its degree is
+        that of both leads less that of their gcd, walked field by field.
+        """
+        b, degree_j, support_j = self._leads[j], self._degrees[j], self._supports[j]
+        guard, width, field_mask = self._guard, self._width, self._capacity
         weights = self._field_weights
-        degree = 0
-        while x:
-            field = ((x & -x).bit_length() - 1) // width
-            exponent = (x >> (field * width)) & field_mask
-            x ^= exponent << (field * width)
-            degree += exponent * weights[field]
-        return degree
+        pairs = []
+        beyond = 0
+        for i, a, support, degree in zip(
+            range(j), self._leads, self._supports, self._degrees
+        ):
+            degree += degree_j
+            if support & support_j:
+                at_least = ((a | guard) - b) & guard
+                fields = at_least - (at_least >> (width - 1))
+                lcm = (a & fields) | (b & ~fields)
+                common = a + b - lcm
+                while common:
+                    field = ((common & -common).bit_length() - 1) // width
+                    exponent = (common >> (field * width)) & field_mask
+                    common ^= exponent << (field * width)
+                    degree -= exponent * weights[field]
+            elif coprime:
+                lcm = a + b
+            else:
+                continue
+            if degree <= bound:
+                pairs.append((degree, i, lcm))
+            else:
+                beyond += 1
+        return pairs, beyond
 
-    def _lcm_and_gcd(self, i, j):
-        """The packed lcm and gcd of leads i and j: subtracting lead j from
-        lead i with every guard bit set leaves the guard bit of each field
-        where i's exponent is at least j's, and the fields of those guard
-        bits take i's exponent in the lcm, the others j's."""
-        a, b = self._leads[i], self._leads[j]
-        guard = self._guard
-        at_least = ((a | guard) - b) & guard
-        fields = at_least - (at_least >> (self._width - 1))
-        lcm = (a & fields) | (b & ~fields)
-        return lcm, a + b - lcm
-
-    def spair_lcm(self, i, j):
-        """The weighted degree of the lcm of the leading monomials of
-        divisors i and j, and that lcm packed: the lcm has the degree of
-        both less that of their gcd.  The packed lcm holds in the current
-        layout only, which a division may widen."""
-        lcm, gcd = self._lcm_and_gcd(i, j)
-        degree = self._degrees[i] + self._degrees[j]
-        return degree - self._packed_degree(gcd), lcm
-
-    def packed_divides(self, d, x):
-        """Whether the packed exponents d divide the packed exponents x:
-        subtracting d from x with every guard bit set clears none."""
-        guard = self._guard
-        return ((x | guard) - d) & guard == guard
+    def _exponents(self, key):
+        return (key if self._sign < 0 else -key) & self._mask
 
     def _monomial(self, key):
         """The monomial of a negated order key.  A guard bit set in it means
         the layout was sized too small; decoding would never end, since a
         guard bit reads as exponent 0 and is never cleared."""
-        x = (key if self._sign < 0 else -key) & self._mask
+        x = self._exponents(key)
         if x & self._guard:
             raise RuntimeError(f"packed key {key} sets a guard bit")
         width, n = self._width, self._variables
@@ -391,14 +417,11 @@ class DivisorTable:
         # the degree of lm(f), nor then does any exponent.
         terms = f.terms
         if self._homogeneous:
-            need = self._degree(terms[0][1])
+            top, need = f.max_variable_index(), self._degree(terms[0][1])
         else:
-            need = _max_exponent(f)
-        self._fit(f.max_variable_index(), need)
-        if self._modulus is None:
-            integers, scale = _cleared(terms)
-        else:
-            integers, scale = [c.value for c, _ in terms], 1
+            top, need = _extent(f)
+        self._fit(top, need)
+        integers, scale = _cleared(terms, self._modulus)
         key = self._key
         return {key(m): c for c, (_, m) in zip(integers, terms)}, scale, need
 
@@ -449,10 +472,10 @@ class DivisorTable:
             g_i, g_j = self.divisors[i], self.divisors[j]
             need = max(
                 (e for g in (g_i, g_j) for _, e in g.lm().exps), default=0
-            ) + max(_max_exponent(g_i), _max_exponent(g_j))
+            ) + _extent(g_i, g_j)[1]
         self._fit(0, need)
         if self._stale:
-            lcm = self._lcm_and_gcd(i, j)[0]
+            lcm = self._packed(self.divisors[i].lm().lcm(self.divisors[j].lm()))
         k_lcm = self._order_key(lcm, degree)
         k_lead_i, lc_i, tail_i = self._rows[i]
         k_lead_j, lc_j, tail_j = self._rows[j]
@@ -652,15 +675,28 @@ class DivisorTable:
         return Polynomial(self.context, tuple((c * unit, m) for c, m in pairs))
 
 
-def _cleared(terms):
+def _cleared(terms, p):
     """The numerators of rational terms over their least common
-    denominator, and that denominator."""
+    denominator, and that denominator; over GF(p) the residues and 1."""
+    if p is not None:
+        return [c.value for c, _ in terms], 1
     scale = lcm(*(c.denominator for c, _ in terms))
     return [c.numerator * (scale // c.denominator) for c, _ in terms], scale
 
 
-def _max_exponent(f):
-    return max((e for _, m in f.terms for _, e in m.exps), default=0)
+def _extent(*polynomials):
+    """The largest variable index and the largest exponent of the
+    polynomials."""
+    top = need = 0
+    for f in polynomials:
+        for _, m in f.terms:
+            exps = m.exps
+            if exps and exps[-1][0] > top:
+                top = exps[-1][0]
+            for _, exponent in exps:
+                if exponent > need:
+                    need = exponent
+    return top, need
 
 
 def _table(f, divisors):

@@ -22,19 +22,19 @@ interreduction rewrites.  By uniqueness its reduced base is the one a
 completion from scratch gives.  Every other window is completed from
 scratch on a fresh table.
 
-Pairs are listed off the table's packed leads: two whose support masks
-share no guard bit have their product as lcm and the sum of their
-degrees as its degree, and only the others ask `DivisorTable.spair_lcm`.
-Each pair is scheduled and window-tested by its lcm degree, and the pairs
-stream with their packed lcms through `DivisorTable.spair_remainders`,
-which gives packed terms back: no S-polynomial, lcm or `Monomial` is
-built per pair, and a `Polynomial` only for a non-zero remainder.  Under the homogeneous
+Pairs are listed off the table's packed leads by one kernel,
+`DivisorTable.pairs_of`, with the lcm degree that schedules and
+window-tests each and its packed lcm, and stream through
+`DivisorTable.spair_remainders`, which gives packed terms back: no
+S-polynomial, lcm or `Monomial` is built per pair.  A non-zero remainder
+becomes its monic divisor and row straight from those terms
+(`DivisorTable.divisor_of`), packed no further.  Under the homogeneous
 orders the new pairs of each element are pruned by the criteria M and F
 of Gebauer & Moeller (1988), one packed divisibility test on their lcms
-each.  The criterion B sweep over queued pairs and the removal of
-elements from pair formation are left out: they cost more than they
-saved on binomial input, whose reductions are cheap.  `verify_buchberger`
-uses no criterion; it takes the pairs by lcm degree as `_complete` does.
+each, inline in `_complete`.  The criterion B sweep over queued pairs and
+the removal of elements from pair formation are left out: they cost more
+than they saved on binomial input, whose reductions are cheap.
+`verify_buchberger` uses no criterion; it lists coprime pairs too.
 """
 
 from __future__ import annotations
@@ -211,15 +211,17 @@ def _complete(table, start, window):
     bound, so that no S-pair widens it.
 
     Element j pairs with each earlier element i whose lead shares a
-    variable with its own; a coprime pair reduces to zero without
-    computation.  Taken by (lcm degree, i), a pair beyond the window is
-    discarded and counted, and an in-window pair is dropped when the lcm
-    of an earlier kept pair (k, j) divides its own: the criterion M of
-    Gebauer & Moeller (1988) when it does so strictly, F when the two are
-    equal, the first of those being kept.  Under `plex` an in-window pair
-    can reduce to a remainder beyond the window, which is discarded; that
-    pair then has no standard representation and justifies nothing, so
-    there every pair is reduced.
+    variable with its own (`DivisorTable.pairs_of`); a coprime pair
+    reduces to zero without computation.  A pair beyond the window is
+    discarded and counted; taken by (lcm degree, i), an in-window pair is
+    dropped when the lcm of an earlier kept pair (k, j) divides its own:
+    the criterion M of Gebauer & Moeller (1988) when it does so strictly,
+    F when the two are equal, the first of those being kept.  A non-zero
+    remainder is appended as the monic divisor and row that
+    `DivisorTable.divisor_of` builds from its packed terms.  Under `plex`
+    an in-window pair can reduce to a remainder beyond the window, which
+    is discarded; that pair then has no standard representation and
+    justifies nothing, so there every pair is reduced.
 
     This is sound.  Order the pairs by their lcm under divisibility, then
     by creation index max(i, j), then by rank in that sort.  A pair (i, j)
@@ -241,26 +243,22 @@ def _complete(table, start, window):
 
     def pair_up(j):
         nonlocal discarded_pairs
-        supports = table._supports
-        pairs = []
-        for i, support_i in zip(range(j), supports):
-            # A coprime pair reduces to zero without computation.
-            if support_i & supports[j]:
-                lcm_degree, lcm = table.spair_lcm(i, j)
-                pairs.append((lcm_degree, i, lcm))
+        pairs, beyond = table.pairs_of(j, bound, False)
+        discarded_pairs += beyond
         pairs.sort()
-        # The packed lcms of the kept pairs, in this layout: no division
-        # runs until the pairs are formed.
+        # The packed lcms of the kept pairs (none under `plex`); d divides
+        # lcm when subtracting it with every guard bit set clears none.
+        guard = table._guard
         kept = []
         for lcm_degree, i, lcm in pairs:
-            if lcm_degree > bound:
-                discarded_pairs += 1
-                continue
-            if prune:
-                if any(table.packed_divides(d, lcm) for d in kept):
-                    continue
-                kept.append(lcm)
-            heapq.heappush(queue, (lcm_degree, i, j, lcm))
+            with_guards = lcm | guard
+            for d in kept:
+                if (with_guards - d) & guard == guard:
+                    break
+            else:
+                if prune:
+                    kept.append(lcm)
+                heapq.heappush(queue, (lcm_degree, i, j, lcm))
 
     for j in range(start, len(table.divisors)):
         pair_up(j)
@@ -273,11 +271,11 @@ def _complete(table, start, window):
     for terms in table.spair_remainders(pairs()):
         if not terms:
             continue
-        r = table._polynomial(terms)
+        r, packed = table.divisor_of(terms)
         if not window.admits(r):
             discarded_elements += 1
             continue
-        table.append(r.monic())
+        table.append(r, packed)
         pair_up(len(table.divisors) - 1)
     return discarded_pairs, discarded_elements
 
@@ -320,30 +318,29 @@ def _interreduce(table):
         table.select(_canonical_order(table.divisors, table.lead_keys()))
         minimal = []
         extra = []
-        for position in range(len(table.divisors)):
+        for position, g in enumerate(table.divisors):
             if table.is_minimal(position):
                 minimal.append(position)
                 continue
-            r = remainder(table.divisors[position], table)
-            if not r.is_zero:
-                extra.append(r.monic())
+            terms = table._divide(g, False)[0]
+            if terms:
+                extra.append(table.divisor_of(terms))
         if len(minimal) < len(table.divisors):
             table.select(minimal)
         if not extra:
             break
-        for r in extra:
-            table.append(r)
-    context = table.context
-    tails = [
-        None
-        if table.tail_is_reduced(position)
-        else remainder(Polynomial(context, g.terms[1:]), table)
-        for position, g in enumerate(table.divisors)
-    ]
-    for position, tail in enumerate(tails):
-        if tail is not None:
-            lead = table.divisors[position].terms[:1]
-            table.replace(position, Polynomial(context, lead + tail.terms))
+        for r, packed in extra:
+            table.append(r, packed)
+    tails = {}
+    for position, g in enumerate(table.divisors):
+        if not table.tail_is_reduced(position):
+            terms = table._divide(Polynomial(table.context, g.terms[1:]), False)[0]
+            # The monic lead at scale 1, its key read after the division,
+            # which may widen the layout.
+            lead = (1, table._rows[position][0], 1)
+            tails[position] = table.divisor_of([lead, *terms])
+    for position, tail in tails.items():
+        table.replace(position, *tail)
 
 
 def buchberger_truncated(gens, window, *, context=None):
@@ -368,7 +365,10 @@ def buchberger_truncated(gens, window, *, context=None):
     # exceeds the degree bound.
     table = DivisorTable(context, gens, window.degree_bound)
     discarded = _complete(table, 0, window)
-    elements = _canonical_sorted(table.divisors, context)
+    elements = [
+        table.divisors[position]
+        for position in _canonical_order(table.divisors, table.lead_keys())
+    ]
     return _completed_basis(context, elements, window, discarded)
 
 
@@ -376,26 +376,20 @@ def verify_buchberger(basis):
     """Independent re-verification: every S-pair within the window reduces
     to zero by plain division, with no coprime shortcut.
 
-    The window test reads each pair's lcm degree off the table's packed
-    leading monomials, so no `Monomial` lcm is built.  The pairs are
-    reduced in one stream in order of lcm degree, then of (j, i), so the
-    table's reducer cache serves one degree slice at a time (any order
-    gives the same verdict), and the first non-zero remainder ends it.
+    `DivisorTable.pairs_of` lists every pair, coprime ones included, with
+    its lcm degree read off the packed leads.  They are reduced in one
+    stream in order of lcm degree, then of (j, i), so the table's reducer
+    cache serves one degree slice at a time (any order gives the same
+    verdict), and the first non-zero remainder ends it.
     """
     bound = basis.window.degree_bound
     # Laid out once for every S-pair inside the window.
     table = DivisorTable(basis.context, basis.elements, bound)
-    supports, leads, degrees = table._supports, table._leads, table._degrees
-    pairs = []
-    for j, (support, lead, degree) in enumerate(zip(supports, leads, degrees)):
-        for i, support_i, lead_i, degree_i in zip(range(j), supports, leads, degrees):
-            # A coprime pair's lcm is the product of the two leads.
-            if support_i & support:
-                lcm_degree, lcm = table.spair_lcm(i, j)
-            else:
-                lcm_degree, lcm = degree_i + degree, lead_i + lead
-            if lcm_degree <= bound:
-                pairs.append((lcm_degree, i, j, lcm))
+    pairs = [
+        (lcm_degree, i, j, lcm)
+        for j in range(len(table.divisors))
+        for lcm_degree, i, lcm in table.pairs_of(j, bound, True)[0]
+    ]
     # Listed by (j, i), so a stable sort by degree orders them by (lcm
     # degree, j, i).
     pairs.sort(key=itemgetter(0))

@@ -314,6 +314,41 @@ def reference_reduce_basis(basis):
     )
 
 
+def packed_pair(table, i, j):
+    """The oracle for one pair of `DivisorTable.pairs_of`: the weighted
+    degree of the lcm of the leading monomials of rows i and j, by
+    `Monomial.lcm`, and that lcm packed in the table's current layout."""
+    lcm = table.divisors[i].lm().lcm(table.divisors[j].lm())
+    return lcm.degree(table.context.weights), table._packed(lcm)
+
+
+def reference_pairs_of(table, j, bound, coprime):
+    """The oracle for `DivisorTable.pairs_of` by `Monomial` arithmetic:
+    each pair (i, j), i < j, with coprime leads (disjoint supports) only
+    when `coprime`, listed when its lcm degree is at most `bound` and
+    counted otherwise."""
+    pairs = []
+    beyond = 0
+    lead = table.divisors[j].lm()
+    for i in range(j):
+        if not coprime and table.divisors[i].lm().coprime(lead):
+            continue
+        degree, lcm = packed_pair(table, i, j)
+        if degree <= bound:
+            pairs.append((degree, i, lcm))
+        else:
+            beyond += 1
+    return pairs, beyond
+
+
+def packed_divides(table, d, x):
+    """Whether the packed exponents d divide the packed exponents x in the
+    table's layout: subtracting d from x with every guard bit set clears
+    none.  The test `_complete` inlines for its criteria."""
+    guard = table._guard
+    return ((x | guard) - d) & guard == guard
+
+
 def reference_buchberger(gens, window, *, context=None):
     """The oracle for `infinigb.groebner.buchberger_truncated`: the
     completion loop before the pair criteria.  It skips coprime pairs,
@@ -336,7 +371,7 @@ def reference_buchberger(gens, window, *, context=None):
         for i in range(j):
             if table.divisors[i].lm().coprime(lead):
                 continue
-            lcm_degree = table.spair_lcm(i, j)[0]
+            lcm_degree = packed_pair(table, i, j)[0]
             if lcm_degree > bound:
                 discarded_pairs += 1
                 continue
@@ -348,7 +383,7 @@ def reference_buchberger(gens, window, *, context=None):
         _, i, j = heapq.heappop(queue)
         # No lcm is carried across a job: the table packs it in its layout
         # of the moment, and a one-pair stream reduces it.
-        lcm_degree, lcm = table.spair_lcm(i, j)
+        lcm_degree, lcm = packed_pair(table, i, j)
         terms = next(table.spair_remainders([(lcm_degree, i, j, lcm)]))
         if not terms:
             continue

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from contextlib import contextmanager
 
@@ -883,9 +884,11 @@ def spair_expected(divisors, i, j):
 
 def one_pair_remainder(table, i, j):
     """The (c, key, scale) terms of a one-pair `DivisorTable.spair_remainders`
-    stream, given the lcm degree and packed lcm from the table, as its
+    stream, given the lcm degree and packed lcm from `pairs_of`, as its
     callers in `groebner` give them."""
-    degree, lcm = table.spair_lcm(i, j)
+    ((degree, _, lcm),) = [
+        pair for pair in table.pairs_of(j, math.inf, True)[0] if pair[1] == i
+    ]
     return next(table.spair_remainders([(degree, i, j, lcm)]))
 
 
@@ -967,9 +970,9 @@ def all_pairs(table):
     """Every pair (lcm degree, i, j, packed lcm) of the table's rows, as
     the callers in `groebner` list them."""
     return [
-        (*table.spair_lcm(i, j), j, i)
+        (degree, lcm, j, i)
         for j in range(len(table.divisors))
-        for i in range(j)
+        for degree, i, lcm in table.pairs_of(j, math.inf, True)[0]
     ]
 
 
@@ -1046,7 +1049,7 @@ class TestSpairStream:
             pairs = [(degree, i, j, lcm) for degree, lcm, j, i in all_pairs(table)]
             for (_, i, j, lcm), terms in zip(pairs, table.spair_remainders(pairs)):
                 assert table._polynomial(terms) == spair_expected(divisors, i, j)
-                stale += lcm != table._lcm_and_gcd(i, j)[0]
+                stale += lcm != helpers.packed_pair(table, i, j)[1]
         assert stale >= 10
 
     def test_a_plex_stream_that_widens_midway(self):
@@ -1064,7 +1067,7 @@ class TestSpairStream:
         # answers: a pair queued after an answer is the next one read.
         divisors = [poly("x1^2 - x2"), poly("x1*x3 - x4")]
         table = DivisorTable(HARL, divisors, 8)
-        degree, lcm = table.spair_lcm(0, 1)
+        degree, lcm = helpers.packed_pair(table, 0, 1)
         queue = [(degree, 0, 1, lcm)]
         read = []
 
@@ -1081,7 +1084,7 @@ class TestSpairStream:
                 g = answers[0].monic()
                 divisors.append(g)
                 table.append(g)
-                degree, lcm = table.spair_lcm(0, 2)
+                degree, lcm = helpers.packed_pair(table, 0, 2)
                 queue.append((degree, 0, 2, lcm))
                 expected.append(spair_expected(divisors, 0, 2))
         assert [pair[1:3] for pair in read] == [(0, 1), (0, 2)]
@@ -1142,10 +1145,112 @@ class TestMonomialRemainder:
             check_cache(warm)
 
 
+def index_state(table):
+    """Everything a table holds for its rows: the rows, their leads,
+    supports and degrees, the divisor index and the layout."""
+    return (
+        table._rows, table._leads, table._supports, table._degrees,
+        table._buckets, table._bucketed, table._below, table._constant,
+        table._shape,
+    )
+
+
+class TestRowFromRemainder:
+    """`DivisorTable.divisor_of` builds a remainder's monic divisor and its
+    row from the remainder's packed terms; appending it, or putting it in
+    place of a row with `replace`, leaves the table that packing
+    `r.monic()` leaves, index included."""
+
+    @pytest.mark.parametrize("field", [None, GF(7)], ids=str)
+    def test_append_and_replace_match_packing(self, field):
+        rng = random.Random(7039)
+        seen = {"mixed scales": 0, "non-unit lead": 0, "replaced": 0}
+        for k in range(80):
+            ctx = RingContext(helpers.ALL_ORDERS[k % 5], field=field)
+
+            def draw():
+                return helpers.random_rational_polynomial(
+                    rng, ctx, max_var=4, max_degree=8, max_terms=4
+                )
+
+            divisors = [draw() for _ in range(rng.randint(1, 4))]
+            f = draw()
+            built, packed = DivisorTable(ctx, divisors), DivisorTable(ctx, divisors)
+            terms = built._divide(f, False)[0]
+            # The twin divides alike, so it reaches the same layout.
+            assert packed._divide(f, False)[0] == terms
+            if not terms:
+                continue
+            r = built._polynomial(terms)
+            seen["mixed scales"] += len({s for _, _, s in terms}) > 1
+            seen["non-unit lead"] += r.lc() not in (ctx.one, -ctx.one)
+            g, row = built.divisor_of(terms)
+            assert g == r.monic()
+            built.append(g, row)
+            packed.append(r.monic())
+            assert index_state(built) == index_state(packed)
+            # The tail's remainder after the monic lead, as interreduction
+            # takes it, in place of the row just appended.
+            if len(g.terms) < 2:
+                continue
+            tail = Polynomial(ctx, g.terms[1:])
+            terms = built._divide(tail, False)[0]
+            assert packed._divide(tail, False)[0] == terms
+            lead = (1, built._rows[-1][0], 1)
+            reduced, row = built.divisor_of([lead, *terms])
+            assert reduced == Polynomial(
+                ctx, g.terms[:1] + built._polynomial(terms).terms
+            )
+            built.replace(len(divisors), reduced, row)
+            packed.replace(len(divisors), reduced)
+            assert index_state(built) == index_state(packed)
+            seen["replaced"] += 1
+        if field is not None:
+            del seen["mixed scales"]  # over GF(p) every scale is 1
+        assert min(seen.values()) >= 5, seen
+
+    def test_plex_rows_after_a_stream_widened(self, monkeypatch):
+        # The pair of x2 - x1^5 and 2*x2^2*x3 - x3 widens the fields in
+        # the middle of its division (see `TestSpairStream`), and its
+        # remainder's keys hold in the wider layout.
+        divisors = [poly("x2 - x1^5", PLEX), poly("2*x2^2*x3 - x3", PLEX)]
+        built, packed = DivisorTable(PLEX, divisors), DivisorTable(PLEX, divisors)
+        width = built._width
+        terms = one_pair_remainder(built, 0, 1)
+        assert one_pair_remainder(packed, 0, 1) == terms
+        assert built._width > width
+        rows = [0]
+        real = DivisorTable._pack_row
+
+        def counted(*args):
+            rows[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(DivisorTable, "_pack_row", counted)
+        g, row = built.divisor_of(terms)
+        assert g == poly("x1^10*x3 - 1/2*x3", PLEX)
+        built.append(g, row)
+        packed.append(g)
+        assert index_state(built) == index_state(packed)
+        # One row built from the terms, one packed from g.
+        assert rows == [2]
+        # A row built before a new layout is not taken: x2^30 reduces to
+        # x1^150, past the fields, and g is packed again.
+        g, row = built.divisor_of(terms)
+        for table in (built, packed):
+            remainder(poly("x2^30", PLEX), table)
+        assert built._shape == packed._shape != row[0]
+        rows[0] = 0
+        built.append(g, row)
+        packed.append(g)
+        assert index_state(built) == index_state(packed)
+        assert rows == [2]
+
+
 class TestPackedPairs:
-    """The packed lcm and gcd of two leading monomials, the lcm degree
-    read from them and the packed divisibility test, against `Monomial`
-    arithmetic."""
+    """The packed lcm of two leading monomials and its degree from
+    `DivisorTable.pairs_of`, the gcd that degree is read from and the
+    packed divisibility test, against `Monomial` arithmetic."""
 
     @given(
         a=helpers.monomials(max_index=200, max_exponent=9),
@@ -1157,27 +1262,90 @@ class TestPackedPairs:
     )
     def test_lcm_gcd_and_degree(self, a, b, order, overrides):
         ctx = RingContext(order, WeightedAlphabet.with_weights(overrides))
-        table = DivisorTable(
-            ctx, [Polynomial.from_terms(ctx, [(1, m)]) for m in (a, b)]
-        )
         lcm = a.lcm(b)
         mine, other = dict(a.exps), dict(b.exps)
         gcd = Monomial.from_pairs(
             (i, min(e, other[i])) for i, e in mine.items() if i in other
         )
         degree = lcm.degree(ctx.weights)
-        for i, j in ((0, 1), (1, 0)):
-            packed_lcm, packed_gcd = table._lcm_and_gcd(i, j)
-            assert packed_lcm == table._packed(lcm)
-            assert packed_gcd == table._packed(gcd)
-            assert table.spair_lcm(i, j) == (degree, packed_lcm)
-            assert table._order_key(packed_lcm, degree) == table._key(lcm)
-            lead_i, lead_j = table._leads[i], table._leads[j]
-            assert table.packed_divides(lead_i, lead_j) == (a, b)[i].divides(
-                (a, b)[j]
+        for first, second in ((a, b), (b, a)):
+            table = DivisorTable(
+                ctx, [Polynomial.from_terms(ctx, [(1, m)]) for m in (first, second)]
             )
-            assert table.packed_divides(packed_gcd, lead_i)
-            assert table.packed_divides(lead_i, packed_lcm)
+            (pair,), beyond = table.pairs_of(1, degree, True)
+            assert beyond == 0
+            listed_degree, i, packed_lcm = pair
+            assert (listed_degree, i) == (degree, 0)
+            assert packed_lcm == table._packed(lcm)
+            packed_gcd = table._leads[0] + table._leads[1] - packed_lcm
+            assert packed_gcd == table._packed(gcd)
+            assert table.pairs_of(1, degree - 1, True) == ([], 1)
+            assert table._order_key(packed_lcm, degree) == table._key(lcm)
+            lead_first, lead_second = table._leads
+            assert helpers.packed_divides(
+                table, lead_first, lead_second
+            ) == first.divides(second)
+            assert helpers.packed_divides(table, packed_gcd, lead_first)
+            assert helpers.packed_divides(table, lead_first, packed_lcm)
+
+
+@st.composite
+def pair_tables(draw):
+    """A table of up to 7 rows under any order, over Q or GF(7), with
+    weight overrides, some rows appended after it was built (which may
+    widen its layout), and a degree bound."""
+    overrides = draw(
+        st.dictionaries(st.integers(1, 40), st.integers(1, 6), max_size=3)
+    )
+    ctx = RingContext(
+        draw(st.sampled_from(helpers.ALL_ORDERS)),
+        WeightedAlphabet.with_weights(overrides),
+        draw(st.sampled_from([None, GF(7)])),
+    )
+    rows = draw(
+        st.lists(
+            helpers.nonzero_polynomials(ctx, max_index=40, max_exponent=9),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    built = draw(st.integers(0, len(rows)))
+    table = DivisorTable(ctx, rows[:built])
+    for g in rows[built:]:
+        table.append(g)
+    degrees = [g.lm().degree(ctx.weights) for g in rows]
+    bound = draw(st.integers(0, 2 * max(degrees)))
+    return table, bound
+
+
+class TestPairsOf:
+    """`DivisorTable.pairs_of` lists the pairs of each row with the rows
+    before it against the `Monomial` oracle (`Monomial.lcm`, the weighted
+    degree, coprime by support): the pairs inside the bound, in increasing
+    i, and the count of those beyond it, with coprime pairs listed or
+    left out."""
+
+    @settings(max_examples=150)
+    @given(case=pair_tables())
+    def test_matches_the_monomial_oracle(self, case):
+        table, bound = case
+        for j in range(len(table.divisors)):
+            for coprime in (False, True):
+                assert table.pairs_of(j, bound, coprime) == (
+                    helpers.reference_pairs_of(table, j, bound, coprime)
+                )
+
+    def test_coprime_pairs_are_listed_only_when_asked(self):
+        # Leads x1^2, x3*x4 and x1*x3 of weighted degrees 2, 7 and 4: the
+        # first two are coprime, with lcm degree 9.
+        table = DivisorTable(HARL, [poly("x1^2"), poly("x3*x4"), poly("x1*x3")], 9)
+        listed, beyond = table.pairs_of(2, 8, True)
+        assert [pair[:2] for pair in listed] == [(5, 0), (8, 1)] and beyond == 0
+        assert table.pairs_of(1, 9, False) == ([], 0)
+        coprime = (9, 0, table._leads[0] + table._leads[1])
+        assert table.pairs_of(1, 9, True) == ([coprime], 0)
+        assert table.pairs_of(1, 8, True) == ([], 1)
+        assert table.pairs_of(2, 6, True) == ([listed[0]], 1)
 
 
 class TestRationalCoefficients:
