@@ -24,8 +24,13 @@ shifted by their factor keys, so no S-polynomial is built.  One kernel,
 `pairs_of`, lists the pairs of a row with their lcm degrees and packed
 lcms.  Verification streams all of its pairs and stops at the first
 non-zero remainder; completion streams pairs from its queue as
-remainders add to it.  `_pack_row` builds every row, a remainder's from
-its packed terms (`divisor_of`), an outside polynomial's from its terms.
+remainders add to it, and never a pair whose leads share no variable.
+Each step of such a pair tries its own two rows before the table, and
+they alone reduce it to zero (Buchberger's first criterion, 1979).  Any
+reduction to zero is a standard representation, and over a Groebner
+base every one ends at zero, so verification keeps its verdict.
+`_pack_row` builds every row, a remainder's from its packed terms
+(`divisor_of`), an outside polynomial's from its terms.
 The divisor search scans only the leads whose top variable the term uses,
 bucketed by that variable, and returns the smallest dividing position,
 as a scan over every lead would; a divisor found drops every bucket that
@@ -121,11 +126,11 @@ class DivisorTable:
     degree, so the scope loses no repeat; `plex` never caches.  A new
     layout and `select` drop the cache.  `append` and `replace` keep it:
     a new row comes after every cached position, and `replace` keeps the
-    lead.  A division's bookkeeping costs about one search and each key
-    found in the cache saves one, so a table whose divisions have together
-    fallen as many searches behind as it has rows stops caching: one whose
-    keys seldom repeat, as in the verification of a power-substitution
-    base.
+    lead.  Each slice a stream of divisions enters costs about one search
+    and each key found in the cache saves one, so a table that falls as
+    many searches behind as it has rows stops caching: one whose keys
+    seldom repeat, as in the verification of a power-substitution base.
+    A lone division is a stream of one; an own-row step counts as neither.
     """
 
     def __init__(self, context, divisors=(), degree=0, variables=0):
@@ -138,7 +143,7 @@ class DivisorTable:
         self._modulus = None if context.field is None else context.field.p
         self._weight_of = dict(context.weights.overrides)
         # Only the homogeneous orders cache reducers; `_lag` counts the
-        # cached divisions less their cache hits (see `_stream`).
+        # slices streams enter less their cache hits (see `_stream`).
         self._caching = self._homogeneous
         self._lag = 0
         for g in self.divisors:
@@ -423,7 +428,7 @@ class DivisorTable:
         self._fit(top, need)
         integers, scale = _cleared(terms, self._modulus)
         key = self._key
-        return {key(m): c for c, (_, m) in zip(integers, terms)}, scale, need
+        return {key(m): c for c, (_, m) in zip(integers, terms)}, scale, need, ()
 
     def monomial_remainder(self, m):
         """The (c, key, scale) terms of `remainder(Polynomial.from_monomial(
@@ -437,11 +442,13 @@ class DivisorTable:
         else:
             need = max((e for _, e in m.exps), default=0)
         self._fit(m.max_index(), need)
-        return {self._order_key(self._packed(m), need): 1}, 1, need
+        return {self._order_key(self._packed(m), need): 1}, 1, need, ()
 
     def spair_remainders(self, pairs):
         """For each pair (lcm degree, i, j, packed lcm), the terms of
-        `remainder(s_polynomial(g_i, g_j), table)`, read only once the
+        `remainder(s_polynomial(g_i, g_j), table)`, or of its remainder
+        modulo [g_i, g_j, then the table] when the leads share no variable
+        (each step tries the two rows, uncached, first), read only once the
         remainder before it is taken: a caller may append rows and add
         pairs in between.  Unpack each remainder before the next, which
         may widen the layout its keys hold in.
@@ -458,7 +465,8 @@ class DivisorTable:
 
     def _spair_work(self, degree, i, j, lcm):
         """The work dict, scale and lcm degree of (lcm/lt_i) g_i -
-        (lcm/lt_j) g_j, the layout first fitted to the pair.
+        (lcm/lt_j) g_j, the layout first fitted to the pair, and its two
+        rows as (position, packed lead) if their leads share no variable.
 
         With rows r_i = s_i g_i whose leading coefficients l_i, l_j have
         gcd c, the dict holds a (lcm/lm_i) r_i - b (lcm/lm_j) r_j for
@@ -498,7 +506,9 @@ class DivisorTable:
                     work[product] = rest
                 else:
                     del work[product]
-        return work, a * lc_i, degree
+        leads, supports = self._leads, self._supports
+        own = () if supports[i] & supports[j] else ((i, leads[i]), (j, leads[j]))
+        return work, a * lc_i, degree, own
 
     def _stream(self, build, jobs, record=False):
         """The division loop over a stream of jobs: for each job, in turn,
@@ -506,9 +516,10 @@ class DivisorTable:
 
         `build(*job)` fits the layout to the job and returns its work dict
         (key to integer coefficient, consumed here) standing for
-        work/scale, the scale, and the weighted degree whose slice the
-        reducer cache serves.  A product that overflows a field, which
-        only `plex` allows, widens the fields and builds the job again.
+        work/scale, the scale, the weighted degree whose slice the reducer
+        cache serves, and the (position, packed lead) rows each step tries
+        first.  A product that overflows a field, which only `plex`
+        allows, widens the fields and builds the job again.
         Jobs are read one at a time, and the rows, the layout and the
         cache again for each, so rows may be appended between two.
 
@@ -521,15 +532,16 @@ class DivisorTable:
         first_divisor = self._first_divisor
         flip = self._sign > 0
         p = self._modulus
+        entered = None
         for job in jobs:
             while True:
-                work, scale, degree = build(*job)
+                work, scale, degree, own = build(*job)
                 if self._caching and degree != self._slice:
                     self._slice = degree
                     self._cache = {}
                 rows = self._rows
-                mask = self._mask
-                overflow = 0 if self._homogeneous else self._guard
+                mask, guard = self._mask, self._guard
+                overflow = 0 if self._homogeneous else guard
                 cache = self._cache
                 if cache is not None:
                     lookup = cache.get
@@ -548,13 +560,18 @@ class DivisorTable:
                         if not c:
                             continue  # cancelled modulo p
                     steps += 1
-                    position = None if cache is None else lookup(k)
-                    if position is not None:
-                        hits += 1
+                    for position, lead in own:
+                        with_guards = ((-k if flip else k) & mask) | guard
+                        if (with_guards - lead) & guard == guard:
+                            break
                     else:
-                        position = first_divisor((-k if flip else k) & mask)
-                        if position is not None and cache is not None:
-                            cache[k] = position
+                        position = None if cache is None else lookup(k)
+                        if position is not None:
+                            hits += 1
+                        else:
+                            position = first_divisor((-k if flip else k) & mask)
+                            if position is not None and cache is not None:
+                                cache[k] = position
                     if position is None:
                         remainder_terms.append((c, k, scale))
                         continue
@@ -598,10 +615,11 @@ class DivisorTable:
                     break  # the job is done
                 self._layout(self._variables, 2 * self._width)
             if cache is not None:
-                # A division's bookkeeping costs about one search and each
-                # hit saves one: a table that falls as many searches behind
-                # as it has rows stops caching.
-                self._lag += 1 - hits
+                # Each slice a stream enters costs about one search and
+                # each hit saves one: a table that falls as many searches
+                # behind as it has rows stops caching.
+                self._lag += (degree != entered) - hits
+                entered = degree
                 if self._lag >= len(rows):
                     self._caching = False
                     self._cache = None

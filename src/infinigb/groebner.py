@@ -34,7 +34,7 @@ of Gebauer & Moeller (1988), one packed divisibility test on their lcms
 each, inline in `_complete`.  The criterion B sweep over queued pairs and
 the removal of elements from pair formation are left out: they cost more
 than they saved on binomial input, whose reductions are cheap.
-`verify_buchberger` uses no criterion; it lists coprime pairs too.
+`verify_buchberger` uses no criterion; it reduces coprime pairs too.
 """
 
 from __future__ import annotations
@@ -374,13 +374,16 @@ def buchberger_truncated(gens, window, *, context=None):
 
 def verify_buchberger(basis):
     """Independent re-verification: every S-pair within the window reduces
-    to zero by plain division, with no coprime shortcut.
+    to zero, with no pair criterion.
 
     `DivisorTable.pairs_of` lists every pair, coprime ones included, with
     its lcm degree read off the packed leads.  They are reduced in one
     stream in order of lcm degree, then of (j, i), so the table's reducer
-    cache serves one degree slice at a time (any order gives the same
-    verdict), and the first non-zero remainder ends it.
+    cache serves one degree slice at a time, and the first non-zero
+    remainder ends it.  A coprime pair tries its own two rows before the
+    table (`DivisorTable.spair_remainders`).  Neither changes the verdict:
+    any reduction to zero is a standard representation, and over a
+    Groebner base every reduction ends at zero.
     """
     bound = basis.window.degree_bound
     # Laid out once for every S-pair inside the window.

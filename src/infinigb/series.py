@@ -69,20 +69,6 @@ class TruncatedSeries:
                 out[i + j] += a[i] * b[j]
         return _trusted(tuple(out))
 
-    def mul_unit_inverse(self, other):
-        """self / other for a divisor with constant term +-1, which is the
-        exact condition for an integer-coefficient inverse."""
-        bound, a, b = self._common(other)
-        if b[0] not in (1, -1):
-            raise InputError("division needs a constant term of +1 or -1")
-        out = [0] * (bound + 1)
-        for n in range(bound + 1):
-            acc = a[n]
-            for k in range(n):
-                acc -= out[k] * b[n - k]
-            out[n] = acc * b[0]
-        return _trusted(tuple(out))
-
     def times_one_minus_power(self, gap):
         """Multiply by 1 - T^gap in O(N): a_n -= a_{n-gap}, n descending."""
         if gap < 0:

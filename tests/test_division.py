@@ -522,7 +522,9 @@ class TestDivisorIndex:
         # int whose reflected subtraction counts while a search runs.  On
         # this window the linear scan made about 20 tests per search.  The
         # reducer cache answers a repeated key of a degree slice without a
-        # search, so the division steps outnumber the searches.
+        # search, so the division steps outnumber the searches.  A coprime
+        # pair's steps go to its own two rows, with no search, so the
+        # window is (40, 80): at (30, 60) the verifier takes 3,655 steps.
         searching, tests, searches, steps = [False], [0], [0], [0]
 
         class Lead(int):
@@ -552,7 +554,7 @@ class TestDivisorIndex:
 
         monkeypatch.setattr(DivisorTable, "_first_divisor", counted)
         monkeypatch.setattr(DivisorTable, "_stream", stepped)
-        window = TruncationWindow(30, 60)
+        window = TruncationWindow(40, 80)
         gens = helpers.family_f(HARL).instantiate(window)
         basis = reduce_basis(buchberger_truncated(gens, window, context=HARL))
         assert verify_buchberger(basis)
@@ -841,8 +843,9 @@ class TestReducerCache:
     def test_each_single_division_counts_toward_the_off_rule(self):
         # `remainder` is a stream of one division that is never resumed,
         # so the loop must count each division before it yields it.
-        # x_i^2 reduces to x_{2i} with no cache hit, and after as many
-        # such divisions as the table has rows it stops caching.
+        # x_i^2 reduces to x_{2i} with no cache hit, each in a slice of
+        # its own, and after as many such divisions as the table has rows
+        # it stops caching.
         order = OrderKind.HOM_ANTI_REV_LEX
         presentation = IdealPresentation.power_substitution(index_sets.ALL, 2, order)
         basis = coprime_basis(presentation, TruncationWindow(12, 24))
@@ -874,11 +877,17 @@ class TestReducerCache:
 
 
 def spair_expected(divisors, i, j):
-    """The remainder of the S-polynomial built by `s_polynomial`, by the
-    kernel on a fresh table and by `reference_divide`, which must agree."""
-    s = s_polynomial(divisors[i], divisors[j])
+    """The remainder `spair_remainders` gives for the pair (i, j): that of
+    the S-polynomial built by `s_polynomial` by `reference_divide` modulo
+    the divisors, or modulo [g_i, g_j, *divisors] when the two leads share
+    no variable.  The kernel on a fresh table and `reference_divide` must
+    agree on the remainder modulo the divisors."""
+    g_i, g_j = divisors[i], divisors[j]
+    s = s_polynomial(g_i, g_j)
     expected = helpers.reference_divide(s, divisors).remainder
     assert remainder(s, divisors) == expected
+    if g_i.lm().coprime(g_j.lm()):
+        return helpers.reference_divide(s, [g_i, g_j, *divisors]).remainder
     return expected
 
 
@@ -1090,6 +1099,106 @@ class TestSpairStream:
         assert [pair[1:3] for pair in read] == [(0, 1), (0, 2)]
         assert answers == expected
         assert not answers[0].is_zero
+
+
+def own_rows_first(ctx, divisors, seen):
+    """Stream every pair of a table laid out for its divisors only through
+    `spair_remainders`: a pair whose leads share no variable must give
+    the remainder of its S-polynomial modulo [g_i, g_j, *divisors], any
+    other pair its remainder modulo the table.  Returns the field widths
+    the stream went through."""
+    table = DivisorTable(ctx, divisors)
+    pairs = [(degree, i, j, lcm) for degree, lcm, j, i in all_pairs(table)]
+    widths = []
+    for (_, i, j, _), terms in zip(pairs, table.spair_remainders(pairs)):
+        g_i, g_j = divisors[i], divisors[j]
+        answer = table._polynomial(terms)
+        widths.append(table._width)
+        s = s_polynomial(g_i, g_j)
+        plain = remainder(s, table)
+        if g_i.lm().coprime(g_j.lm()):
+            expected = helpers.reference_divide(s, [g_i, g_j, *divisors]).remainder
+            seen["coprime"] += 1
+            seen["own rows change it"] += expected != plain
+        else:
+            expected = plain
+            seen["shared"] += 1
+        assert answer == expected
+    return widths
+
+
+class TestOwnRowsFirst:
+    """Each step of a pair whose leads share no variable tries the pair's
+    own two rows before the reducer cache and the divisor search, so its
+    remainder is that of the S-polynomial modulo [g_i, g_j, then the table
+    in order]; every other pair keeps its remainder modulo the table."""
+
+    @pytest.mark.parametrize("field", [None, GF(2), GF(7)], ids=str)
+    def test_every_pair_of_random_tables(self, field):
+        rng = random.Random(7043)
+        seen = {"coprime": 0, "own rows change it": 0, "shared": 0}
+        for k in range(100):
+            ctx = RingContext(helpers.ALL_ORDERS[k % 5], field=field)
+            divisors = [
+                helpers.random_rational_polynomial(
+                    rng, ctx, max_var=4, max_degree=8, max_terms=4
+                )
+                for _ in range(rng.randint(3, 6))
+            ]
+            own_rows_first(ctx, divisors, seen)
+        assert min(seen.values()) >= 10, seen
+
+    def test_a_plex_stream_that_widens_midway(self):
+        # The coprime pair of x2 - x1^5 and x4^2 - x1^3 fits fields of
+        # capacity 7 when it is built, and its own rows reach x1^8.  The
+        # coprime pair of x2 - x1^5 and x3*x4 - x2 reduces to zero by its
+        # own rows, but not modulo the table in order.
+        divisors = [
+            parse_polynomial(text, PLEX)
+            for text in ("x3 - x1^2", "x2 - x1^5", "x4^2 - x1^3", "x3*x4 - x2")
+        ]
+        seen = {"coprime": 0, "own rows change it": 0, "shared": 0}
+        widths = own_rows_first(PLEX, divisors, seen)
+        assert widths == [4, 4, 8, 8, 8, 8]
+        assert seen == {"coprime": 4, "own rows change it": 1, "shared": 2}
+
+    @pytest.mark.parametrize("field", [None, GF(7)], ids=str)
+    def test_a_changed_coprime_pair_fails_verification(self, field, monkeypatch):
+        # Negating one coefficient of one coprime pair's work dict adds a
+        # nonzero multiple of a monomial to its S-polynomial, and no
+        # monomial lies in these ideals (every generator vanishes where
+        # all variables are 1): the verifier reduces that pair and finds
+        # a remainder.
+        context = RingContext(OrderKind.HOM_ANTI_REV_LEX, field=field)
+        window = TruncationWindow(12, 24)
+        family_f = helpers.family_f(context).instantiate(window)
+        substitution = IdealPresentation.power_substitution(
+            index_sets.ALL, 2, OrderKind.HOM_ANTI_REV_LEX, field
+        )
+        bases = [
+            reduce_basis(buchberger_truncated(family_f, window, context=context)),
+            coprime_basis(substitution, window),
+        ]
+        build = DivisorTable._spair_work
+        changed = []
+
+        def spy(self, *pair):
+            work, scale, degree, own = build(self, *pair)
+            if own and not changed:
+                key = min(work)
+                work[key] = -work[key]
+                changed.append(pair[1:3])
+            return work, scale, degree, own
+
+        for basis in bases:
+            assert verify_buchberger(basis)
+            monkeypatch.setattr(DivisorTable, "_spair_work", spy)
+            changed.clear()
+            assert not verify_buchberger(basis)
+            monkeypatch.undo()
+            (pair,) = changed
+            i, j = pair
+            assert basis.elements[i].lm().coprime(basis.elements[j].lm())
 
 
 @st.composite
@@ -1380,6 +1489,7 @@ class TestRationalCoefficients:
                     s = s_polynomial(divisors[i], divisors[j])
                     expected = helpers.reference_divide(s, divisors).remainder
                     assert remainder(s, table) == expected
+                    expected = spair_expected(divisors, i, j)
                     assert table._polynomial(one_pair_remainder(table, i, j)) == expected
                     seen["zero spair" if expected.is_zero else "nonzero spair"] += 1
             if field is None:
@@ -1412,10 +1522,11 @@ class TestRationalCoefficients:
 
         def checked(self, build, jobs, record=False):
             def checked_build(*job):
-                work, scale, degree = build(*job)
+                work, scale, degree, own = build(*job)
                 assert all(type(c) is int for c in work.values())
                 assert type(scale) is int
-                return work, scale, degree
+                assert all(type(x) is int for row in own for x in row)
+                return work, scale, degree, own
 
             for outcome in stream(self, checked_build, jobs, record):
                 for c, _, s in outcome[0]:

@@ -71,15 +71,6 @@ class TestArithmetic:
         assert (a + b).truncation == 1
         assert (a * b).coefficients == (1, 3)
 
-    def test_unit_inverse_round_trip(self):
-        a = TruncatedSeries((1, 5, -2, 7, 0, 3))
-        b = TruncatedSeries((-1, 2, 2, -1, 4, 1))
-        assert (a * b).mul_unit_inverse(b) == a
-
-    def test_inverse_needs_unit(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries((1, 1)).mul_unit_inverse(TruncatedSeries((2, 1)))
-
     def test_no_claims_beyond_truncation(self):
         s = TruncatedSeries((1, 1))
         for n in (2, -1):
