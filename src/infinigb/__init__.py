@@ -45,7 +45,6 @@ from .monomials import (
     WeightedAlphabet,
     compare,
     format_monomial,
-    monomials_of_degree,
     parse_monomial,
     sort_key,
 )
@@ -63,7 +62,6 @@ from .partitions import (
 from .polynomials import (
     GF,
     GFElement,
-    LeadingData,
     Polynomial,
     RingContext,
     format_polynomial,
@@ -73,7 +71,6 @@ from .polynomials import (
 from .series import (
     TruncatedSeries,
     ambient_series,
-    one_minus_power,
     quotient_series_from_standard_monomials,
     regular_sequence_series,
 )

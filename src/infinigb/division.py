@@ -209,10 +209,9 @@ class DivisorTable:
         self._capacity = (1 << (width - 1)) - 1
         self._shift = variables * width
         self._mask = (1 << self._shift) - 1
-        self._guard = sum(
-            1 << (field * width + width - 1) for field in range(variables)
-        )
-        self._ones = self._guard >> (width - 1)
+        # The lowest bit of every field, and the top (guard) bit of every one.
+        self._ones = ((1 << self._shift) - 1) // ((1 << width) - 1)
+        self._guard = self._ones << (width - 1)
         weight_of = self._weight_of
         self._field_weights = [
             weight_of.get(index, index)
@@ -292,13 +291,10 @@ class DivisorTable:
         scale = terms[-1][2]
         keys = [k for _, k, _ in terms]
         row = self._pack_row([c * (scale // s) for c, _, s in terms], keys)
-        p, lc = self._modulus, row[1]
-        monomials = map(self._monomial, keys)
-        lead = (self.context.one, next(monomials))
-        g = Polynomial(self.context, (lead, *(
-            (Fraction(-c, lc) if p is None else GFElement(-c, p), m)
-            for (c, _), m in zip(row[2], monomials)
-        )))
+        lc = row[1]
+        g = self._polynomial(
+            [(lc, keys[0], lc), *((-c, k, lc) for c, k in row[2])]
+        )
         return g, (self._shape, row)
 
     def _pack_row(self, integers, keys):

@@ -468,14 +468,13 @@ class IdealPresentation:
     or both, inside an optional variable subring.
 
     A window (n, D) instantiates exactly the generators with all variables
-    at most n and weighted degree at most D; family parameters are scanned
-    up to n.
+    at most n and weighted degree at most D; the family parameters scanned
+    are the indices up to n that lie in `variables` (all when it is None).
     """
 
     context: RingContext
     generators: tuple = ()
     family: object = None
-    family_indices: object = None
     variables: object = None
 
     def __post_init__(self):
@@ -505,13 +504,7 @@ class IdealPresentation:
                 ),
             )
 
-        return cls(
-            context,
-            generators=(),
-            family=rule,
-            family_indices=parts,
-            variables=parts,
-        )
+        return cls(context, generators=(), family=rule, variables=parts)
 
     def instantiate(self, window):
         """The generators visible inside the window, each checked to be
@@ -543,7 +536,7 @@ class IdealPresentation:
                 fresh.extend(
                     (i, self.family(i))
                     for i in range(top + 1, window.var_bound + 1)
-                    if self.family_indices is None or i in self.family_indices
+                    if self.variables is None or i in self.variables
                 )
             top = max(top, window.var_bound)
             for index, g in fresh:

@@ -8,6 +8,7 @@ single object, so equal names from `from_name` give the same set.
 
 from __future__ import annotations
 
+import re
 from functools import cache
 
 from .errors import InputError
@@ -61,9 +62,15 @@ _NAMED = {s.name: s for s in (ALL, ODD, PM1_MOD3, PM1_MOD5, PM1_MOD6)}
 
 
 def from_name(name):
-    """Resolve a set by name; supports the built-ins and 'nondivQ'."""
+    """Resolve a set by name; supports the built-ins and 'nondivQ', Q in
+    ASCII digits."""
     if name in _NAMED:
         return _NAMED[name]
-    if name.startswith("nondiv") and name[len("nondiv"):].isdigit():
-        return avoiding_multiples_of(int(name[len("nondiv"):]))
-    raise InputError(f"unknown index set {name!r}")
+    match = re.fullmatch("nondiv([0-9]+)", name)
+    if match is None:
+        raise InputError(f"unknown index set {name!r}")
+    try:
+        q = int(match.group(1))
+    except ValueError:  # beyond the interpreter's digit limit
+        raise InputError("the nondiv modulus has too many digits") from None
+    return avoiding_multiples_of(q)

@@ -177,11 +177,6 @@ class Monomial:
                 merged[i] = e
         return _trusted(tuple(sorted(merged.items())))
 
-    def coprime(self, other):
-        """True when the supports are disjoint, i.e. lcm = product."""
-        mine = set(self.support())
-        return not any(i in mine for i in other.support())
-
     def __eq__(self, other):
         if isinstance(other, Monomial):
             return self.exps == other.exps
@@ -251,18 +246,6 @@ def sort_key(order, weights=DEFAULT_WEIGHTS):
         return (degree, tuple(pairs)) if homogeneous else tuple(pairs)
 
     return key
-
-
-def monomials_of_degree(degree, weights=DEFAULT_WEIGHTS, variables=None):
-    """All monomials of exact weighted degree, optionally over a variable set.
-
-    Finite because only finitely many variables have weight <= degree.  With
-    the default weights this set corresponds to the partitions of `degree`.
-    """
-    if degree < 0:
-        raise InputError("degree must be non-negative")
-    indices = _admissible(weights, degree, variables)
-    return [_trusted(pairs) for pairs in _pairs_of_degree(indices, weights, degree)]
 
 
 def _admissible(weights, bound, variables):
@@ -465,7 +448,8 @@ def format_monomial(m):
     return "*".join(parts)
 
 
-_TOKEN = re.compile(r"x(\d+)|(\d+)|[\^\*/+-]")
+# ASCII digits only: `\d` would also admit other scripts' digits.
+_TOKEN = re.compile(r"x([0-9]+)|([0-9]+)|[\^\*/+-]")
 
 
 def _tokenize(text):
@@ -478,12 +462,15 @@ def _tokenize(text):
         match = _TOKEN.match(text, pos)
         if match is None:
             raise ParseError("unexpected character", text, pos)
-        if match.group(1) is not None:
-            tokens.append(("var", int(match.group(1)), pos))
-        elif match.group(2) is not None:
-            tokens.append(("int", int(match.group(2)), pos))
-        else:
+        index, number = match.group(1, 2)
+        if index is None and number is None:
             tokens.append((match.group(0), None, pos))
+        else:
+            try:
+                value = int(number if index is None else index)
+            except ValueError:  # beyond the interpreter's digit limit
+                raise ParseError("number too long", text, pos) from None
+            tokens.append(("int" if index is None else "var", value, pos))
         pos = match.end()
     return tokens
 

@@ -6,6 +6,9 @@ tuple is the unique partition of 0.  Under the default grading the map
 lambda -> x^lambda (exponent of x_i = multiplicity of the part i) is a
 degree-preserving bijection between partitions of n and monomials of
 degree n, which is how partition families become quotient-ring questions.
+A family's partitions of one weight are listed by the walk over its
+standard monomials and counted, for every weight up to N at once, by
+`monomials._counts_up_to` over the same walk (`FamilySpec._standard_walk`).
 """
 
 from __future__ import annotations
@@ -116,11 +119,6 @@ def enumerate_family(spec, n):
         tuple(i for i, e in reversed(pairs) for _ in range(e))
         for pairs in _pairs_of_degree(*spec._standard_walk(n))
     }
-
-
-def partition_counts_up_to(bound):
-    """p(0..bound), counting every partition once without building it."""
-    return _counts_up_to(*FamilySpec("parts", index_sets.ALL)._standard_walk(bound))
 
 
 def partition_to_monomial(parts):

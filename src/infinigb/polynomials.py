@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import InputError, ParseError, RingContextMismatch, ZeroPolynomialError
 from .monomials import (
@@ -189,15 +188,6 @@ class RingContext:
         return self.coeff(1)
 
 
-class LeadingData(NamedTuple):
-    lc: object
-    lm: Monomial
-
-    @property
-    def lt(self):
-        return (self.lc, self.lm)
-
-
 class Polynomial:
     """A finite sum of (coefficient, monomial) terms, sorted strictly
     decreasing under the ambient order; the empty sum is zero."""
@@ -249,17 +239,15 @@ class Polynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def leading(self):
+    def lm(self):
         if not self.terms:
             raise ZeroPolynomialError("the zero polynomial has no leading term")
-        c, m = self.terms[0]
-        return LeadingData(c, m)
-
-    def lm(self):
-        return self.leading().lm
+        return self.terms[0][1]
 
     def lc(self):
-        return self.leading().lc
+        if not self.terms:
+            raise ZeroPolynomialError("the zero polynomial has no leading term")
+        return self.terms[0][0]
 
     def monomials(self):
         return tuple(m for _, m in self.terms)
@@ -367,8 +355,8 @@ def s_polynomial(f, g):
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("S-polynomials need nonzero arguments")
     f._check_context(g)
-    lcf, lmf = f.leading()
-    lcg, lmg = g.leading()
+    lcf, lmf = f.terms[0]
+    lcg, lmg = g.terms[0]
     lcm = lmf.lcm(lmg)
     one = f.context.one
     return f.times_term(one / lcf, lcm.try_divide(lmf)) - g.times_term(

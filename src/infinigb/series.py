@@ -3,7 +3,8 @@
 A series is known exactly up to its truncation and operations never claim
 coefficients beyond it; mixed-truncation arithmetic truncates to the
 smaller bound.  There is no rational-function normal form: identities are
-checked coefficientwise up to a truncation.
+checked coefficientwise up to a truncation.  Factors 1/(1 - T^d) and
+1 - T^d are applied in O(N) by recurrences, never as dense series.
 """
 
 from __future__ import annotations
@@ -45,11 +46,6 @@ class TruncatedSeries:
     def zero(cls, truncation):
         _check_truncation(truncation)
         return cls((0,) * (truncation + 1))
-
-    @classmethod
-    def geometric(cls, gap, truncation):
-        """1/(1 - T^gap) = 1 + T^gap + T^(2 gap) + ..."""
-        return cls.one(truncation).over_one_minus_power(gap)
 
     def _common(self, other):
         bound = min(self.truncation, other.truncation)
@@ -117,19 +113,6 @@ def _trusted(coefficients):
     series = object.__new__(TruncatedSeries)
     series.coefficients = coefficients
     return series
-
-
-def one_minus_power(gap, truncation):
-    """The polynomial 1 - T^gap as a truncated series, built term by term:
-    the dense factor that tests hold `times_one_minus_power` against."""
-    if gap < 0:
-        raise InputError("gap must be non-negative")
-    _check_truncation(truncation)
-    coefficients = [0] * (truncation + 1)
-    coefficients[0] = 1
-    if gap <= truncation:
-        coefficients[gap] -= 1
-    return TruncatedSeries(coefficients)
 
 
 def ambient_series(weights, variables, truncation):

@@ -33,11 +33,11 @@ from infinigb.monomials import (
     OrderKind,
     WeightedAlphabet,
     _walk,
-    monomials_of_degree,
     sort_key,
 )
 from infinigb.partitions import FamilySpec, enumerate_family
 from infinigb.polynomials import Polynomial, RingContext
+from infinigb.series import TruncatedSeries
 
 ALL_ORDERS = list(OrderKind)
 HOMOGENEOUS_ORDERS = [o for o in OrderKind if o.homogeneous]
@@ -204,7 +204,7 @@ def reference_divide(f, divisors):
             raise RingContextMismatch(f"{g.context} does not match {context}")
         if g.is_zero:
             raise ZeroPolynomialError("zero divisor")
-        lc, lm = g.leading()
+        lc, lm = g.terms[0]
         leads.append((lm, lc, g))
 
     key = sort_key(context.order, context.weights)
@@ -314,6 +314,11 @@ def reference_reduce_basis(basis):
     )
 
 
+def coprime(a, b):
+    """Whether the monomials a and b share no variable, i.e. lcm = product."""
+    return set(a.support()).isdisjoint(b.support())
+
+
 def packed_pair(table, i, j):
     """The oracle for one pair of `DivisorTable.pairs_of`: the weighted
     degree of the lcm of the leading monomials of rows i and j, by
@@ -322,16 +327,16 @@ def packed_pair(table, i, j):
     return lcm.degree(table.context.weights), table._packed(lcm)
 
 
-def reference_pairs_of(table, j, bound, coprime):
+def reference_pairs_of(table, j, bound, keep_coprime):
     """The oracle for `DivisorTable.pairs_of` by `Monomial` arithmetic:
     each pair (i, j), i < j, with coprime leads (disjoint supports) only
-    when `coprime`, listed when its lcm degree is at most `bound` and
+    when `keep_coprime`, listed when its lcm degree is at most `bound` and
     counted otherwise."""
     pairs = []
     beyond = 0
     lead = table.divisors[j].lm()
     for i in range(j):
-        if not coprime and table.divisors[i].lm().coprime(lead):
+        if not keep_coprime and coprime(table.divisors[i].lm(), lead):
             continue
         degree, lcm = packed_pair(table, i, j)
         if degree <= bound:
@@ -369,7 +374,7 @@ def reference_buchberger(gens, window, *, context=None):
         nonlocal discarded_pairs
         lead = table.divisors[j].lm()
         for i in range(j):
-            if table.divisors[i].lm().coprime(lead):
+            if coprime(table.divisors[i].lm(), lead):
                 continue
             lcm_degree = packed_pair(table, i, j)[0]
             if lcm_degree > bound:
@@ -447,7 +452,7 @@ def reference_instantiate(presentation, window):
         admit(g)
     if presentation.family is not None:
         for i in range(1, window.var_bound + 1):
-            if presentation.family_indices is None or i in presentation.family_indices:
+            if presentation.variables is None or i in presentation.variables:
                 admit(presentation.family(i))
     return out
 
@@ -577,6 +582,45 @@ def reference_standard_monomials(basis, degree, variables=None):
 
     descend(len(indices) - 1, degree)
     return out
+
+
+def monomials_of_degree(degree, weights=DEFAULT_WEIGHTS, variables=None):
+    """Every monomial of exact weighted degree, over `variables` if given:
+    the standard monomials of an empty base by the recursive oracle above,
+    which does not use `_walk`, in the walk's order."""
+    context = RingContext(OrderKind.HOM_LEX, weights)
+    empty = GroebnerBasis(context, (), TruncationWindow(1, 1), Certificate.ASSERTED)
+    return reference_standard_monomials(empty, degree, variables)
+
+
+def partition_counts_up_to(bound):
+    """p(0..bound) by Euler's pentagonal number recurrence, which shares
+    nothing with the library's counts."""
+    counts = [1]
+    for n in range(1, bound + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for pentagonal in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if pentagonal <= n:
+                    total += sign * counts[n - pentagonal]
+            k += 1
+        counts.append(total)
+    return counts
+
+
+def one_minus_power(gap, truncation):
+    """1 - T^gap as a dense truncated series, written term by term."""
+    coefficients = [1] + [0] * truncation
+    if gap <= truncation:
+        coefficients[gap] -= 1
+    return TruncatedSeries(coefficients)
+
+
+def geometric(gap, truncation):
+    """1/(1 - T^gap) as a dense truncated series: 1 at each multiple of the
+    gap up to the truncation, 0 elsewhere."""
+    return TruncatedSeries([int(n % gap == 0) for n in range(truncation + 1)])
 
 
 def reference_counts_up_to(indices, weights, bound, leads=()):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infinigb import cli, groebner, monomials
+from infinigb import cli, groebner, index_sets, monomials
 from infinigb.division import DivisionResult
 
 CHAIN_LINES = [
@@ -176,6 +176,14 @@ class TestDivide:
         )
         assert code == 2 and out == ""
         assert "expected '+' or '-'" in err
+
+    def test_a_number_past_the_digit_limit_is_a_usage_error(self, capsys, gens_file):
+        # Python 3.11 and later refuse to convert it; where no digit limit
+        # applies, the exponent cap refuses it.
+        code, out, err = run(capsys, "divide", "--order", "hlex",
+                             "--divisors", gens_file, "--input", "x1^" + "9" * 5000)
+        assert (code, out) == (2, "")
+        assert err.startswith("infinigb: ")
 
     def test_malformed_input_is_usage_error(self, capsys, gens_file):
         code, _, err = run(
@@ -337,6 +345,16 @@ class TestHilbert:
     def test_unknown_preset(self, capsys):
         code, _, err = run(capsys, "hilbert", "--preset", "nope", "--N", "8")
         assert code == 2 and "preset" in err
+
+    def test_a_modulus_past_the_digit_limit_is_a_usage_error(self, capsys, monkeypatch):
+        def refuse(text):
+            raise ValueError("Exceeds the limit (4300 digits) for integer string conversion")
+
+        # What int() raises past the interpreter's digit limit, on any Python.
+        monkeypatch.setattr(index_sets, "int", refuse, raising=False)
+        code, out, err = run(capsys, "hilbert", "--W", "nondiv7", "--p", "2", "--N", "10")
+        assert (code, out) == (2, "")
+        assert err == "infinigb: the nondiv modulus has too many digits\n"
 
     def test_both_routes_read_one_instantiation(self, capsys, monkeypatch):
         calls = []
@@ -760,6 +778,11 @@ USAGE_ERRORS = [
     (("hilbert", "--N", "5"), None, "hilbert needs --preset or both --W and --p"),
     (("hilbert", "--W", "odd", "--N", "5"), None,
      "hilbert needs --preset or both --W and --p"),
+    # A nondivQ name has ASCII digits only.
+    (("hilbert", "--W", "nondiv\u00b2", "--p", "2", "--N", "10"), None,
+     "unknown index set 'nondiv\u00b2'"),
+    (("hilbert", "--W", "nondiv\u0663", "--p", "2", "--N", "10"), None,
+     "unknown index set 'nondiv\u0663'"),
     (("gb", "--order", "hlex", "--family", "x^p{i}-x{p*i}", "--n", "3",
       "--deg", "6"), None, "a parametric family needs --W and --p"),
     (("gb", "--order", "hlex", "--family", "x^p{i}-x{p*i}", "--W", "odd",

@@ -19,7 +19,6 @@ sympy = pytest.importorskip("sympy")
 import helpers
 from infinigb.groebner import TruncationWindow, buchberger_truncated, reduce_basis
 from infinigb.monomials import OrderKind, WeightedAlphabet
-from infinigb.partitions import partition_counts_up_to
 from infinigb.polynomials import RingContext
 
 SYMBOLS = sympy.symbols("x1 x2 x3 x4")
@@ -134,7 +133,7 @@ def test_remainders_agree_with_sympy():
 
 
 def test_partition_counts_agree_with_sympy():
-    counts = partition_counts_up_to(60)
+    counts = helpers.partition_counts_up_to(60)
     for n in range(61):
         assert counts[n] == sympy.functions.combinatorial.numbers.nT(n)
 
@@ -142,6 +141,6 @@ def test_partition_counts_agree_with_sympy():
 def test_partition_function_agrees_with_sympy():
     from sympy.functions.combinatorial.numbers import partition
 
-    counts = partition_counts_up_to(60)
+    counts = helpers.partition_counts_up_to(60)
     for n in range(1, 61):
         assert counts[n] == partition(n)

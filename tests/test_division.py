@@ -105,14 +105,12 @@ class TestDivide:
         assert f.is_homogeneous() and r.is_homogeneous()
 
     def test_homogeneous_remainders_on_random_inputs(self):
-        from infinigb.monomials import monomials_of_degree
-
         rng = random.Random(31415)
         for _ in range(60):
             ctx = RingContext(rng.choice(helpers.HOMOGENEOUS_ORDERS))
 
             def homogeneous(degree):
-                choices = monomials_of_degree(degree)
+                choices = helpers.monomials_of_degree(degree)
                 terms = [
                     (rng.choice([-2, -1, 1, 2]), rng.choice(choices))
                     for _ in range(rng.randint(1, 3))
@@ -333,6 +331,16 @@ class TestDivisorTable:
         key = table._guard if table._sign < 0 else -table._guard
         with pytest.raises(RuntimeError, match=f"packed key {key} "):
             table._monomial(key)
+
+    def test_masks_hold_one_bit_per_field(self):
+        # `_ones` is the lowest bit of every field and `_guard` the top one.
+        table = DivisorTable(HARL, [])
+        for variables in range(41):
+            for width in range(2, 13):
+                table._layout(variables, width)
+                fields = range(variables)
+                assert table._ones == sum(1 << (f * width) for f in fields)
+                assert table._guard == sum(1 << (f * width + width - 1) for f in fields)
 
     def test_table_checks_its_divisors_and_dividends(self):
         with pytest.raises(ZeroPolynomialError):
@@ -886,7 +894,7 @@ def spair_expected(divisors, i, j):
     s = s_polynomial(g_i, g_j)
     expected = helpers.reference_divide(s, divisors).remainder
     assert remainder(s, divisors) == expected
-    if g_i.lm().coprime(g_j.lm()):
+    if helpers.coprime(g_i.lm(), g_j.lm()):
         return helpers.reference_divide(s, [g_i, g_j, *divisors]).remainder
     return expected
 
@@ -933,7 +941,7 @@ class TestSpairRemainder:
                         expected = spair_expected(divisors, i, j)
                         terms = one_pair_remainder(table, i, j)
                         assert table._polynomial(terms) == expected
-                        if divisors[i].lm().coprime(divisors[j].lm()):
+                        if helpers.coprime(divisors[i].lm(), divisors[j].lm()):
                             seen["coprime"] += 1
                         if divisors[i].lc() != ctx.one:
                             seen["non-monic"] += 1
@@ -1116,7 +1124,7 @@ def own_rows_first(ctx, divisors, seen):
         widths.append(table._width)
         s = s_polynomial(g_i, g_j)
         plain = remainder(s, table)
-        if g_i.lm().coprime(g_j.lm()):
+        if helpers.coprime(g_i.lm(), g_j.lm()):
             expected = helpers.reference_divide(s, [g_i, g_j, *divisors]).remainder
             seen["coprime"] += 1
             seen["own rows change it"] += expected != plain
@@ -1198,7 +1206,7 @@ class TestOwnRowsFirst:
             monkeypatch.undo()
             (pair,) = changed
             i, j = pair
-            assert basis.elements[i].lm().coprime(basis.elements[j].lm())
+            assert helpers.coprime(basis.elements[i].lm(), basis.elements[j].lm())
 
 
 @st.composite

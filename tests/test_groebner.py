@@ -40,7 +40,6 @@ from infinigb.monomials import (
     Monomial,
     OrderKind,
     WeightedAlphabet,
-    monomials_of_degree,
 )
 from infinigb.partitions import FamilySpec, check_partition, enumerate_family
 from infinigb.series import TruncatedSeries
@@ -176,11 +175,9 @@ class TestReduceBasis:
 def random_homogeneous_generators(rng, context, count):
     """Homogeneous generators over x1..x4 under the default grading, so a
     windowed completion is a Groebner base up to the degree bound."""
-    from infinigb.monomials import monomials_of_degree
-
     gens = []
     while len(gens) < count:
-        choices = monomials_of_degree(rng.randint(2, 6), variables=range(1, 5))
+        choices = helpers.monomials_of_degree(rng.randint(2, 6), variables=range(1, 5))
         g = Polynomial.from_terms(
             context,
             [(rng.choice([-3, -1, 1, 2]), rng.choice(choices)) for _ in range(3)],
@@ -558,7 +555,7 @@ class TestVerifyBuchberger:
             leads[i].lcm(leads[j]).degree(weights) for i, j in reduced
         ]
         assert degrees == sorted(degrees)
-        coprime = [(i, j) for i, j in expected if leads[i].coprime(leads[j])]
+        coprime = [(i, j) for i, j in expected if helpers.coprime(leads[i], leads[j])]
         assert 0 < len(coprime) < len(expected) < len(leads) * (len(leads) - 1) // 2
         # Building the table lays it out once, for the window; only plex
         # widens it after that.
@@ -882,7 +879,6 @@ def presentations(draw):
         HARL,
         generators=tuple(poly(text) for text in texts),
         family=GENERATOR_PASS_RULES[rule],
-        family_indices=draw(st.sampled_from(sets)),
         variables=draw(st.sampled_from(sets)),
     )
 
@@ -1218,7 +1214,7 @@ class TestStabilization:
                 ctx, [(1, Monomial.variable(j)) for j in range(1, i + 1)]
             )
 
-        pres = IdealPresentation(HARL, family=rule, family_indices=index_sets.ALL)
+        pres = IdealPresentation(HARL, family=rule)
         scan = stabilized_reduced_basis(pres, max_n=8, degree_bound=10)
         assert not scan.stabilized
         assert scan.unstable
@@ -1298,7 +1294,7 @@ def growing_family():
             ctx, [(1, Monomial.variable(j)) for j in range(1, i + 1)]
         )
 
-    return IdealPresentation(HARL, family=rule, family_indices=index_sets.ALL)
+    return IdealPresentation(HARL, family=rule)
 
 
 def plex_family():
@@ -1573,7 +1569,6 @@ INPUT_ERRORS = {
         lambda: Monomial(((2, 1), (1, 1))), "variable indices must be strictly"
     ),
     "zero exponent": (lambda: Monomial(((1, 0),)), "exponents must be strictly"),
-    "negative degree": (lambda: monomials_of_degree(-1), "degree must be"),
     "modulus": (lambda: index_sets.avoiding_multiples_of(1), "modulus must be"),
     "set name": (lambda: index_sets.from_name("zz"), "unknown index set"),
     "partition": (lambda: check_partition((2, 0)), "parts must be positive"),
@@ -1591,7 +1586,7 @@ INPUT_ERRORS = {
     ),
     "empty series": (lambda: TruncatedSeries(()), "a truncated series needs"),
     "geometric gap": (
-        lambda: TruncatedSeries.geometric(0, 5), "gap must be positive"
+        lambda: TruncatedSeries.one(5).over_one_minus_power(0), "gap must be positive"
     ),
     "shift": (
         lambda: TruncatedSeries((1, 2)).times_power(-1), "gap must be non-negative"
