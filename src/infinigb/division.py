@@ -21,10 +21,11 @@ jobs, each made into a work dict by one of three builders: a polynomial
 (`divide`, `remainder`), a monomial (`monomial_remainder`) or an S-pair
 (`spair_remainders`), the last from the two packed tails of its rows
 shifted by their factor keys, so no S-polynomial is built.  One kernel,
-`pairs_of`, lists the pairs of a row with their lcm degrees and packed
-lcms.  Verification streams all of its pairs and stops at the first
-non-zero remainder; completion streams pairs from its queue as
-remainders add to it, and never a pair whose leads share no variable.
+`pairs_of`, lists the pairs of a row, each as the one tuple (lcm degree,
+i, j, packed lcm) that the stream takes as its job.  Verification streams
+all of its pairs and stops at the first non-zero remainder; completion
+streams pairs from its queue as remainders add to it, and never a pair
+whose leads share no variable.
 Each step of such a pair tries its own two rows before the table, and
 they alone reduce it to zero (Buchberger's first criterion, 1979).  Any
 reduction to zero is a standard representation, and over a Groebner
@@ -343,10 +344,11 @@ class DivisorTable:
         return -((degree << self._shift) + self._sign * x)
 
     def pairs_of(self, j, bound, coprime):
-        """The S-pairs (i, j), i < j: (lcm degree, i, packed lcm) in
-        increasing i for those of lcm degree at most `bound`, and the
-        number of the others; with `coprime` False, the pairs whose leads
-        share no variable are left out.  The lcms hold in this layout.
+        """The S-pairs (i, j), i < j, as the jobs (lcm degree, i, j, packed
+        lcm) of `spair_remainders`, in increasing i, for those of lcm degree
+        at most `bound`, and the number of the others; with `coprime` False,
+        the pairs whose leads share no variable are left out.  The lcms hold
+        in this layout.
 
         Subtracting lead j from lead i with every guard bit set leaves the
         guard bit of each field where i's exponent is at least j's: those
@@ -377,7 +379,7 @@ class DivisorTable:
             else:
                 continue
             if degree <= bound:
-                pairs.append((degree, i, lcm))
+                pairs.append((degree, i, j, lcm))
             else:
                 beyond += 1
         return pairs, beyond
@@ -441,13 +443,13 @@ class DivisorTable:
         return {self._order_key(self._packed(m), need): 1}, 1, need, ()
 
     def spair_remainders(self, pairs):
-        """For each pair (lcm degree, i, j, packed lcm), the terms of
-        `remainder(s_polynomial(g_i, g_j), table)`, or of its remainder
-        modulo [g_i, g_j, then the table] when the leads share no variable
-        (each step tries the two rows, uncached, first), read only once the
-        remainder before it is taken: a caller may append rows and add
-        pairs in between.  Unpack each remainder before the next, which
-        may widen the layout its keys hold in.
+        """For each job (lcm degree, i, j, packed lcm), as `pairs_of` lists
+        it, the terms of `remainder(s_polynomial(g_i, g_j), table)`, or of
+        its remainder modulo [g_i, g_j, then the table] when the leads share
+        no variable (each step tries the two rows, uncached, first), read
+        only once the remainder before it is taken: a caller may append rows
+        and add pairs in between.  Unpack each remainder before the next,
+        which may widen the layout its keys hold in.
 
         The S-polynomial's monomials have weighted degree at most that of
         the leads' lcm; under `plex` its exponents are bounded by an
@@ -468,27 +470,33 @@ class DivisorTable:
         gcd c, the dict holds a (lcm/lm_i) r_i - b (lcm/lm_j) r_j for
         a = l_j / c and b = l_i / c, the S-polynomial times a * l_i: the
         leading terms cancel, leaving the two tails shifted by their factor
-        keys.  Over GF(p) both rows are monic and a = b = 1.
+        keys.  Equal leading coefficients, as over GF(p), where both rows
+        are monic, give a = b = 1 with no gcd taken.
         """
-        if self._homogeneous:
-            need = degree
-        else:
+        need = degree
+        if not self._homogeneous:
             g_i, g_j = self.divisors[i], self.divisors[j]
             need = max(
                 (e for g in (g_i, g_j) for _, e in g.lm().exps), default=0
             ) + _extent(g_i, g_j)[1]
-        self._fit(0, need)
+        if need > self._capacity:
+            self._fit(0, need)
         if self._stale:
             lcm = self._packed(self.divisors[i].lm().lcm(self.divisors[j].lm()))
         k_lcm = self._order_key(lcm, degree)
         k_lead_i, lc_i, tail_i = self._rows[i]
         k_lead_j, lc_j, tail_j = self._rows[j]
-        common = gcd(lc_i, lc_j)
-        a, b = lc_j // common, lc_i // common
+        a = b = 1
+        if lc_i != lc_j:
+            common = gcd(lc_i, lc_j)
+            a, b = lc_j // common, lc_i // common
         # The rows hold negated tails: row i's is negated back, row j's
-        # enters as stored.
+        # enters as stored.  A loop, not a comprehension, which would run
+        # in a frame of its own.
         factor = k_lcm - k_lead_i
-        work = {factor + k: -a * negated for negated, k in tail_i}
+        work = {}
+        for negated, k in tail_i:
+            work[factor + k] = -a * negated
         factor = k_lcm - k_lead_j
         for negated, k in tail_j:
             c = b * negated

@@ -1,6 +1,18 @@
 """Exception types shared across the library."""
 
 
+# The most characters of an input that a message repeats.
+ECHO_LIMIT = 60
+
+
+def echo(text, show=str):
+    """show(text) for a message, or show of its first ECHO_LIMIT characters
+    and the length of the whole when it is longer."""
+    if len(text) <= ECHO_LIMIT:
+        return show(text)
+    return f"{show(text[:ECHO_LIMIT])}... ({len(text)} characters)"
+
+
 class InfinigbError(Exception):
     """Base class for all library errors."""
 
@@ -9,7 +21,7 @@ class ParseError(InfinigbError):
     """Malformed monomial or polynomial text; carries the offending offset."""
 
     def __init__(self, message, text, position):
-        super().__init__(f"{message} at position {position} in {text!r}")
+        super().__init__(f"{message} at position {position} in {echo(text, repr)}")
         self.text = text
         self.position = position
 

@@ -23,8 +23,8 @@ completion from scratch gives.  Every other window is completed from
 scratch on a fresh table.
 
 Pairs are listed off the table's packed leads by one kernel,
-`DivisorTable.pairs_of`, with the lcm degree that schedules and
-window-tests each and its packed lcm, and stream through
+`DivisorTable.pairs_of`, each as one job tuple (lcm degree, i, j, packed
+lcm), the lcm degree scheduling and window-testing it, and stream through
 `DivisorTable.spair_remainders`, which gives packed terms back: no
 S-polynomial, lcm or `Monomial` is built per pair.  A non-zero remainder
 becomes its monic divisor and row straight from those terms
@@ -250,7 +250,8 @@ def _complete(table, start, window):
         # lcm when subtracting it with every guard bit set clears none.
         guard = table._guard
         kept = []
-        for lcm_degree, i, lcm in pairs:
+        for pair in pairs:
+            lcm = pair[3]
             with_guards = lcm | guard
             for d in kept:
                 if (with_guards - d) & guard == guard:
@@ -258,7 +259,7 @@ def _complete(table, start, window):
             else:
                 if prune:
                     kept.append(lcm)
-                heapq.heappush(queue, (lcm_degree, i, j, lcm))
+                heapq.heappush(queue, pair)
 
     for j in range(start, len(table.divisors)):
         pair_up(j)
@@ -376,7 +377,8 @@ def verify_buchberger(basis):
     """Independent re-verification: every S-pair within the window reduces
     to zero, with no pair criterion.
 
-    `DivisorTable.pairs_of` lists every pair, coprime ones included, with
+    `DivisorTable.pairs_of` lists every pair, coprime ones included, as
+    the job tuple (lcm degree, i, j, packed lcm) that the stream takes,
     its lcm degree read off the packed leads.  They are reduced in one
     stream in order of lcm degree, then of (j, i), so the table's reducer
     cache serves one degree slice at a time, and the first non-zero
@@ -388,11 +390,9 @@ def verify_buchberger(basis):
     bound = basis.window.degree_bound
     # Laid out once for every S-pair inside the window.
     table = DivisorTable(basis.context, basis.elements, bound)
-    pairs = [
-        (lcm_degree, i, j, lcm)
-        for j in range(len(table.divisors))
-        for lcm_degree, i, lcm in table.pairs_of(j, bound, True)[0]
-    ]
+    pairs = []
+    for j in range(len(table.divisors)):
+        pairs += table.pairs_of(j, bound, True)[0]
     # Listed by (j, i), so a stable sort by degree orders them by (lcm
     # degree, j, i).
     pairs.sort(key=itemgetter(0))

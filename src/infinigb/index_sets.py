@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from functools import cache
 
-from .errors import InputError
+from .errors import InputError, echo
 
 
 class IndexSet:
@@ -68,7 +68,7 @@ def from_name(name):
         return _NAMED[name]
     match = re.fullmatch("nondiv([0-9]+)", name)
     if match is None:
-        raise InputError(f"unknown index set {name!r}")
+        raise InputError(f"unknown index set {echo(name, repr)}")
     try:
         q = int(match.group(1))
     except ValueError:  # beyond the interpreter's digit limit

@@ -330,8 +330,8 @@ def packed_pair(table, i, j):
 def reference_pairs_of(table, j, bound, keep_coprime):
     """The oracle for `DivisorTable.pairs_of` by `Monomial` arithmetic:
     each pair (i, j), i < j, with coprime leads (disjoint supports) only
-    when `keep_coprime`, listed when its lcm degree is at most `bound` and
-    counted otherwise."""
+    when `keep_coprime`, listed as the job (lcm degree, i, j, packed lcm)
+    when its lcm degree is at most `bound` and counted otherwise."""
     pairs = []
     beyond = 0
     lead = table.divisors[j].lm()
@@ -340,7 +340,7 @@ def reference_pairs_of(table, j, bound, keep_coprime):
             continue
         degree, lcm = packed_pair(table, i, j)
         if degree <= bound:
-            pairs.append((degree, i, lcm))
+            pairs.append((degree, i, j, lcm))
         else:
             beyond += 1
     return pairs, beyond

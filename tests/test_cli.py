@@ -9,6 +9,7 @@ import hashlib
 import importlib.resources
 import io
 import json
+import sys
 import time
 
 import jsonschema
@@ -179,11 +180,68 @@ class TestDivide:
 
     def test_a_number_past_the_digit_limit_is_a_usage_error(self, capsys, gens_file):
         # Python 3.11 and later refuse to convert it; where no digit limit
-        # applies, the exponent cap refuses it.
+        # applies, the exponent cap refuses it.  Either message quotes only
+        # the start of the number.
         code, out, err = run(capsys, "divide", "--order", "hlex",
                              "--divisors", gens_file, "--input", "x1^" + "9" * 5000)
         assert (code, out) == (2, "")
         assert err.startswith("infinigb: ")
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+
+    def test_caps_quote_a_long_number_in_part(self, capsys, gens_file):
+        # With no digit limit, as on Python 3.10, the number parses and a
+        # cap refuses it.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+        nines = "9" * 5000
+        cut = f"{nines[:60]}... (5000 characters)"
+        set_limit(0)
+        try:
+            for text, message in [
+                (f"x1^{nines}", f"exponent {cut} of x1 is above the divide "
+                 "exponent cap 1000"),
+                (f"x{nines}", f"variable x{cut} is above the divide variable "
+                 "cap 1000"),
+            ]:
+                code, out, err = run(capsys, "divide", "--order", "hlex",
+                                     "--divisors", gens_file, "--input", text)
+                assert (code, out, err) == (2, "", f"infinigb: --input: {message}\n")
+        finally:
+            set_limit(limit)
+
+    def test_a_variable_above_the_cap_is_a_usage_error(self, capsys, tmp_path):
+        cap = cli.DIVIDE_VARIABLE_CAP
+        linear = tmp_path / "linear.gens"
+        linear.write_text("x1 - 1\n")
+        code, out, err = run(capsys, "divide", "--order", "hlex",
+                             "--divisors", str(linear), "--input", "x1001")
+        assert (code, out, err) == (
+            2, "", "infinigb: --input: variable x1001 is above "
+            "the divide variable cap 1000\n"
+        )
+        wide = tmp_path / "wide.gens"
+        wide.write_text(f"x{cap + 1} - x1\n")
+        code, out, err = run(capsys, "divide", "--order", "hlex",
+                             "--divisors", str(wide), "--input", "x1")
+        assert (code, out, err) == (
+            2, "", f"infinigb: divisor file {wide}: variable x1001 is above "
+            "the divide variable cap 1000\n"
+        )
+        # At the cap the division runs.
+        code, out, _ = run(capsys, "divide", "--order", "hlex",
+                           "--divisors", str(linear), "--input", f"x{cap}*x1")
+        assert code == 0
+        assert json.loads(out)["remainder"] == f"x{cap}"
+
+    def test_a_long_input_is_quoted_in_part(self, capsys, gens_file):
+        text = "x1 + " * 30 + "$"
+        code, out, err = run(capsys, "divide", "--order", "hlex",
+                             "--divisors", gens_file, "--input", text)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"infinigb: unexpected character at position 150 in {text[:60]!r}"
+            "... (151 characters)\n"
+        )
 
     def test_malformed_input_is_usage_error(self, capsys, gens_file):
         code, _, err = run(

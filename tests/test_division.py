@@ -43,6 +43,7 @@ from infinigb.monomials import (
     OrderKind,
     WeightedAlphabet,
     compare,
+    sort_key,
 )
 from infinigb.polynomials import (
     GF,
@@ -901,12 +902,12 @@ def spair_expected(divisors, i, j):
 
 def one_pair_remainder(table, i, j):
     """The (c, key, scale) terms of a one-pair `DivisorTable.spair_remainders`
-    stream, given the lcm degree and packed lcm from `pairs_of`, as its
-    callers in `groebner` give them."""
-    ((degree, _, lcm),) = [
+    stream, given the job `pairs_of` lists for the pair, as its callers in
+    `groebner` give it."""
+    (pair,) = [
         pair for pair in table.pairs_of(j, math.inf, True)[0] if pair[1] == i
     ]
-    return next(table.spair_remainders([(degree, i, j, lcm)]))
+    return next(table.spair_remainders([pair]))
 
 
 class TestSpairRemainder:
@@ -987,9 +988,9 @@ def all_pairs(table):
     """Every pair (lcm degree, i, j, packed lcm) of the table's rows, as
     the callers in `groebner` list them."""
     return [
-        (degree, lcm, j, i)
+        pair
         for j in range(len(table.divisors))
-        for degree, i, lcm in table.pairs_of(j, math.inf, True)[0]
+        for pair in table.pairs_of(j, math.inf, True)[0]
     ]
 
 
@@ -1007,9 +1008,7 @@ def streamed_against_single(ctx, divisors):
         degree = 2 * max(g.weighted_degree() for g in divisors)
     streamed = DivisorTable(ctx, divisors, degree)
     single = DivisorTable(ctx, divisors, degree)
-    pairs = [
-        (degree, i, j, lcm) for degree, lcm, j, i in all_pairs(streamed)
-    ]
+    pairs = all_pairs(streamed)
     widths = []
     for (_, i, j, _), terms in zip(pairs, streamed.spair_remainders(pairs)):
         # Each remainder is read before the stream takes the next pair.
@@ -1063,7 +1062,7 @@ class TestSpairStream:
                 for _ in range(rng.randint(2, 5))
             ]
             table = DivisorTable(ctx, divisors)
-            pairs = [(degree, i, j, lcm) for degree, lcm, j, i in all_pairs(table)]
+            pairs = all_pairs(table)
             for (_, i, j, lcm), terms in zip(pairs, table.spair_remainders(pairs)):
                 assert table._polynomial(terms) == spair_expected(divisors, i, j)
                 stale += lcm != helpers.packed_pair(table, i, j)[1]
@@ -1116,7 +1115,7 @@ def own_rows_first(ctx, divisors, seen):
     other pair its remainder modulo the table.  Returns the field widths
     the stream went through."""
     table = DivisorTable(ctx, divisors)
-    pairs = [(degree, i, j, lcm) for degree, lcm, j, i in all_pairs(table)]
+    pairs = all_pairs(table)
     widths = []
     for (_, i, j, _), terms in zip(pairs, table.spair_remainders(pairs)):
         g_i, g_j = divisors[i], divisors[j]
@@ -1391,8 +1390,8 @@ class TestPackedPairs:
             )
             (pair,), beyond = table.pairs_of(1, degree, True)
             assert beyond == 0
-            listed_degree, i, packed_lcm = pair
-            assert (listed_degree, i) == (degree, 0)
+            listed_degree, i, j, packed_lcm = pair
+            assert (listed_degree, i, j) == (degree, 0, 1)
             assert packed_lcm == table._packed(lcm)
             packed_gcd = table._leads[0] + table._leads[1] - packed_lcm
             assert packed_gcd == table._packed(gcd)
@@ -1457,12 +1456,112 @@ class TestPairsOf:
         # first two are coprime, with lcm degree 9.
         table = DivisorTable(HARL, [poly("x1^2"), poly("x3*x4"), poly("x1*x3")], 9)
         listed, beyond = table.pairs_of(2, 8, True)
-        assert [pair[:2] for pair in listed] == [(5, 0), (8, 1)] and beyond == 0
+        assert [pair[:3] for pair in listed] == [(5, 0, 2), (8, 1, 2)] and beyond == 0
         assert table.pairs_of(1, 9, False) == ([], 0)
-        coprime = (9, 0, table._leads[0] + table._leads[1])
+        coprime = (9, 0, 1, table._leads[0] + table._leads[1])
         assert table.pairs_of(1, 9, True) == ([coprime], 0)
         assert table.pairs_of(1, 8, True) == ([], 1)
         assert table.pairs_of(2, 6, True) == ([listed[0]], 1)
+
+
+@st.composite
+def spair_work_tables(draw, order, field, relation):
+    """A table of two rows under `order`, with weight overrides, over
+    `field`.  Each row is c * lead + 1 * m_1 + t_2 * m_2 + ... over distinct
+    monomials, lead the largest, so over Q its row keeps the leading
+    coefficient |c|: with `relation` "equal" both rows draw one c from 2, 3
+    and 6 (with either sign), with "unequal" two different ones from 2, 3,
+    4 and 6.  The table is laid out for its rows alone, below most lcm
+    degrees, or for twice their largest degree, as a window lays it out."""
+    ctx = RingContext(
+        order,
+        WeightedAlphabet.with_weights(
+            draw(st.dictionaries(st.integers(1, 6), st.integers(1, 3), max_size=2))
+        ),
+        field,
+    )
+    key = sort_key(ctx.order, ctx.weights)
+    if relation == "equal":
+        leads = [draw(st.sampled_from([2, 3, 6]))] * 2
+    else:
+        leads = draw(st.permutations([2, 3, 4, 6]))[:2]
+    rows = []
+    for c in leads:
+        ms = draw(
+            st.lists(
+                helpers.monomials(max_index=6, max_exponent=5),
+                min_size=2,
+                max_size=4,
+                unique=True,
+            )
+        )
+        ms.sort(key=key, reverse=True)
+        tail = draw(st.lists(st.integers(-6, 6).filter(bool), min_size=len(ms) - 2,
+                             max_size=len(ms) - 2))
+        sign = draw(st.sampled_from([1, -1]))
+        rows.append(
+            Polynomial.from_terms(ctx, list(zip([sign * c, 1, *tail], ms)))
+        )
+    degree = draw(st.sampled_from([0, 2 * max(g.weighted_degree() for g in rows)]))
+    return DivisorTable(ctx, rows, degree)
+
+
+def spair_work_polynomial(table, i, j):
+    """The work dict of `DivisorTable._spair_work` for the pair (i, j),
+    given the job `pairs_of` lists for it, over its scale and decoded in
+    the layout the build leaves; with the degree and own rows it returns."""
+    (job,) = [pair for pair in table.pairs_of(j, math.inf, True)[0] if pair[1] == i]
+    table._stale = False  # as `spair_remainders` begins a stream
+    work, scale, degree, own = table._spair_work(*job)
+    p = table._modulus
+    terms = sorted((k, c) for k, c in work.items() if p is None or c % p)
+    return table._polynomial([(c, k, scale) for k, c in terms]), degree, own
+
+
+class TestSpairWork:
+    """`DivisorTable._spair_work` builds an S-pair's work dict from its two
+    rows: over its scale it is `s_polynomial(g_i, g_j)` packed in the
+    table's layout, which the build first widens when the pair needs it
+    (past the lcm degree under a homogeneous order, past the rows'
+    exponents under `plex`).  Equal leading coefficients take no gcd."""
+
+    @pytest.mark.parametrize(
+        "field, relation",
+        [(None, "equal"), (None, "unequal"), (GF(7), "any")],
+        ids=["Q-equal", "Q-unequal", "GF7"],
+    )
+    @pytest.mark.parametrize("order", helpers.ALL_ORDERS, ids=str)
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_work_over_scale_is_the_s_polynomial(self, order, field, relation, data):
+        table = data.draw(spair_work_tables(order, field, relation))
+        g_i, g_j = table.divisors
+        if field is None:
+            lc_i, lc_j = table._rows[0][1], table._rows[1][1]
+            assert min(lc_i, lc_j) > 1 and (lc_i == lc_j) == (relation == "equal")
+        work, degree, own = spair_work_polynomial(table, 0, 1)
+        assert work == s_polynomial(g_i, g_j)
+        assert degree == g_i.lm().lcm(g_j.lm()).degree(table.context.weights)
+        coprime = helpers.coprime(g_i.lm(), g_j.lm())
+        assert own == (((0, table._leads[0]), (1, table._leads[1])) if coprime else ())
+
+    @pytest.mark.parametrize("order", helpers.ALL_ORDERS, ids=str)
+    def test_the_build_widens_the_layout(self, order):
+        # The rows fit fields of capacity 3, and the S-polynomial holds
+        # x1^4: x1 times the tail x1^3 under a homogeneous order, whose lcm
+        # x1*x2*x3 has degree 6; under `plex` the leads are x2 and x1*x2,
+        # and x1^4 is within the bound, lead exponent 1 plus exponent 3.
+        context = RingContext(order)
+        texts = ("x2*x3 + x1^3", "x1*x2 - x1^2")
+        if not order.homogeneous:
+            texts = ("x2 + x1^3", "x1*x2 - x1")
+        divisors = [parse_polynomial(text, context) for text in texts]
+        table = DivisorTable(context, divisors)
+        assert table._capacity == 3
+        work, _, _ = spair_work_polynomial(table, 0, 1)
+        assert table._width > 3
+        assert work == s_polynomial(*divisors)
+        assert Monomial.variable(1, 4) in [m for _, m in work.terms]
 
 
 class TestRationalCoefficients:

@@ -325,3 +325,13 @@ class TestText:
         with pytest.raises(ParseError) as info:
             poly("x1 + x$2")
         assert info.value.position == 5
+
+    def test_a_long_text_is_quoted_in_part(self):
+        text = "x1*" * 40 + "$"
+        with pytest.raises(ParseError) as info:
+            poly(text)
+        assert str(info.value) == (
+            f"unexpected character at position 120 in {text[:60]!r}"
+            "... (121 characters)"
+        )
+        assert info.value.text == text
