@@ -58,7 +58,9 @@ def _load_config(path):
     with open(path, "rb") as handle:
         try:
             return toml.load(handle)
-        except (toml.TOMLDecodeError, UnicodeDecodeError) as error:
+        except ValueError as error:
+            # A TOMLDecodeError, a UnicodeDecodeError, or an integer past
+            # the interpreter's digit limit.
             raise InputError(f"config file {path}: {error}") from None
 
 
@@ -372,7 +374,7 @@ def cmd_bijection(args):
     else:
         _emit("lambda\tphi(lambda)")
         for a, b in pairs:
-            _emit(f"{json.dumps(list(a))}\t{json.dumps(list(b))}")
+            _emit(f"[{', '.join(map(str, a))}]\t[{', '.join(map(str, b))}]")
         _emit(json.dumps(report))
     return 0 if report["ok"] else 1
 
@@ -407,6 +409,17 @@ def cmd_identities(args):
     return 0 if all(b["verdict"] == "PASS" for b in blocks.values()) else 1
 
 
+def _int_value(text):
+    """int(text) for an int option; argparse's own message when it fails,
+    quoting at most ECHO_LIMIT characters of the text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {echo(text, repr)}"
+        ) from None
+
+
 class _Option:
     """One option of a command: its argparse keywords and its facts.  An
     option that neither a flag nor the config file set (argparse default
@@ -420,6 +433,8 @@ class _Option:
         self.least, self.cap, self.keywords = least, cap, keywords
         flag = keywords.get("action") == "store_true"
         self.kind = bool if flag else keywords.get("type", str)
+        if self.kind is int:
+            keywords["type"] = _int_value
 
 
 class _Command:

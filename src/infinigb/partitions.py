@@ -13,8 +13,6 @@ standard monomials and counted, for every weight up to N at once, by
 
 from __future__ import annotations
 
-import heapq
-from collections import Counter
 from dataclasses import dataclass
 
 from . import index_sets, series
@@ -95,7 +93,7 @@ class FamilySpec:
         if not all(self.admits_part(m) for m in parts):
             return False
         if self.kind == "Y":
-            return all(c <= self.p - 1 for c in Counter(parts).values())
+            return all(e <= self.p - 1 for _, e in _exponent_pairs(parts))
         if self.kind == "gap2":
             return all(a - b >= 2 for a, b in zip(parts, parts[1:]))
         return True
@@ -115,10 +113,7 @@ def enumerate_family(spec, n):
     n of the family's monomial ideal, read as partitions."""
     if n < 0:
         raise InputError("partitions need a non-negative weight")
-    return {
-        tuple(i for i, e in reversed(pairs) for _ in range(e))
-        for pairs in _pairs_of_degree(*spec._standard_walk(n))
-    }
+    return {_partition_of(pairs) for pairs in _pairs_of_degree(*spec._standard_walk(n))}
 
 
 def partition_to_monomial(parts):
@@ -129,7 +124,32 @@ def partition_to_monomial(parts):
 
 def monomial_to_partition(monomial):
     """Inverse dictionary; degree-preserving under the default grading."""
-    return tuple(i for i, e in reversed(monomial.exps) for _ in range(e))
+    return _partition_of(monomial.exps)
+
+
+def _partition_of(pairs):
+    """x^pairs as a partition, from increasing (index, exponent) pairs."""
+    parts = []
+    for i, e in reversed(pairs):
+        parts += [i] * e
+    return tuple(parts)
+
+
+def _exponent_pairs(parts):
+    """The increasing (index, exponent) pairs of x^parts for a partition
+    `parts`, which the caller has checked, read off its runs in one pass."""
+    pairs = []
+    last = count = 0
+    for m in reversed(parts):
+        if m == last:
+            count += 1
+        else:
+            if count:
+                pairs.append((last, count))
+            last, count = m, 1
+    if count:
+        pairs.append((last, count))
+    return tuple(pairs)
 
 
 def _substitution_table(family, p, order, weight):
@@ -146,12 +166,12 @@ def _substitution_table(family, p, order, weight):
 def _division_image(parts, table):
     """The partition of the remainder of x^parts modulo the packed base,
     which must be one term c/scale = 1: over GF(p) the scale is 1.  The
-    caller has checked `parts`, so x^parts is built unchecked."""
-    terms = table.monomial_remainder(_trusted(tuple(sorted(Counter(parts).items()))))
+    caller has checked that `parts` is a partition."""
+    terms = table.monomial_remainder(_trusted(_exponent_pairs(parts)))
     if len(terms) != 1 or terms[0][0] != terms[0][2]:
         image = table._polynomial(terms)
         raise CertificationError(f"division image {image} is not a monic monomial")
-    return monomial_to_partition(table._monomial(terms[0][1]))
+    return _partition_of(table._monomial(terms[0][1]).exps)
 
 
 def _rewrite_down(parts, family, p):
@@ -161,18 +181,20 @@ def _rewrite_down(parts, family, p):
     this ascending carry pass, where part i keeps c % p of its c copies and
     carries c // p into the larger, still pending part p*i, reaches the
     normal form of any order, smallest part first included."""
-    counts = Counter(parts)
-    pending = list(counts)
-    heapq.heapify(pending)
-    while pending:
-        i = heapq.heappop(pending)
+    counts = {}
+    for i in parts:
+        counts[i] = counts.get(i, 0) + 1
+    for i in sorted(counts):
         c = counts[i]
-        if c >= p and i in family:
+        # Only i carries into p*i, so p*i is settled as soon as i is.
+        while c >= p and i in family:
             counts[i] = c % p
-            if p * i not in counts:
-                heapq.heappush(pending, p * i)
-            counts[p * i] += c // p
-    return tuple(sorted(counts.elements(), reverse=True))
+            i *= p
+            c = counts[i] = counts.get(i, 0) + c // p
+    out = []
+    for i, c in counts.items():
+        out += [i] * c
+    return tuple(sorted(out, reverse=True))
 
 
 def _rewrite_up(parts, family, p):
@@ -181,8 +203,11 @@ def _rewrite_up(parts, family, p):
     its weight and overlap only with themselves, so they are confluent:
     splitting each distinct part on its own reaches the normal form of any
     order, smallest part first included."""
+    counts = {}
+    for m in parts:
+        counts[m] = counts.get(m, 0) + 1
     out = []
-    for m, c in Counter(parts).items():
+    for m, c in counts.items():
         while m % p == 0 and (m // p) in family:
             m //= p
             c *= p

@@ -473,6 +473,20 @@ class TestBijection:
             with pytest.raises(jsonschema.ValidationError):
                 validate({**payload, "report": bad}, "bijection")
 
+    @pytest.mark.parametrize("preset", ["AB", "AC"])
+    def test_tsv_rows_are_the_json_lists(self, capsys, preset):
+        # Each row renders its two partitions as json.dumps renders them
+        # as lists, the empty partition included.
+        for n in range(41):
+            code, out, _ = run(capsys, "bijection", "--preset", preset, "--n", str(n))
+            assert code == 0
+            _, *rows, report = out.splitlines()
+            assert len(rows) == json.loads(report)["x_size"] > 0
+            for row in rows:
+                a, b = (json.loads(text) for text in row.split("\t"))
+                assert row == f"{json.dumps(a)}\t{json.dumps(b)}"
+                assert sum(a) == sum(b) == n
+
     def test_single_route(self, capsys):
         code, out, _ = run(
             capsys,
@@ -682,6 +696,21 @@ class TestConfigAndDeterminism:
         assert out == ""
         assert err.startswith("infinigb: config file ")
 
+    def test_config_integer_past_the_digit_limit_is_a_usage_error(
+        self, capsys, tmp_path
+    ):
+        # Python 3.11 and later refuse to convert it while reading the file;
+        # where no digit limit applies, the truncation cap refuses it.
+        config = tmp_path / "big.toml"
+        config.write_text("N = " + "9" * 5000 + "\n")
+        code, out, err = run(capsys, "identities", "--rr", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith("infinigb: ")
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < 5000:
+            assert err.startswith(f"infinigb: config file {config}: ")
+
     def test_seed_echoed(self, capsys):
         _, out, _ = run(
             capsys, "orders-demo", "--format", "json", "--seed", "99",
@@ -699,6 +728,40 @@ class TestConfigAndDeterminism:
         with pytest.raises(SystemExit) as info:
             cli.main(["orders-demo", "--bogus"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("identities", "--rr"), "N"),
+            (("bijection", "--preset", "AB"), "n"),
+            (("gb", "--order", "hlex", "--n", "3"), "deg"),
+            (("hilbert", "--preset", "schur-p2", "--N", "5"), "p"),
+            (("orders-demo",), "seed"),
+        ],
+    )
+    def test_an_invalid_int_is_quoted_in_part(self, argv, option):
+        # A short value keeps argparse's own message; a long one is cut to
+        # its first 60 characters, so the error is one short line.
+        for value, shown in [
+            ("x12", "'x12'"),
+            ("x" * 5000, f"{'x' * 60!r}... (5000 characters)"),
+        ]:
+            code, err = run_in_process([*argv, f"--{option}", value])
+            assert code == 2
+            assert err.splitlines()[-1] == (
+                f"infinigb {argv[0]}: error: argument --{option}: "
+                f"invalid int value: {shown}"
+            )
+            assert len(err.splitlines()[-1].encode()) < 300
+
+    def test_a_number_past_the_digit_limit_is_one_short_line(self):
+        # Python 3.11 and later refuse to convert it; where no digit limit
+        # applies, the truncation cap refuses it.  Either way the message
+        # quotes only the start of the number.
+        code, err = run_in_process(["identities", "--rr", "--N", "9" * 5000])
+        assert code == 2
+        assert len(err.encode()) < 300
+        assert "9" * 61 not in err and "(5000 characters)" in err
 
     def test_main_calls_share_one_parser(self, capsys, monkeypatch):
         parsers = []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -77,8 +78,6 @@ class TestFamilies:
             assert all(m % 3 in (1, 2) for m in parts)
 
     def test_odd_parts_at_most_twice_in_c(self):
-        from collections import Counter
-
         for parts in enumerate_family(FamilySpec.preset("C"), 12):
             assert all(m % 2 == 1 for m in parts)
             assert all(c <= 2 for c in Counter(parts).values())
@@ -146,6 +145,36 @@ class TestDictionary:
     def test_rejects_non_monotone(self):
         with pytest.raises(ValueError):
             partition_to_monomial((1, 2))
+
+
+def check_run_lengths(parts):
+    pairs = partitions._exponent_pairs(parts)
+    assert pairs == tuple(sorted(Counter(parts).items()))
+    assert partitions._partition_of(pairs) == parts
+    assert partitions._partition_of(partition_to_monomial(parts).exps) == parts
+
+
+class TestRunLengths:
+    """The run-length pairs of a partition against a Counter, and the one
+    pairs-to-partition reading against `partition_to_monomial`, on
+    partitions listed by the search, not by the walk that reads pairs."""
+
+    @pytest.mark.parametrize("n", range(26))
+    def test_every_partition_up_to_twenty_five(self, n):
+        every_part = FamilySpec("parts", index_sets.ALL)
+        every = helpers.reference_enumerate_family(every_part, n)
+        assert helpers.all_partitions(n) == every
+        for parts in every:
+            check_run_lengths(parts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parts=st.lists(
+            st.integers(1, 8) | st.integers(1, 10**12), max_size=60
+        ).map(lambda parts: tuple(sorted(parts, reverse=True)))
+    )
+    def test_random_partitions(self, parts):
+        check_run_lengths(parts)
 
 
 @pytest.mark.parametrize(
